@@ -1,56 +1,89 @@
-type dominators = { idom : (int, int) Hashtbl.t; order : int list }
+(* Dominator tree, keyed on dense arrays over block ids ([0, next_block)).
+   [idom.(b)] is [virtual_root] for the entries and [unreached] for blocks
+   no entry reaches (or ids with no block). The pre/post interval numbering
+   that makes [dominates] O(1) is built on the first query, so passes that
+   only read immediate dominators pay nothing for it. *)
+type dominators = {
+  idom : int array;
+  order : int list;
+  intervals : (int array * int array) Lazy.t;
+}
 
 (* Cooper-Harvey-Kennedy iterative dominator computation over RPO. With two
    entry points (function entry + OSR), we add a virtual root (-1) that is
    the parent of both. *)
 let virtual_root = -1
+let unreached = -2
+
+(* Pre/post numbering of the dominator tree: [a] dominates [b] iff [b]'s
+   interval nests inside [a]'s. Children are numbered in RPO. *)
+let number_tree idom order =
+  let n = Array.length idom in
+  let children = Array.make n [] in
+  let roots = ref [] in
+  List.iter
+    (fun b ->
+      let p = idom.(b) in
+      if p = virtual_root then roots := b :: !roots else children.(p) <- b :: children.(p))
+    (List.rev order);
+  let pre = Array.make n (-1) and post = Array.make n (-1) in
+  let clock = ref 0 in
+  let rec visit b =
+    pre.(b) <- !clock;
+    incr clock;
+    List.iter visit children.(b);
+    post.(b) <- !clock;
+    incr clock
+  in
+  List.iter visit !roots;
+  (pre, post)
 
 let dominators (f : Mir.func) =
   let rpo = Mir.reverse_postorder f in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i bid -> Hashtbl.replace index bid i) rpo;
-  Hashtbl.replace index virtual_root (-1);
-  let idom = Hashtbl.create 16 in
+  let n = f.Mir.next_block in
+  let index = Array.make n (-1) in
+  List.iteri (fun i bid -> index.(bid) <- i) rpo;
+  let idom = Array.make n unreached in
   let entries = Mir.entry_blocks f in
-  List.iter (fun e -> Hashtbl.replace idom e virtual_root) entries;
-  Hashtbl.replace idom virtual_root virtual_root;
+  List.iter (fun e -> idom.(e) <- virtual_root) entries;
+  let index_of b = if b = virtual_root then -1 else index.(b) in
+  let parent b = if b = virtual_root then virtual_root else idom.(b) in
   let rec intersect a b =
     if a = b then a
-    else
-      let ia = Hashtbl.find index a and ib = Hashtbl.find index b in
-      if ia > ib then intersect (Hashtbl.find idom a) b
-      else intersect a (Hashtbl.find idom b)
+    else if index_of a > index_of b then intersect (parent a) b
+    else intersect a (parent b)
   in
+  let processed p = idom.(p) <> unreached in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun bid ->
         if not (List.mem bid entries) then begin
-          let preds =
-            List.filter (fun p -> Hashtbl.mem idom p) (Mir.block f bid).Mir.preds
-          in
+          let preds = List.filter processed (Mir.block f bid).Mir.preds in
           match preds with
           | [] -> ()
           | first :: rest ->
             let new_idom = List.fold_left intersect first rest in
-            if Hashtbl.find_opt idom bid <> Some new_idom then begin
-              Hashtbl.replace idom bid new_idom;
+            if idom.(bid) <> new_idom then begin
+              idom.(bid) <- new_idom;
               changed := true
             end
         end)
       rpo
   done;
-  { idom; order = rpo }
+  { idom; order = rpo; intervals = lazy (number_tree idom rpo) }
+
+let reachable doms b = b >= 0 && b < Array.length doms.idom && doms.idom.(b) <> unreached
 
 let immediate_dominator doms bid =
-  match Hashtbl.find_opt doms.idom bid with
-  | Some d when d <> virtual_root -> Some d
-  | _ -> None
+  if reachable doms bid && doms.idom.(bid) <> virtual_root then Some doms.idom.(bid) else None
 
 let dominates doms a b =
-  let rec walk x = if x = a then true else if x = virtual_root then false else walk (Hashtbl.find doms.idom x) in
-  (match Hashtbl.find_opt doms.idom b with None -> false | Some _ -> walk b)
+  reachable doms a && reachable doms b
+  &&
+  let pre, post = Lazy.force doms.intervals in
+  pre.(a) <= pre.(b) && post.(b) <= post.(a)
 
 type loop = { header : int; latches : int list; body : int list }
 
@@ -63,7 +96,9 @@ let natural_loops (f : Mir.func) doms =
         (fun succ -> if dominates doms succ bid then back_edges := (bid, succ) :: !back_edges)
         (Mir.successors b))
     doms.order;
-  (* Group back edges by header. *)
+  (* Group back edges by header. The table's iteration order is the order
+     among loops of equal size in the result; keep it as it is (see the
+     interface). *)
   let by_header = Hashtbl.create 8 in
   List.iter
     (fun (latch, header) ->

@@ -344,6 +344,38 @@ let instr_operands kind =
   | Method_call (recv, _, args) -> recv :: Array.to_list args
   | New_array args | Construct (_, args) | New_object (_, args) -> Array.to_list args
 
+(* Every def an instruction reads, without building a list: the operands in
+   [instr_operands] order, then the resume point's args, locals and stack. *)
+let iter_uses fn i =
+  (match i.kind with
+  | Parameter _ | Osr_value _ | Constant _ | Get_global _ | Get_cell _ | Get_upval _
+  | Load_captured _ | Make_closure _ ->
+    ()
+  | Phi ops -> Array.iter fn ops
+  | Box a | Type_barrier (a, _) | Check_array a | Unop (_, a) | Load_prop (a, _)
+  | Array_length a | String_length a | Set_global (_, a) | Set_cell (_, a)
+  | Set_upval (_, a) | Store_captured (_, a) | To_bool a ->
+    fn a
+  | Bounds_check (a, b) | Binop (_, a, b, _) | Cmp (_, a, b) | Load_elem (a, b)
+  | Elem_generic (a, b) | Store_prop (a, _, b) ->
+    fn a;
+    fn b
+  | Store_elem (a, b, c) | Store_elem_generic (a, b, c) ->
+    fn a;
+    fn b;
+    fn c
+  | Call (callee, args) | Call_known (_, callee, args) | Method_call (callee, _, args) ->
+    fn callee;
+    Array.iter fn args
+  | Call_native (_, args) | New_array args | Construct (_, args) | New_object (_, args) ->
+    Array.iter fn args);
+  match i.rp with
+  | None -> ()
+  | Some rp ->
+    Array.iter fn rp.rp_args;
+    Array.iter fn rp.rp_locals;
+    List.iter fn rp.rp_stack
+
 (* Rewrite every operand through [subst]. *)
 let map_operands subst kind =
   let s = subst in

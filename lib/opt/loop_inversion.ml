@@ -20,6 +20,10 @@ let path_map phi_map chain_pairs d =
   | None -> (
     match List.assoc_opt d chain_pairs with Some d' -> d' | None -> d)
 
+(* Where a block sits in the rewired graph, relative to the new header B
+   and the exit E. *)
+type place = Elsewhere | In_new_loop | After_exit
+
 let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
   let header = Mir.block f loop.Cfg.header in
   let in_loop bid = List.mem bid loop.Cfg.body in
@@ -117,34 +121,50 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
           in
           pre.Mir.term <- branch_of (map_pre cond);
           latch.Mir.term <- branch_of (map_latch cond);
+          (* The blocks the rewrite can touch, classified on the original
+             graph. Header defs are used only where the header dominates
+             (SSA), in phis on edges leaving that region, and in
+             unreachable code; the preheader and exit are rewired below.
+             Every other block neither uses a header def nor has one
+             substituted, so the scans skip it. (Constants may be used
+             anywhere; the exit-side scans add the blocks where that
+             matters once the graph is rewired.) *)
+          let header_bid = loop.Cfg.header in
+          let in_subtree bid = Cfg.dominates doms header_bid bid in
+          let touched = Array.make f.Mir.next_block false in
+          List.iter
+            (fun bid ->
+              touched.(bid) <-
+                bid <> header_bid
+                && (bid = pre_bid || bid = exit_bid || in_subtree bid
+                   || (not (Cfg.reachable doms bid))
+                   || List.exists
+                        (fun p -> p = pre_bid || in_subtree p)
+                        (Mir.block f bid).Mir.preds))
+            f.Mir.block_order;
+          let header_defs = Hashtbl.create 16 in
+          List.iter (fun (p, _, _) -> Hashtbl.replace header_defs p.Mir.def ()) phi_info;
+          List.iter (fun (i : Mir.instr) -> Hashtbl.replace header_defs i.Mir.def ()) chain;
+          let is_header_def d = Hashtbl.mem header_defs d in
           (* Which header defs are referenced anywhere beyond the header
              itself? Only those need merge phis; dead merge phis would
              otherwise occupy registers and edge moves every iteration. *)
           let used_beyond_header =
             let used = Hashtbl.create 16 in
-            let note d = Hashtbl.replace used d true in
+            let note d = if is_header_def d then Hashtbl.replace used d () in
             List.iter
               (fun bid ->
-                if bid <> loop.Cfg.header then begin
+                if touched.(bid) then begin
                   let b = Mir.block f bid in
-                  let scan (i : Mir.instr) =
-                    List.iter note (Mir.instr_operands i.Mir.kind);
-                    match i.Mir.rp with
-                    | None -> ()
-                    | Some rp ->
-                      Array.iter note rp.Mir.rp_args;
-                      Array.iter note rp.Mir.rp_locals;
-                      List.iter note rp.Mir.rp_stack
-                  in
-                  List.iter scan b.Mir.phis;
-                  List.iter scan b.Mir.body;
+                  List.iter (Mir.iter_uses note) b.Mir.phis;
+                  List.iter (Mir.iter_uses note) b.Mir.body;
                   match b.Mir.term with
                   | Mir.Branch (c, _, _) -> note c
                   | Mir.Return d -> note d
                   | Mir.Goto _ | Mir.Unreachable -> ()
                 end)
               f.Mir.block_order;
-            fun d -> Hashtbl.mem used d
+            Hashtbl.mem used
           in
           (* New loop-header phis at B, merging preheader and latch paths. *)
           let body_blk = Mir.block f body_bid in
@@ -216,31 +236,32 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
           (* The old natural-loop membership is useless after rewiring
              (blocks that break straight to the exit were never in the
              natural loop); classify blocks by dominance in the REWIRED
-             graph instead: dominated by the new header B -> current
-             iteration values; dominated by the exit E -> exit phis. *)
+             graph instead, once each: dominated by the new header B ->
+             current iteration values; dominated by the exit E -> exit
+             phis. A block is visited when it was touched or sits at or
+             beyond the exit, or receives an edge from there. *)
           let doms_new = Cfg.dominators f in
-          let in_new_loop bid =
-            bid <> exit_bid && Cfg.dominates doms_new body_bid bid
+          let place = Array.make f.Mir.next_block Elsewhere in
+          List.iter
+            (fun bid ->
+              if bid <> exit_bid && Cfg.dominates doms_new body_bid bid then
+                place.(bid) <- In_new_loop
+              else if Cfg.dominates doms_new exit_bid bid then place.(bid) <- After_exit)
+            f.Mir.block_order;
+          let after_exit bid = place.(bid) = After_exit in
+          let visit =
+            List.filter
+              (fun bid ->
+                touched.(bid)
+                || (bid <> header_bid
+                   && (after_exit bid || List.exists after_exit (Mir.block f bid).Mir.preds)))
+              f.Mir.block_order
           in
-          let after_exit bid = Cfg.dominates doms_new exit_bid bid in
-          (* Header defs used at-or-beyond the exit get exit phis. *)
-          let header_defs =
-            List.map (fun (p, _, _) -> p.Mir.def) phi_info
-            @ List.map (fun (i : Mir.instr) -> i.Mir.def) chain
-          in
+          (* Header defs used at-or-beyond the exit get exit phis, created
+             in first-use order along the layout (the table's iteration
+             order below depends on it). *)
           let used_outside = Hashtbl.create 8 in
-          let note op = if List.mem op header_defs then Hashtbl.replace used_outside op true in
-          let consider bid (i : Mir.instr) =
-            if after_exit bid then
-              List.iter note
-                (Mir.instr_operands i.Mir.kind
-                @
-                match i.Mir.rp with
-                | None -> []
-                | Some rp ->
-                  Array.to_list rp.Mir.rp_args @ Array.to_list rp.Mir.rp_locals
-                  @ rp.Mir.rp_stack)
-          in
+          let note op = if is_header_def op then Hashtbl.replace used_outside op true in
           List.iter
             (fun bid ->
               let b = Mir.block f bid in
@@ -253,23 +274,19 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
                   (fun (phi : Mir.instr) ->
                     match phi.Mir.kind with
                     | Mir.Phi ops ->
-                      let preds = Array.of_list b.Mir.preds in
-                      Array.iteri
-                        (fun k op ->
-                          if k < Array.length preds && after_exit preds.(k) then note op)
-                        ops
+                      List.iteri
+                        (fun k p -> if k < Array.length ops && after_exit p then note ops.(k))
+                        b.Mir.preds
                     | _ -> ())
                   b.Mir.phis;
-              List.iter (consider bid) b.Mir.body;
-              match b.Mir.term with
-              | Mir.Branch (c, _, _) ->
-                if after_exit bid && List.mem c header_defs then
-                  Hashtbl.replace used_outside c true
-              | Mir.Return d ->
-                if after_exit bid && List.mem d header_defs then
-                  Hashtbl.replace used_outside d true
-              | Mir.Goto _ | Mir.Unreachable -> ())
-            f.Mir.block_order;
+              if after_exit bid then begin
+                List.iter (Mir.iter_uses note) b.Mir.body;
+                match b.Mir.term with
+                | Mir.Branch (c, _, _) -> note c
+                | Mir.Return d -> note d
+                | Mir.Goto _ | Mir.Unreachable -> ()
+              end)
+            visit;
           let outside_subst = Hashtbl.create 8 in
           Hashtbl.iter
             (fun d (_ : bool) ->
@@ -301,13 +318,13 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
             (fun (i : Mir.instr) -> Hashtbl.replace fresh_phis i.Mir.def true)
             body_blk.Mir.phis;
           Hashtbl.iter (fun _ s -> Hashtbl.replace fresh_phis s true) outside_subst;
-          let choose_for bid d =
-            if bid = pre_bid then map_pre d
-            else if in_new_loop bid then
-              Option.value (Hashtbl.find_opt in_loop_subst d) ~default:d
-            else if after_exit bid then
-              Option.value (Hashtbl.find_opt outside_subst d) ~default:d
-            else d
+          let choose_for bid =
+            if bid = pre_bid then map_pre
+            else
+              match place.(bid) with
+              | In_new_loop -> fun d -> Option.value (Hashtbl.find_opt in_loop_subst d) ~default:d
+              | After_exit -> fun d -> Option.value (Hashtbl.find_opt outside_subst d) ~default:d
+              | Elsewhere -> Fun.id
           in
           let subst_block bid =
             let b = Mir.block f bid in
@@ -334,15 +351,12 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
               | Mir.Return d -> Mir.Return (choose d)
               | Mir.Unreachable -> Mir.Unreachable)
           in
-          List.iter
-            (fun bid -> if bid <> loop.Cfg.header then subst_block bid)
-            f.Mir.block_order;
+          List.iter subst_block visit;
           (* Retire the header. *)
           f.Mir.block_order <- List.filter (fun b -> b <> loop.Cfg.header) f.Mir.block_order;
           Hashtbl.remove f.Mir.blocks loop.Cfg.header;
           if f.Mir.osr_loop_header = Some loop.Cfg.header then
             f.Mir.osr_loop_header <- Some body_bid;
-          ignore doms;
           true
         | _ -> false)
     | _ -> false)

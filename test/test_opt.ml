@@ -175,6 +175,271 @@ let test_inversion_preserves_zero_trip () =
   Alcotest.(check string) "li config matches baseline" (run Pipeline.baseline)
     (run (Pipeline.make ~ps:true ~cp:true ~li:true "li"))
 
+(* Many sequential loops in one function: the shape of a generated site
+   driver. Plain, breaking, nested and live-out loops, and loops whose
+   header value is used only by a join past the exit block (no resume
+   point between them mentions it), over globals at the top level and
+   over locals in [stress]. Returns the source and the number of while
+   loops in each of the two functions. *)
+let many_loops_src ~groups =
+  let loop k v =
+    match k mod 5 with
+    | 0 -> Printf.sprintf "%s0 = 0; while (%s0 < n) { acc = (acc + %s0 * 3) | 0; %s0++; }" v v v v
+    | 1 ->
+      Printf.sprintf
+        "%s1 = 0; while (%s1 < n + 5) { if (acc %% 7 == 3) break; acc = (acc + %s1) | 0; %s1++; }"
+        v v v v
+    | 2 ->
+      Printf.sprintf
+        "%s2 = 0; while (%s2 < 3) { %s3 = 0; while (%s3 < n) { acc = (acc ^ %s3) | 0; %s3++; } %s2++; }"
+        v v v v v v v
+    | 3 -> Printf.sprintf "%s4 = n; while (%s4 > 0) { %s4 = %s4 - 2; } acc = (acc + %s4) | 0;" v v v v v
+    | _ ->
+      Printf.sprintf
+        "%s5 = 0; if (n > 1) { %s0 = 0; while (%s0 < n) { %s5 = %d; %s0++; } %s0 = 0; } acc = (acc + %s5) | 0;"
+        v v v v k v v v
+  in
+  let body v = String.concat "\n" (List.init groups (fun k -> loop k v)) in
+  let src =
+    Printf.sprintf
+      "function stress(n) {\n\
+       var acc = 1, l0, l1, l2, l3, l4, l5;\n\
+       %s\n\
+       return acc;\n\
+       }\n\
+       var n = 5, acc = 2, g0, g1, g2, g3, g4, g5;\n\
+       %s\n\
+       acc = (acc + stress(n) + stress(0)) | 0;\n"
+      (body "l") (body "g")
+  in
+  (src, groups + ((groups + 2) / 5))
+
+(* The loop-inversion corpus: every Figure 9 suite member, six generated
+   sites per web profile (the site drivers are where inversion meets dozens
+   of sequential loops in one function), and a small many-loops program
+   with every loop shape above. *)
+let li_corpus =
+  List.concat_map
+    (fun (s : Suite.t) -> List.map (fun (m : Suite.member) -> m.Suite.m_source) s.Suite.members)
+    Suites.all
+  @ List.concat_map
+      (fun p -> List.init 6 (fun k -> Web.synthetic_site ~seed:(k + 1) p))
+      [ Web.google; Web.facebook; Web.twitter ]
+  @ [ fst (many_loops_src ~groups:20) ]
+
+let li_schedules = List.filter (fun c -> c.Pipeline.loop_inversion) Pipeline.figure9_configs
+
+(* Every function of every corpus program, freshly built (unspecialized). *)
+let iter_corpus_funcs fn =
+  List.iter
+    (fun src ->
+      let program = Bytecode.Compile.program_of_source src in
+      Array.iter
+        (fun func -> fn program (fun () -> Builder.build ~program ~func ()))
+        program.Bytecode.Program.funcs)
+    li_corpus
+
+(* [Mir.to_string] prints a resume point as its pc only; the golden text
+   adds the snapshot operands so a renumbered resume point shows too. *)
+let graph_text f =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Mir.to_string f);
+  Mir.iter_instrs f (fun i ->
+      match i.Mir.rp with
+      | None -> ()
+      | Some rp ->
+        let defs ds = String.concat "," (List.map Mir.def_name ds) in
+        Printf.bprintf buf "rp %s: %s | %s | %s\n" (Mir.def_name i.Mir.def)
+          (defs (Array.to_list rp.Mir.rp_args))
+          (defs (Array.to_list rp.Mir.rp_locals))
+          (defs rp.Mir.rp_stack));
+  Buffer.contents buf
+
+(* One digest over (a) every corpus function optimized under every
+   loop-inversion schedule of Figure 9 and (b) every graph the engine
+   optimizes while running the corpus under [Pipeline.all_on]. *)
+let li_golden_digest () =
+  let acc = ref (Digest.string "") in
+  let add f = acc := Digest.string (!acc ^ Digest.string (graph_text f)) in
+  iter_corpus_funcs (fun program build ->
+      List.iter
+        (fun config ->
+          let f = build () in
+          ignore (Pipeline.apply ~program config f);
+          add f)
+        li_schedules);
+  Engine.with_mir_hook add (fun () ->
+      List.iter
+        (fun src ->
+          Builtins.with_print_hook ignore (fun () ->
+              Builtins.reset_random 20130223;
+              ignore
+                (Engine.run_source (Engine.default_config ~opt:Pipeline.all_on ()) src)))
+        li_corpus);
+  Digest.to_hex !acc
+
+(* Loop inversion's output is pinned byte for byte: the same loops
+   inverted in the same order with the same def and block numbers. A
+   change that only makes the pass faster must leave this digest alone.
+   To regenerate after a deliberate change to the optimized graphs, run
+   `dune exec test/test_main.exe -- test opt.loop_inversion` and paste the
+   digest the failing check received here. *)
+let li_golden = "a912abb78e243c0b5dfa3f25ea55f670"
+
+let test_inversion_golden () =
+  Alcotest.(check string) "optimized MIR digest" li_golden (li_golden_digest ())
+
+(* Reference CFG analyses for the agreement test: dominance by walking the
+   immediate-dominator chain, and the natural-loop enumeration written
+   against it, including its Hashtbl-driven order among loops of equal
+   size (loop inversion's def numbering depends on that order). *)
+let reference_natural_loops f dominates =
+  let back_edges = ref [] in
+  List.iter
+    (fun bid ->
+      List.iter
+        (fun succ -> if dominates succ bid then back_edges := (bid, succ) :: !back_edges)
+        (Mir.successors (Mir.block f bid)))
+    (Mir.reverse_postorder f);
+  let by_header = Hashtbl.create 8 in
+  List.iter
+    (fun (latch, header) ->
+      let existing = Option.value (Hashtbl.find_opt by_header header) ~default:[] in
+      Hashtbl.replace by_header header (latch :: existing))
+    !back_edges;
+  let loops = ref [] in
+  Hashtbl.iter
+    (fun header latches ->
+      let body = Hashtbl.create 8 in
+      Hashtbl.replace body header true;
+      let rec add bid =
+        if not (Hashtbl.mem body bid) then begin
+          Hashtbl.replace body bid true;
+          List.iter add (Mir.block f bid).Mir.preds
+        end
+      in
+      List.iter add latches;
+      let body_list = Hashtbl.fold (fun bid _ acc -> bid :: acc) body [] in
+      loops := { Cfg.header; latches; body = List.sort compare body_list } :: !loops)
+    by_header;
+  List.sort (fun a b -> compare (List.length b.Cfg.body) (List.length a.Cfg.body)) !loops
+
+let check_cfg_agrees ctx f =
+  let doms = Cfg.dominators f in
+  let reachable = Mir.reachable_blocks f in
+  let ids = List.init f.Mir.next_block Fun.id in
+  (* [anc.(a)] marks the idom-chain ancestors of the block being checked. *)
+  let anc = Array.make f.Mir.next_block false in
+  let chain b =
+    let rec walk x acc =
+      match Cfg.immediate_dominator doms x with Some p -> walk p (p :: acc) | None -> acc
+    in
+    if Hashtbl.mem reachable b then walk b [ b ] else []
+  in
+  List.iter
+    (fun b ->
+      let c = chain b in
+      List.iter (fun a -> anc.(a) <- true) c;
+      List.iter
+        (fun a ->
+          if Cfg.dominates doms a b <> anc.(a) then
+            Alcotest.failf "%s: dominates B%d B%d disagrees with the idom walk" ctx a b)
+        ids;
+      List.iter (fun a -> anc.(a) <- false) c)
+    ids;
+  let naive a b =
+    let rec walk x =
+      x = a || match Cfg.immediate_dominator doms x with Some p -> walk p | None -> false
+    in
+    Hashtbl.mem reachable b && walk b
+  in
+  if Cfg.natural_loops f doms <> reference_natural_loops f naive then
+    Alcotest.failf "%s: natural_loops differs from the reference enumeration" ctx
+
+(* After every loop-inversion round on every corpus function, [Cfg]'s
+   dominance and loop forest agree with the reference analyses. The
+   prefix is the PS+CP+LI schedule's pipeline up to inversion. *)
+let test_inversion_cfg_agreement () =
+  let prefix = Pipeline.make ~ps:true ~cp:true ~licm:false ~ge:false "PS+CP prefix" in
+  iter_corpus_funcs (fun program build ->
+      let f = build () in
+      ignore (Pipeline.apply ~program prefix f);
+      let ctx round =
+        Printf.sprintf "%s round %d" f.Mir.source.Bytecode.Program.name round
+      in
+      check_cfg_agrees (ctx 0) f;
+      let rec rounds k =
+        if Loop_inversion.run ~max_loops:1 f = 1 then begin
+          check_cfg_agrees (ctx k) f;
+          rounds (k + 1)
+        end
+      in
+      rounds 1)
+
+let test_inversion_many_loops () =
+  let src, nloops = many_loops_src ~groups:200 in
+  let program = Bytecode.Compile.program_of_source src in
+  let main = program.Bytecode.Program.funcs.(program.Bytecode.Program.main) in
+  let stress = program.Bytecode.Program.funcs.(1) in
+  let optimized func =
+    let f = Builder.build ~program ~func () in
+    let stats = Pipeline.apply ~program (Pipeline.make ~ps:true ~cp:true ~li:true "li") f in
+    Verify.run f;
+    Verify.check_types f;
+    Alcotest.(check int)
+      (func.Bytecode.Program.name ^ ": every loop inverted")
+      nloops stats.Pipeline.loops_inverted;
+    Alcotest.(check int)
+      (func.Bytecode.Program.name ^ ": no while-shaped loop left")
+      0
+      (Loop_inversion.run f);
+    f
+  in
+  let f_main = optimized main and f_stress = optimized stress in
+  (* The interpreter runs the whole program; the MIR evaluator runs the
+     optimized top level, calling into the interpreter for [stress], and
+     [stress]'s optimized graph directly. *)
+  let st = Interp.make_state program in
+  let hooks = Interp.default_hooks st in
+  ignore (Interp.run st hooks (Interp.make_frame main ~args:[||] ~upvals:[||]));
+  let st' = Interp.make_state program in
+  let hooks' = Interp.default_hooks st' in
+  let eval f ~(func : Bytecode.Program.func) args =
+    let env =
+      {
+        Eval.ev_args = args;
+        ev_env = [||];
+        ev_cells =
+          Array.init (max func.Bytecode.Program.ncells 1) (fun _ -> ref Value.Undefined);
+        ev_globals = st'.Interp.globals;
+        ev_call = Interp.call_value st' hooks';
+        ev_osr_args = [||];
+        ev_osr_locals = [||];
+      }
+    in
+    match Eval.run env f ~at_osr:false with
+    | Eval.Finished v -> v
+    | Eval.Bailed { reason; _ } -> Alcotest.failf "unexpected bailout (%s)" reason
+  in
+  ignore (eval f_main ~func:main [||]);
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check string)
+        ("global " ^ program.Bytecode.Program.global_names.(i))
+        (Value.to_display_string v)
+        (Value.to_display_string st'.Interp.globals.(i)))
+    st.Interp.globals;
+  List.iter
+    (fun n ->
+      let expected =
+        Interp.run st hooks (Interp.make_frame stress ~args:[| Value.Int n |] ~upvals:[||])
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "stress(%d)" n)
+        (Value.to_display_string expected)
+        (Value.to_display_string (eval f_stress ~func:stress [| Value.Int n |])))
+    [ 0; 1; 6 ]
+
 (* --- bounds check elimination (§3.6) --- *)
 
 let read_only_loop =
@@ -712,6 +977,11 @@ let suites =
       [
         Alcotest.test_case "bottom-tested latch" `Quick test_inversion_moves_test_to_latch;
         Alcotest.test_case "zero-trip semantics" `Quick test_inversion_preserves_zero_trip;
+        Alcotest.test_case "optimized MIR byte-identity golden" `Quick
+          test_inversion_golden;
+        Alcotest.test_case "cfg analyses agree after every round" `Quick
+          test_inversion_cfg_agreement;
+        Alcotest.test_case "hundreds of sequential loops" `Quick test_inversion_many_loops;
       ] );
     ( "opt.bounds_check",
       [
