@@ -5,9 +5,10 @@
 
    - default: one summary line per (workload, policy) cell with the
      engine's model-cycle split and the bg counter footprint. The alias
-     diffs --jobs 4 against --jobs 1: the deterministic completion model
-     must make the whole summary byte-identical however the physical
-     compiles are scheduled.
+     diffs it against the committed bg_check.expected, and --jobs 4
+     against --jobs 1: the deterministic completion model must make the
+     whole summary byte-identical however the physical compiles are
+     scheduled.
    - --identity: every cell runs bg-off and bg-on; the program output
      must agree, the bg-on run must never charge a synchronous compile
      cycle, and the bg-off run must carry zero bg footprint (the flag off
