@@ -7,6 +7,7 @@
      trace_check --metrics-prom FILE ... validate Prometheus text exports
      trace_check --metrics-json FILE ... validate JSONL metric snapshots
      trace_check --flight FILE ...       validate flight-recorder JSONL
+     trace_check --digest FILE ...       print "MD5  BASENAME" per file
 
    A trace file must be a single JSON object {"traceEvents": [...]} whose
    events are complete ("ph":"X") with a non-empty name, non-negative
@@ -456,25 +457,35 @@ let check_flight file =
   if !remaining > 0 then fail "%s: truncated final dump (%d entries missing)" file !remaining;
   Printf.printf "trace_check: %s: %d dumps OK\n" file !ndumps
 
-type mode = M_trace | M_profile | M_prom | M_json | M_flight
+(* One golden line per artifact: the @obs and @profile gates diff these
+   against committed digest files, so an export that drifts fails the gate
+   even when it still validates. *)
+let print_digest file =
+  Printf.printf "%s  %s\n" (Digest.to_hex (Digest.file file)) (Filename.basename file)
+
+type mode = M_trace | M_profile | M_prom | M_json | M_flight | M_digest
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   if args = [] then
-    fail "usage: trace_check [--profile-out|--metrics-prom|--metrics-json|--flight] FILE ...";
+    fail
+      "usage: trace_check [--profile-out|--metrics-prom|--metrics-json|--flight|--digest] \
+       FILE ...";
   let rec go mode = function
     | [] -> ()
     | "--profile-out" :: rest -> go M_profile rest
     | "--metrics-prom" :: rest -> go M_prom rest
     | "--metrics-json" :: rest -> go M_json rest
     | "--flight" :: rest -> go M_flight rest
+    | "--digest" :: rest -> go M_digest rest
     | file :: rest ->
       (match mode with
       | M_trace -> check_trace file
       | M_profile -> check_profile_out file
       | M_prom -> check_metrics_prom file
       | M_json -> check_metrics_json file
-      | M_flight -> check_flight file);
+      | M_flight -> check_flight file
+      | M_digest -> print_digest file);
       go mode rest
   in
   go M_trace args
