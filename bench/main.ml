@@ -186,11 +186,12 @@ let print_compile_attribution () =
             e.passes
         | _ -> ()
       in
-      let r =
-        Telemetry.with_default_sinks [ sink ] (fun () ->
-            quiet (fun () ->
-                Engine.run_source (Engine.default_config ~opt:Pipeline.best ()) m.Suite.m_source))
+      let engine =
+        Engine.make (Engine.default_config ~opt:Pipeline.best ())
+          (Bytecode.Compile.program_of_source m.Suite.m_source)
       in
+      Telemetry.attach (Engine.telemetry engine) sink;
+      let r = quiet (fun () -> Engine.run engine) in
       let spec_n, spec_cy = !spec and gen_n, gen_cy = !gen in
       Printf.printf "\n%s: compile=%d cycles (%d specialized: %d; %d generic: %d)\n" mname
         r.Engine.compile_cycles spec_n spec_cy gen_n gen_cy;

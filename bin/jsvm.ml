@@ -192,13 +192,10 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
       if profile || profile_folded <> None then Some (Profile.Recorder.create ~program)
       else None
     in
-    (* Span collection must be registered as a default span sink before the
-       engine is created: the engine only builds its tracer when the hub has
-       a span sink at construction time. *)
+    let engine = Engine.make cfg program in
     let spans_acc = ref [] in
     if trace_spans <> None then
-      Telemetry.set_default_span_sinks [ (fun s -> spans_acc := s :: !spans_acc) ];
-    let engine = Engine.make cfg program in
+      Telemetry.attach_span (Engine.telemetry engine) (fun s -> spans_acc := s :: !spans_acc);
     (* The flight recorder rides the engine's event stream on its model
        clock; quarantines and deopt storms self-trigger dumps, and the run
        adds its own trigger on a fault or at end of run. *)

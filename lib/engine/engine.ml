@@ -170,7 +170,7 @@ type bg_job = {
   j_widen : widen option;  (* the ladder victim, retired when this lands *)
   j_flow : int;
       (* Perfetto flow id stitching this request's enqueue to its install;
-         0 when no tracer was attached at enqueue *)
+         0 when no span sink was attached at enqueue *)
   j_trace : Telemetry.trace_ctx option;
       (* the service request that triggered the enqueue — installs (which
          run under whatever request harvests them) re-assert it so the
@@ -188,9 +188,6 @@ type t = {
   cache_bytes : int ref;  (* code-cache bytes in use across all functions *)
   lru_tick : int ref;  (* global LRU clock (bumped per install / cache hit) *)
   depth : int ref;  (* live MiniJS call nesting *)
-  (* Lifecycle span tracer, present only when the hub had a span sink at
-     construction: with tracing off every span site is one [None] match. *)
-  tracer : Profile.Tracer.t option;
   known_globals : int option array;
       (* write-once function globals (polyvariant only; [||] under the
          paper policy, which keeps its call lowering byte-identical) *)
@@ -271,10 +268,6 @@ let make engine_config program =
     cache_bytes = ref 0;
     lru_tick = ref 0;
     depth = ref 0;
-    tracer =
-      (if Telemetry.spans_active tel then
-         Some (Profile.Tracer.create ~emit:(Telemetry.emit_span tel))
-       else None);
     known_globals =
       (if engine_config.policy = Policy.Polyvariant then
          Bytecode.Program.known_global_funcs program
@@ -318,59 +311,34 @@ let clock = now
 let cycle_split t =
   (t.istate.Interp.icount * Cost.interp_per_instr, !(t.native_cycles), !(t.compile_cycles))
 
-let span_begin t ~name ~cat fid =
-  match t.tracer with
-  | Some tr -> Profile.Tracer.begin_span tr ~name ~cat ~fid ~fname:(fname t fid) ~now:(now t)
-  | None -> ()
-
-let span_end ?args t =
-  match t.tracer with
-  | Some tr -> Profile.Tracer.end_span ?args tr ~now:(now t)
-  | None -> ()
-
-let span_mark ?args t ~name ~cat ~start ~dur fid =
-  match t.tracer with
-  | Some tr ->
-    Profile.Tracer.complete ?args tr ~name ~cat ~fid ~fname:(fname t fid) ~start ~dur
-  | None -> ()
-
-(* One side of a Perfetto flow stitch (cat "bg": the only cross-lane edges
-   today are background-compile lifecycles). *)
-let span_flow ?args ?trace t ~phase ~id ~name fid =
-  match t.tracer with
-  | Some tr ->
-    Profile.Tracer.flow ?args ?trace tr ~phase ~id ~name ~cat:"bg" ~fid
-      ~fname:(fname t fid) ~now:(now t)
-  | None -> ()
-
-(* A fresh flow id, allocated only when a tracer is listening (0 means "no
+(* A fresh flow id, allocated only when spans are traced (0 means "no
    flow" everywhere). Namespaced by the requesting trace id so ids are
    unique across every engine of a traced service run: trace ids are
    unique per request, and one request enqueues well under a million
    compiles. *)
 let new_flow_id t =
-  match t.tracer with
-  | None -> 0
-  | Some _ ->
+  if not (Telemetry.spans_active t.tel) then 0
+  else begin
     incr t.flow_seq;
-    (match Telemetry.current_trace () with
+    match Telemetry.current_trace () with
     | Some c -> ((c.Telemetry.tc_trace + 1) * 1_000_000) + !(t.flow_seq)
-    | None -> !(t.flow_seq))
+    | None -> !(t.flow_seq)
+  end
 
 (* Close the open span even when [f] escapes by exception (a runtime error
    unwinding through nested frames must not corrupt span nesting). *)
-let in_span t ~name ~cat ?end_args fid f =
-  match t.tracer with
-  | None -> f ()
-  | Some _ -> (
-    span_begin t ~name ~cat fid;
+let in_span t ~name ~cat fid f =
+  if not (Telemetry.spans_active t.tel) then f ()
+  else begin
+    Telemetry.span_begin t.tel ~name ~cat ~fid ~fname:(fname t fid) ~now:(now t);
     match f () with
     | v ->
-      span_end ?args:(match end_args with Some g -> Some (g ()) | None -> None) t;
+      Telemetry.span_end t.tel ~now:(now t);
       v
     | exception e ->
-      span_end ~args:[ ("unwound", "true") ] t;
-      raise e)
+      Telemetry.span_end ~args:[ ("unwound", "true") ] t.tel ~now:(now t);
+      raise e
+  end
 
 (* Event payloads are only constructed when a sink is listening; counters
    are always maintained (they are the report's source of truth). Neither
@@ -665,29 +633,26 @@ let compile t fs req =
              preceded by exactly one such charge, so the children sum to at
              most the charge and always fit inside the parent compile
              span. *)
-          match t.tracer with
-          | Some _ ->
+          if Telemetry.spans_active t.tel then
             ignore
               (List.fold_left
                  (fun at pd ->
                    let dur = Cost.compile_per_mir_instr * pd.Telemetry.pd_before in
-                   span_mark t ~name:("pass:" ^ pd.Telemetry.pd_pass) ~cat:"pass" ~start:at
-                     ~dur
+                   Telemetry.span_complete t.tel ~name:("pass:" ^ pd.Telemetry.pd_pass)
+                     ~cat:"pass" ~fid:fs.fid ~fname:(fname t fs.fid) ~start:at ~dur
                      ~args:
                        [ ("before", string_of_int pd.Telemetry.pd_before);
-                         ("after", string_of_int pd.Telemetry.pd_after) ]
-                     fs.fid;
+                         ("after", string_of_int pd.Telemetry.pd_after) ];
                    at + dur)
-                 start stats.Pipeline.passes)
-          | None -> ());
+                 start stats.Pipeline.passes));
       to_lower = (fun mir -> match Support.Tls.get mir_hook with Some h -> h mir | None -> ());
       lowered =
         (fun code c ->
           let start = now t in
           charge "codegen" c;
-          span_mark t ~name:"codegen" ~cat:"codegen" ~start ~dur:c
-            ~args:[ ("size", string_of_int (Code.size code)) ]
-            fs.fid);
+          Telemetry.span_complete t.tel ~name:"codegen" ~cat:"codegen" ~fid:fs.fid
+            ~fname:(fname t fs.fid) ~start ~dur:c
+            ~args:[ ("size", string_of_int (Code.size code)) ]);
     }
   in
   build_code ~program:t.program ~func ~arg_tags:(stable_tags fs)
@@ -901,19 +866,18 @@ let abort t fs req (d : Diag.t) ~cycles =
 let try_compile t fs req =
   (* The span covers successful and aborted compiles alike — wasted cycles
      are charged, so they must be visible in the trace too. *)
-  span_begin t
+  Telemetry.span_begin t.tel
     ~name:(if count t fs Telemetry.Key.compiles > 0 then "recompile" else "compile")
-    ~cat:"compile" fs.fid;
+    ~cat:"compile" ~fid:fs.fid ~fname:(fname t fs.fid) ~now:(now t);
   match compile t fs req with
   | Ok a ->
-    span_end
+    Telemetry.span_end t.tel ~now:(now t)
       ~args:
         [ ("specialized", string_of_bool (specialized req));
-          ("osr", string_of_bool (req.r_osr <> None)) ]
-      t;
+          ("osr", string_of_bool (req.r_osr <> None)) ];
     install t fs req a ~sync:true
   | Error (d, cycles) ->
-    span_end ~args:[ ("aborted", "true") ] t;
+    Telemetry.span_end ~args:[ ("aborted", "true") ] t.tel ~now:(now t);
     abort t fs req d ~cycles;
     None
 
@@ -1066,7 +1030,8 @@ let enqueue t fs ?widen req =
            exactly one matching finish is emitted wherever the job leaves
            the system (install, abort, cancel, drain or teardown). *)
         if flow_id <> 0 then
-          span_flow t ~phase:`Start ~id:flow_id ~name:("bg-" ^ kind) fs.fid
+          Telemetry.span_flow t.tel ~phase:`Start ~id:flow_id ~name:("bg-" ^ kind)
+            ~cat:"bg" ~fid:fs.fid ~fname:(fname t fs.fid) ~now:(now t)
     end
 
 (* Close a queued job's flow stitch, under its requesting trace. Every
@@ -1076,8 +1041,9 @@ let enqueue t fs ?widen req =
 let finish_flow t (e : bg_job Bgcompile.entry) why =
   let j = e.Bgcompile.e_payload in
   if j.j_flow <> 0 then
-    span_flow ?trace:j.j_trace t ~phase:`Finish ~id:j.j_flow ~name:("bg-" ^ why)
-      e.Bgcompile.e_fid
+    Telemetry.span_flow ?trace:j.j_trace t.tel ~phase:`Finish ~id:j.j_flow
+      ~name:("bg-" ^ why) ~cat:"bg" ~fid:e.Bgcompile.e_fid
+      ~fname:(fname t e.Bgcompile.e_fid) ~now:(now t)
 
 (* Harvest one queued artifact at the model-clock instant of the
    harvesting call or loop edge. Its charge goes to the off-clock
@@ -1160,9 +1126,9 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
               });
         (* Zero-length trace marker at the harvest instant (a full span
            would overlap the enclosing interpret span arbitrarily). *)
-        span_mark t ~name:"bg-ready" ~cat:"bg" ~start:(now t) ~dur:0
-          ~args:[ ("size", string_of_int size) ]
-          fs.fid;
+        Telemetry.span_complete t.tel ~name:"bg-ready" ~cat:"bg" ~fid:fs.fid
+          ~fname:(fname t fs.fid) ~start:(now t) ~dur:0
+          ~args:[ ("size", string_of_int size) ];
         finish_flow "install";
         Some entry
     end
@@ -1249,8 +1215,9 @@ let bg_in_flight t = match t.bg with None -> 0 | Some q -> Bgcompile.length q
    balance (the trace_check gate requires one finish per start), but
    counting them as cancels would make a traced run's summary differ from
    an untraced one — teardown is an artifact of observation, not a policy
-   decision. No-op without a tracer. *)
-let flush_flows t = if Option.is_some t.tracer then ignore (drain_jobs t ~why:"teardown")
+   decision. No-op while no span sink is attached. *)
+let flush_flows t =
+  if Telemetry.spans_active t.tel then ignore (drain_jobs t ~why:"teardown")
 
 (* Degrade mode suppresses the queue entirely ([bg_active]) and drains it
    on the way in: under overload the last thing the isolate needs is
@@ -1498,9 +1465,9 @@ and call_closure_at_depth t (c : Value.closure) args =
     then begin
       (* Zero-length marker: the hot-detection instant that triggered this
          compile attempt (the compile span itself follows). *)
-      span_mark t ~name:"hot" ~cat:"interp" ~start:(now t) ~dur:0
-        ~args:[ ("calls", string_of_int (count t fs Telemetry.Key.calls)) ]
-        fs.fid;
+      Telemetry.span_complete t.tel ~name:"hot" ~cat:"interp" ~fid:fs.fid
+        ~fname:(fname t fs.fid) ~start:(now t) ~dur:0
+        ~args:[ ("calls", string_of_int (count t fs Telemetry.Key.calls)) ];
       (* The headline path: with the queue live the hot-call site hands
          the compile to the queue and interprets this call — no
          synchronous compile cycles are ever charged to the requester. The
@@ -1534,12 +1501,12 @@ and run_native t fs func act entry ~at_osr =
              it returned, so the frame-reconstruction interval is the
              [bailout_penalty] cycles ending now — emitted retroactively,
              nested in the still-open native span. *)
-          span_mark t ~name:"bailout" ~cat:"bailout"
+          Telemetry.span_complete t.tel ~name:"bailout" ~cat:"bailout" ~fid:fs.fid
+            ~fname:(fname t fs.fid)
             ~start:(now t - Cost.bailout_penalty) ~dur:Cost.bailout_penalty
             ~args:
               [ ("reason", "\"" ^ Telemetry.json_escape b.Exec.bo_reason ^ "\"");
-                ("pc", string_of_int b.Exec.bo_pc) ]
-            fs.fid);
+                ("pc", string_of_int b.Exec.bo_pc) ]);
         o)
   in
   match outcome with
@@ -1658,10 +1625,10 @@ and maybe_osr t (frame : Interp.frame) =
           Telemetry.Osr_enter
             { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc;
               loop_edges = edges });
-      span_mark t ~name:"osr-trigger" ~cat:"interp" ~start:(now t) ~dur:0
+      Telemetry.span_complete t.tel ~name:"osr-trigger" ~cat:"interp" ~fid:fs.fid
+        ~fname:(fname t fs.fid) ~start:(now t) ~dur:0
         ~args:[ ("pc", string_of_int frame.Interp.pc);
-                ("loop_edges", string_of_int edges) ]
-        fs.fid;
+                ("loop_edges", string_of_int edges) ];
       let spec_mask =
         if want_specialize t fs && t.cfg.selective then begin
           let mask = stability_mask fs in

@@ -208,13 +208,12 @@ type t
     accumulators and the telemetry hub. *)
 
 val make : config -> Bytecode.Program.t -> t
-(** Verify the bytecode ({!Bc_verify}) and set up a fresh engine. The
-    telemetry hub starts with the sinks registered in
-    {!Telemetry.default_sinks} at this moment. *)
+(** Verify the bytecode ({!Bc_verify}) and set up a fresh engine. Its
+    telemetry hub starts with no sinks. *)
 
 val telemetry : t -> Telemetry.t
-(** The engine's telemetry hub — attach sinks before {!run}, read the
-    counter registry after. *)
+(** The engine's telemetry hub — attach event and span sinks to it (before
+    or during {!run}), read the counter registry after. *)
 
 val clock : t -> int
 (** The deterministic model-cycle clock: interpreter + native + compile
@@ -259,7 +258,7 @@ val flush_flows : t -> unit
     emitting any event — a traced run's summary must stay byte-identical
     to an untraced one, and the flow balance check requires one finish
     per start even for compiles the run ended before harvesting. No-op
-    without a tracer or without [bg_compile]. *)
+    while no span sink is attached, or without [bg_compile]. *)
 
 val run : t -> report
 (** Execute the program's main function to completion. Compilation is a

@@ -1,5 +1,5 @@
 (* The cycle-accounting profiler: attributes every simulated cycle to the
-   origin that caused it, and traces engine lifecycle phases as spans.
+   origin that caused it.
 
    Attribution rides the provenance the IRs already carry: every MIR
    instruction records the bytecode (fid, pc) it derives from and the pass
@@ -387,135 +387,3 @@ let with_recorder (r : Recorder.t) f =
       Exec.with_profile_hook
         (Some (Recorder.exec_hook r))
         (fun () -> Interp.with_profile_hook (Some (Recorder.interp_hook r)) f))
-
-(* ------------------------------------------------------------------ *)
-(* The span tracer                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Begin/end span bookkeeping over the model-cycle clock. The engine opens
-   a span when it enters a lifecycle phase and closes it when the phase
-   ends; closing emits a completed [Telemetry.span] (a Chrome-trace "X"
-   event). [complete] emits a retroactive span without touching the stack
-   (e.g. the bailout penalty, which is only known after it was charged). *)
-module Tracer = struct
-  type open_span = {
-    os_name : string;
-    os_cat : string;
-    os_fid : int;
-    os_fname : string;
-    os_start : int;
-    os_trace : int;  (* request trace context captured when opened *)
-    os_lane : int;
-    os_pid : int;
-  }
-
-  type t = {
-    emit : Telemetry.span -> unit;
-    mutable stack : open_span list;
-    mutable emitted : int;
-  }
-
-  let create ~emit = { emit; stack = []; emitted = 0 }
-
-  let depth t = List.length t.stack
-
-  (* The request identity every span is stamped with: the trace id is the
-     Perfetto lane (tid) and the isolate the process group (pid), so one
-     request's interpret/compile/OSR/deadline spans land in a single lane
-     no matter which engine emitted them. Standalone runs have no context
-     and keep the 0 -> 1 rendering (byte-identical to pre-flow traces). *)
-  let ctx () =
-    match Telemetry.current_trace () with
-    | Some c -> (c.Telemetry.tc_trace, c.Telemetry.tc_trace, c.Telemetry.tc_isolate + 1)
-    | None -> (0, 0, 0)
-
-  let begin_span t ~name ~cat ~fid ~fname ~now =
-    let trace, lane, pid = ctx () in
-    t.stack <-
-      {
-        os_name = name;
-        os_cat = cat;
-        os_fid = fid;
-        os_fname = fname;
-        os_start = now;
-        os_trace = trace;
-        os_lane = lane;
-        os_pid = pid;
-      }
-      :: t.stack
-
-  (* Ends the innermost open span. Unbalanced ends are a bug in the
-     instrumentation, not in the workload: fail loudly. *)
-  let end_span ?(args = []) t ~now =
-    match t.stack with
-    | [] -> invalid_arg "Profile.Tracer.end_span: no open span"
-    | os :: rest ->
-      t.stack <- rest;
-      t.emitted <- t.emitted + 1;
-      t.emit
-        {
-          Telemetry.sp_name = os.os_name;
-          sp_cat = os.os_cat;
-          sp_fid = os.os_fid;
-          sp_fname = os.os_fname;
-          sp_start = os.os_start;
-          sp_dur = now - os.os_start;
-          sp_depth = List.length rest;
-          sp_args = args;
-          sp_ph = Telemetry.Ph_complete;
-          sp_flow = 0;
-          sp_trace = os.os_trace;
-          sp_lane = os.os_lane;
-          sp_pid = os.os_pid;
-        }
-
-  let complete ?(args = []) t ~name ~cat ~fid ~fname ~start ~dur =
-    let trace, lane, pid = ctx () in
-    t.emitted <- t.emitted + 1;
-    t.emit
-      {
-        Telemetry.sp_name = name;
-        sp_cat = cat;
-        sp_fid = fid;
-        sp_fname = fname;
-        sp_start = start;
-        sp_dur = dur;
-        sp_depth = List.length t.stack;
-        sp_args = args;
-        sp_ph = Telemetry.Ph_complete;
-        sp_flow = 0;
-        sp_trace = trace;
-        sp_lane = lane;
-        sp_pid = pid;
-      }
-
-  (* One flow stitch: a Ph_flow_start on the requesting lane at enqueue, a
-     Ph_flow_finish (same id) wherever the artifact lands. [trace] lets the
-     finish side re-assert the *requesting* context (the harvest runs under
-     some other request's lane). *)
-  let flow ?(args = []) ?trace t ~phase ~id ~name ~cat ~fid ~fname ~now =
-    let current, lane, pid =
-      match trace with
-      | Some c -> (c.Telemetry.tc_trace, c.Telemetry.tc_trace, c.Telemetry.tc_isolate + 1)
-      | None -> ctx ()
-    in
-    t.emitted <- t.emitted + 1;
-    t.emit
-      {
-        Telemetry.sp_name = name;
-        sp_cat = cat;
-        sp_fid = fid;
-        sp_fname = fname;
-        sp_start = now;
-        sp_dur = 0;
-        sp_depth = List.length t.stack;
-        sp_args = args;
-        sp_ph = (match phase with `Start -> Telemetry.Ph_flow_start | `Finish -> Telemetry.Ph_flow_finish);
-        sp_flow = id;
-        sp_trace = current;
-        sp_lane = lane;
-        sp_pid = pid;
-      }
-
-  let emitted t = t.emitted
-end

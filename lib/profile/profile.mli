@@ -1,11 +1,11 @@
-(** Cycle-accounting profiler and lifecycle span tracer.
+(** Cycle-accounting profiler.
 
     Attribution rides the origin tags the IRs carry ({!Mir.origin} threaded
     into {!Code.t.origins} by lowering): the {!Recorder} installs the
     executors' observation hooks and charges every model cycle to the
     (function, bytecode pc, producing pass) that caused it, split by
-    execution {!tier} and work {!category}. The {!Tracer} turns engine
-    lifecycle phases into {!Telemetry.span}s on the model-cycle clock.
+    execution {!tier} and work {!category}. (Lifecycle spans live on the
+    engine's {!Telemetry.t} hub.)
 
     Everything here is observation-only: no charge is altered, and with no
     recorder installed every hook is [None], so a profiled-off run is
@@ -127,58 +127,3 @@ val note_compile : fid:int -> stage:string -> int -> unit
 val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
 (** Run [f] with [r] recording: installs the recorder plus both executor
     hooks, restoring all three afterwards (exception-safe). *)
-
-(** Begin/end span bookkeeping over the model-cycle clock. The engine opens
-    a span entering a lifecycle phase and closes it when the phase ends;
-    closing emits a completed {!Telemetry.span}. Ends must balance begins —
-    {!Tracer.end_span} on an empty stack raises, which is exactly the
-    well-formedness property the tests lean on. *)
-module Tracer : sig
-  type t
-
-  val create : emit:(Telemetry.span -> unit) -> t
-  val depth : t -> int
-  (** Currently open spans. *)
-
-  val begin_span :
-    t -> name:string -> cat:string -> fid:int -> fname:string -> now:int -> unit
-
-  val end_span : ?args:(string * string) list -> t -> now:int -> unit
-  (** Close the innermost open span, emitting it with
-      [dur = now - start]. @raise Invalid_argument when no span is open. *)
-
-  val complete :
-    ?args:(string * string) list ->
-    t ->
-    name:string ->
-    cat:string ->
-    fid:int ->
-    fname:string ->
-    start:int ->
-    dur:int ->
-    unit
-  (** Emit a retroactive span without touching the stack (e.g. the bailout
-      penalty, known only after it was charged); its depth is the current
-      stack depth. *)
-
-  val flow :
-    ?args:(string * string) list ->
-    ?trace:Telemetry.trace_ctx ->
-    t ->
-    phase:[ `Start | `Finish ] ->
-    id:int ->
-    name:string ->
-    cat:string ->
-    fid:int ->
-    fname:string ->
-    now:int ->
-    unit
-  (** Emit one side of a Perfetto flow stitch ([ph:"s"]/[ph:"f"] sharing
-      [id]). Spans and flows stamp the current {!Telemetry.trace_ctx}
-      automatically; [trace] overrides it on the finish side so a
-      background compile's install is attributed back to the request that
-      enqueued it, whichever request harvests it. *)
-
-  val emitted : t -> int
-  (** Spans emitted so far. *)
-end

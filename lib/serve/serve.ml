@@ -154,13 +154,15 @@ type iso = {
   iso_ecfg : Engine.config;
   engines : (int, Engine.t) Hashtbl.t;  (* tenant key -> warm engine *)
   programs : (int, Bytecode.Program.t) Hashtbl.t;  (* survives recycles *)
-  counters : Telemetry.Counters.t;
+  hub : Telemetry.t;
+      (* the isolate's own counts and request spans; with tracing on, its
+         span sink is also attached to every engine, so one stream
+         carries both layers *)
   mutable vclock : int;  (* when this isolate next falls idle *)
   mutable pending : int list;  (* finish times of admitted requests *)
   mutable records : record list;  (* reversed *)
   (* Observability (all [None]/empty with obs off — and then nothing below
      ever allocates or runs). *)
-  tracer : Profile.Tracer.t option;  (* serve-level request/queue spans *)
   spans : Telemetry.span list ref;  (* emission order, reversed *)
   mx : Metrics.t option;
   snaps : (int * string) list ref;  (* (cycle, snapshot json), reversed *)
@@ -169,21 +171,19 @@ type iso = {
 }
 
 let make_iso cfg ~isolate =
+  let hub = Telemetry.create ~nfuncs:1 () in
   let spans = ref [] in
+  if cfg.obs.obs_trace then Telemetry.attach_span hub (fun s -> spans := s :: !spans);
   {
     iso_id = isolate;
     iso_cfg = cfg;
     iso_ecfg = { cfg.engine with Engine.deadline = cfg.deadline };
     engines = Hashtbl.create 8;
     programs = Hashtbl.create 8;
-    counters = Telemetry.Counters.create ~nfuncs:1 ();
+    hub;
     vclock = 0;
     pending = [];
     records = [];
-    tracer =
-      (if cfg.obs.obs_trace then
-         Some (Profile.Tracer.create ~emit:(fun s -> spans := s :: !spans))
-       else None);
     spans;
     mx = (if cfg.obs.obs_metrics then Some (Metrics.create ()) else None);
     snaps = ref [];
@@ -196,7 +196,7 @@ let make_iso cfg ~isolate =
        else None);
   }
 
-let bump ?n iso name = Telemetry.Counters.bump_global ?n iso.counters name
+let bump ?n iso name = Telemetry.Counters.bump_global ?n (Telemetry.counters iso.hub) name
 
 (* Fold every engine's counter registry into the isolate accumulator.
    Called just before the engines are dropped (recycle) and once at the
@@ -235,10 +235,13 @@ let get_engine iso key =
         p
     in
     let eng = Engine.make iso.iso_ecfg program in
-    (* The flight recorder rides the engine's event stream; timestamps are
-       that engine's own model clock (the ring's seq numbers give the
-       global order). Attaching a sink never charges cycles, so the
-       simulation is unchanged. *)
+    (* The engine's spans join the isolate's stream. The flight recorder
+       rides the engine's event stream; timestamps are that engine's own
+       model clock (the ring's seq numbers give the global order).
+       Attaching a sink never charges cycles, so the simulation is
+       unchanged. *)
+    if Telemetry.spans_active iso.hub then
+      Telemetry.attach_span (Engine.telemetry eng) (Telemetry.emit_span iso.hub);
     (match iso.flight with
     | Some fl ->
       Telemetry.attach (Engine.telemetry eng)
@@ -334,13 +337,12 @@ let record iso rq ~outcome ~finish ~attempts ~warm ~compile =
    requests that never executed, making the queue-wait span cover the
    whole wait). *)
 let observe_request iso rq ~outcome ~depth ~start ~finish ~attempts =
-  (match iso.tracer with
-  | Some tr ->
+  if Telemetry.spans_active iso.hub then begin
     let fname = Printf.sprintf "rq%d" rq.rq_id in
     if start > rq.rq_arrival then
-      Profile.Tracer.complete tr ~name:"queue-wait" ~cat:"serve" ~fid:rq.rq_id ~fname
-        ~start:rq.rq_arrival ~dur:(start - rq.rq_arrival);
-    Profile.Tracer.complete tr
+      Telemetry.span_complete iso.hub ~name:"queue-wait" ~cat:"serve" ~fid:rq.rq_id
+        ~fname ~start:rq.rq_arrival ~dur:(start - rq.rq_arrival);
+    Telemetry.span_complete iso.hub
       ~args:
         [
           ("outcome", "\"" ^ outcome_to_string outcome ^ "\"");
@@ -349,7 +351,7 @@ let observe_request iso rq ~outcome ~depth ~start ~finish ~attempts =
         ]
       ~name:"request" ~cat:"serve" ~fid:rq.rq_id ~fname ~start:rq.rq_arrival
       ~dur:(finish - rq.rq_arrival)
-  | None -> ());
+  end;
   (match iso.mx with
   | Some mx ->
     let i = string_of_int iso.iso_id in
@@ -453,7 +455,7 @@ let guard_request iso rq =
   (* The request-scoped identity every span, flow stitch and flight entry
      under this dynamic extent stamps itself with. Installed only when an
      observer wants it; either way nothing below reads it unless one does. *)
-  if Option.is_some iso.tracer || Option.is_some iso.flight then
+  if Telemetry.spans_active iso.hub || Option.is_some iso.flight then
     Telemetry.with_trace
       (Some
          {
@@ -479,26 +481,16 @@ type iso_result = {
 
 let run_isolate_full cfg ~isolate reqs =
   let iso = make_iso cfg ~isolate in
-  let body () =
-    Runtime.Builtins.with_print_hook ignore (fun () ->
-        Faults.with_fired_hook
-          (fun point ->
-            bump iso (Telemetry.Key.faults_fired (Faults.point_to_string point)))
-          (fun () -> List.iter (guard_request iso) reqs))
-  in
-  (match iso.tracer with
-  | Some _ ->
-    (* Engines created during the run must pick the accumulator up as a
-       default span sink (an engine only builds its tracer when the hub
-       has a span sink at construction); the serve-level tracer shares the
-       same accumulator, so one stream carries both layers. *)
-    Telemetry.with_default_span_sinks [ (fun s -> iso.spans := s :: !(iso.spans)) ] body
-  | None -> body ());
+  Runtime.Builtins.with_print_hook ignore (fun () ->
+      Faults.with_fired_hook
+        (fun point ->
+          bump iso (Telemetry.Key.faults_fired (Faults.point_to_string point)))
+        (fun () -> List.iter (guard_request iso) reqs));
   (* Close the flows of background compiles the run ended before
      harvesting — counter-silent, so a traced summary equals an untraced
-     one. Must precede [absorb]: the engines are dropped right after. *)
-  if Option.is_some iso.tracer then
-    Hashtbl.iter (fun _ eng -> Engine.flush_flows eng) iso.engines;
+     one, and a no-op untraced. Must precede [absorb]: the engines are
+     dropped right after. *)
+  Hashtbl.iter (fun _ eng -> Engine.flush_flows eng) iso.engines;
   absorb iso;
   (* One closing snapshot so the metrics file always ends with the final
      state, whatever the period. *)
@@ -509,7 +501,7 @@ let run_isolate_full cfg ~isolate reqs =
   {
     ir_isolate = isolate;
     ir_records = List.rev iso.records;
-    ir_rows = Telemetry.Counters.rows iso.counters;
+    ir_rows = Telemetry.Counters.rows (Telemetry.counters iso.hub);
     ir_spans = List.rev !(iso.spans);
     ir_metrics = iso.mx;
     ir_snaps = List.rev !(iso.snaps);

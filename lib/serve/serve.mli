@@ -145,30 +145,14 @@ type record = {
   rr_compile : int;  (** compile cycles charged during the request *)
 }
 
-type iso_result = {
-  ir_isolate : int;
-  ir_records : record list;  (** request order *)
-  ir_rows : (string * int) list;  (** counter rows, name-sorted *)
-  ir_spans : Telemetry.span list;  (** emission order; [] with trace off *)
-  ir_metrics : Metrics.t option;  (** the isolate's registry *)
-  ir_snaps : (int * string) list;  (** (cycle, snapshot json), cycle order *)
-  ir_flights : Flight.dump list;  (** post-mortems, trigger order *)
-}
-(** Everything one isolate produced; observability fields empty with obs
-    off. *)
-
-val run_isolate_full : config -> isolate:int -> request list -> iso_result
-(** Play one isolate's queue serially. Installs its own print hook,
-    fired-fault hook, per-request chaos plans and (with obs on) span
-    sinks / trace contexts / flight sinks; absorbs every engine's
-    counters — and, when tracing, closes still-open background-compile
-    flows — before returning. *)
-
 val run_isolate :
   config -> isolate:int -> request list -> int * record list * (string * int) list
-(** {!run_isolate_full} projected to
+(** Play one isolate's queue serially, returning
     [(isolate, records in request order, counter rows)] (the interaction
-    tests' entry point). *)
+    tests' entry point). Installs its own print hook, fired-fault hook,
+    per-request chaos plans and (with obs on) span sinks / trace contexts
+    / flight sinks; absorbs every engine's counters — and, when tracing,
+    closes still-open background-compile flows — before returning. *)
 
 type summary = {
   sm_requests : int;

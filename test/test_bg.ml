@@ -8,13 +8,15 @@
 
 open Runtime
 
-let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = []) src =
+let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = [])
+    ?(span_sinks = []) src =
   let buf = Buffer.create 64 in
   Builtins.with_print_hook
     (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
     (fun () ->
       let engine = Engine.make cfg (Bytecode.Compile.program_of_source src) in
       List.iter (Telemetry.attach (Engine.telemetry engine)) sinks;
+      List.iter (Telemetry.attach_span (Engine.telemetry engine)) span_sinks;
       let report = Engine.run engine in
       (engine, report, Buffer.contents buf))
 
@@ -288,10 +290,9 @@ let test_bg_fault point () =
       (fun p -> fired := p :: !fired)
       (fun () ->
         Faults.with_plan plan (fun () ->
-            Telemetry.with_default_span_sinks
-              [ (fun sp -> spans := sp :: !spans) ]
-              (fun () ->
-                run ~cfg:(bg_cfg ()) ~sinks:[ Telemetry.Ring.sink ring ] call_hot_src)))
+            run ~cfg:(bg_cfg ()) ~sinks:[ Telemetry.Ring.sink ring ]
+              ~span_sinks:[ (fun sp -> spans := sp :: !spans) ]
+              call_hot_src))
   in
   Engine.flush_flows engine;
   Alcotest.(check bool) "the fault fired" true (List.mem point !fired);
@@ -494,11 +495,9 @@ let golden_cell ?(degrade_on_print = false) cfg src fault =
   let e, r =
     Faults.with_plan (Faults.make ~seed:1 fault) (fun () ->
         Builtins.with_print_hook on_print (fun () ->
-            let e =
-              Telemetry.with_default_span_sinks [ span_sink ] (fun () ->
-                  Engine.make cfg (Bytecode.Compile.program_of_source src))
-            in
+            let e = Engine.make cfg (Bytecode.Compile.program_of_source src) in
             engine := Some e;
+            Telemetry.attach_span (Engine.telemetry e) span_sink;
             Telemetry.attach (Engine.telemetry e) (fun ev ->
                 Buffer.add_string out (Telemetry.to_json ev);
                 Buffer.add_char out '\n');

@@ -4,12 +4,14 @@
 
 open Runtime
 
-let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) src =
+let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = []) src =
   let buf = Buffer.create 64 in
   Builtins.with_print_hook
     (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
     (fun () ->
-      let report = Engine.run_source cfg src in
+      let engine = Engine.make cfg (Bytecode.Compile.program_of_source src) in
+      List.iter (Telemetry.attach (Engine.telemetry engine)) sinks;
+      let report = Engine.run engine in
       (report, Buffer.contents buf))
 
 let fn report name =
@@ -363,10 +365,7 @@ let test_lru_missing_probe_no_refresh () =
       | Telemetry.Cache_evict { fname; _ } -> evicted := fname :: !evicted
       | _ -> ()
     in
-    let _, out2 =
-      Telemetry.with_default_sinks [ sink ] (fun () ->
-          run ~cfg:(cfg budget) lru_schedule_src)
-    in
+    let _, out2 = run ~cfg:(cfg budget) ~sinks:[ sink ] lru_schedule_src in
     Alcotest.(check string) "bounded run computes the same result" out out2;
     Alcotest.(check (list string))
       "victims oldest-first; g's rejected probes did not refresh its value version"
