@@ -48,7 +48,7 @@ echo "== dune build @parallel (pool determinism: --jobs 4 == --jobs 1) =="
 dune build @parallel
 elapsed
 
-echo "== dune build @profile (attribution balance + trace-event export) =="
+echo "== dune build @profile (attribution balance + trace-event export + digest golden) =="
 dune build @profile
 elapsed
 
@@ -60,7 +60,7 @@ echo "== dune build @bg (background compilation: --jobs identity + off-identity 
 dune build @bg
 elapsed
 
-echo "== dune build @obs (observability: off/on byte-identity + artifact determinism + flow balance) =="
+echo "== dune build @obs (observability: off/on byte-identity + artifact determinism + flow balance + digest golden) =="
 dune build @obs
 elapsed
 
