@@ -48,11 +48,11 @@ echo "== dune build @parallel (pool determinism: --jobs 4 == --jobs 1) =="
 dune build @parallel
 elapsed
 
-echo "== dune build @profile (attribution balance + trace-event export + digest golden) =="
+echo "== dune build @profile (attribution balance + trace-event export + trace/report digest golden) =="
 dune build @profile
 elapsed
 
-echo "== dune build @serve (overload smoke: invariants + --jobs determinism) =="
+echo "== dune build @serve (overload smoke: invariants + summary golden + --jobs determinism) =="
 dune build @serve
 elapsed
 
