@@ -19,33 +19,6 @@ let find_config name =
       (fun c -> String.lowercase_ascii c.Pipeline.name = String.lowercase_ascii name)
       Pipeline.figure9_configs
 
-(* Per-opcode execution profile over the native code, via the executor's
-   trace hook. *)
-let profile_table () =
-  let counts : (string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let record (n : Code.ninstr) =
-    let key =
-      match n with
-      | Code.Op { op; _ } -> Code.op_to_string op
-      | Code.Jump _ -> "jmp"
-      | Code.Branch _ -> "brt"
-      | Code.Ret _ -> "ret"
-    in
-    let count, cycles = Option.value (Hashtbl.find_opt counts key) ~default:(0, 0) in
-    Hashtbl.replace counts key (count + 1, cycles + Cost.instr n)
-  in
-  let dump () =
-    let rows =
-      Hashtbl.fold (fun k (c, cy) acc -> (cy, [ k; string_of_int c; string_of_int cy ]) :: acc)
-        counts []
-      |> List.sort (fun (a, _) (b, _) -> compare b a)
-      |> List.map snd
-    in
-    print_string
-      (Support.Table.render ~header:[ "native op"; "executed"; "cycles" ] ~rows ())
-  in
-  (record, dump)
-
 (* Pool utilization for the differential modes (--check / --chaos fan their
    configuration runs out over the domain pool). Printed only when a pool
    was actually created; join_wait is wall-clock, so this section is
@@ -179,20 +152,13 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
                f.Mir.source.Bytecode.Program.name
                (if f.Mir.specialized_args <> None then ", specialized" else "");
              print_string (Mir.to_string f)));
-    let dump_profile =
-      if profile then begin
-        let record, dump = profile_table () in
-        Exec.set_trace_hook (Some record);
-        Some dump
-      end
-      else None
-    in
-    (* The cycle-attribution recorder (--profile table, --profile-folded). *)
+    (* The cycle-attribution recorder (--profile tables, --profile-folded). *)
     let recorder =
       if profile || profile_folded <> None then Some (Profile.Recorder.create ~program)
       else None
     in
     let engine = Engine.make cfg program in
+    Option.iter (Engine.attach_profile engine) recorder;
     let spans_acc = ref [] in
     if trace_spans <> None then
       Telemetry.attach_span (Engine.telemetry engine) (fun s -> spans_acc := s :: !spans_acc);
@@ -225,12 +191,7 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
           oc)
         trace_json
     in
-    let run_engine () =
-      match recorder with
-      | Some r -> Profile.with_recorder r (fun () -> Engine.run engine)
-      | None -> Engine.run engine
-    in
-    match run_engine () with
+    match Engine.run engine with
     | exception Engine.Runtime_error msg ->
       Option.iter close_out json_oc;
       dump_flight ~trigger:"fault" ~detail:msg;
@@ -257,14 +218,10 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
         print_string (Profile.Recorder.table r);
         (* Sanity anchor: the attribution is exact by construction. *)
         Printf.printf "attributed=%d of total=%d\n" (Profile.Recorder.total_cycles r)
-          report.Engine.total_cycles
+          report.Engine.total_cycles;
+        print_endline "-- native execution profile --";
+        print_string (Profile.Recorder.op_table r)
       | _ -> ());
-      Option.iter
-        (fun dump ->
-          Exec.set_trace_hook None;
-          print_endline "-- native execution profile --";
-          dump ())
-        dump_profile;
       if stats then begin
         Printf.printf "-- engine report (%s%s) --\n" opt.Pipeline.name
           (if no_jit then ", jit off" else "");

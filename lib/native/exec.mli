@@ -31,39 +31,23 @@ type callbacks = {
       (** engine dispatch for calls made by compiled code *)
   globals : Runtime.Value.t array;  (** the global slot table *)
   cycles : int ref;  (** cycle accumulator, shared with the engine *)
+  on_charge : (Code.t -> int -> int -> unit) option;
+      (** Cycle-attribution observer, fired as [hook code pc cycles] at
+          every site that charges [cycles]: per-instruction cost, call
+          overheads, and the bailout penalty (charged to the failing
+          guard's pc). [code.origins.(pc)] recovers the provenance of
+          each charge. The charges themselves are unchanged, so with
+          [None] a run is byte-identical to an observed one. *)
+  on_instr : (Code.t -> int -> unit) option;
+      (** Per-instruction observer, fired as [hook code pc] once per
+          executed instruction, right after its charge and its
+          [on_charge] note (so a budget comparison sees a current
+          clock). The engine's cooperative deadline raises from here;
+          the raise aborts the run without evaluating a snapshot.
+          [None] costs one match per instruction. *)
 }
-
-val set_trace_hook : (Code.ninstr -> unit) option -> unit
-(** Optional per-executed-instruction instrumentation (per-opcode profiles
-    in the benchmark harness). [None] (the default) in normal operation.
-    Domain-local, and sampled once at [run] entry — installing a hook
-    mid-execution does not affect code already running. *)
-
-val set_profile_hook : (Code.t -> int -> int -> unit) option -> unit
-(** Install (or clear) the domain-local cycle-attribution hook, fired as
-    [hook code pc cycles] at every site that charges the cycle accumulator:
-    per-instruction cost, call overheads, and the bailout penalty (charged
-    to the failing guard's pc). The charges themselves are unchanged, so
-    with the hook unset a run is byte-identical to an unprofiled one.
-    Sampled once at [run] entry. [code.origins.(pc)] recovers the
-    provenance of each charge. *)
-
-val with_profile_hook : (Code.t -> int -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Run a thunk with the attribution hook bound, restoring the previous
-    hook afterwards (exception-safe). *)
-
-val set_deadline_hook : (Code.t -> int -> unit) option -> unit
-(** Install (or clear) the domain-local cooperative-deadline hook, fired
-    as [hook code pc] per executed instruction, immediately after its
-    cycle charge (so a budget comparison sees a current clock). The
-    engine's hook raises [Engine.Deadline_exceeded] once the run's
-    model-cycle budget is spent; the raise aborts the native run without
-    evaluating a snapshot. [None] (production) costs one match per
-    instruction. Sampled once at [run] entry. *)
-
-val with_deadline_hook : (Code.t -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Run a thunk with the deadline hook bound, restoring the previous hook
-    afterwards (exception-safe). *)
+(** What the engine hands each run: call dispatch, the globals, the cycle
+    accumulator and the execution observers it has attached. *)
 
 val run : callbacks -> Code.t -> activation -> at_osr:bool -> outcome
 (** Execute allocated code (no virtual registers). [at_osr] starts at the

@@ -1,14 +1,17 @@
 (** Cycle-accounting profiler.
 
     Attribution rides the origin tags the IRs carry ({!Mir.origin} threaded
-    into {!Code.t.origins} by lowering): the {!Recorder} installs the
-    executors' observation hooks and charges every model cycle to the
+    into {!Code.t.origins} by lowering): a {!Recorder} attached to an
+    engine ([Engine.attach_profile]) charges every model cycle to the
     (function, bytecode pc, producing pass) that caused it, split by
-    execution {!tier} and work {!category}. (Lifecycle spans live on the
-    engine's {!Telemetry.t} hub.)
+    execution {!tier} and work {!category}. The engine passes the
+    recorder's hooks to the executors in the callback records it builds
+    for each run ({!Exec.callbacks}, {!Interp.hooks}); nothing is
+    domain-local, so a recorder sees exactly the engine it is attached to.
+    (Lifecycle spans live on the engine's {!Telemetry.t} hub.)
 
     Everything here is observation-only: no charge is altered, and with no
-    recorder installed every hook is [None], so a profiled-off run is
+    recorder attached every hook is [None], so a profiled-off run is
     byte-identical to an unprofiled one. By construction the recorder's
     {!Recorder.total_cycles} equals the engine report's [total_cycles]
     exactly. *)
@@ -54,19 +57,24 @@ type key = {
 
 type row = { r_key : key; r_cycles : int; r_count : int }
 
-(** The cycle-attribution accumulator. One per profiled run; install with
-    {!with_recorder}. *)
+(** The cycle-attribution accumulator. One per profiled engine; attach
+    with [Engine.attach_profile]. *)
 module Recorder : sig
   type t
 
   val create : program:Bytecode.Program.t -> t
 
   val exec_hook : t -> Code.t -> int -> int -> unit
-  (** The {!Exec.set_profile_hook} payload: classifies a native charge via
-      [code.origins.(pc)] and the opcode. *)
+  (** The [Exec.callbacks.on_charge] payload: classifies a native charge
+      via [code.origins.(pc)] and the opcode. *)
+
+  val instr_hook : t -> Code.t -> int -> unit
+  (** The profile half of [Exec.callbacks.on_instr]: counts one execution
+      of the opcode at [pc] with its {!Cost.instr} cycles, for
+      {!op_table}. *)
 
   val interp_hook : t -> int -> int -> unit
-  (** The {!Interp.set_profile_hook} payload: one
+  (** The profile half of [Interp.hooks.step]: one
       [Cost.interp_per_instr] charge per interpreted instruction. *)
 
   val note_compile : t -> fid:int -> stage:string -> int -> unit
@@ -115,15 +123,8 @@ module Recorder : sig
   val table : ?top:int -> t -> string
   (** The [--profile] report: top-N functions by total cycles with
       per-tier columns and the native guard/alu/mem percentage split. *)
+
+  val op_table : t -> string
+  (** The [--profile] native-op table: executions and {!Cost.instr}
+      cycles per native opcode, most cycles first. *)
 end
-
-val current_recorder : unit -> Recorder.t option
-(** This domain's installed recorder, if any. *)
-
-val note_compile : fid:int -> stage:string -> int -> unit
-(** Engine-side entry point for compile-stage charges: forwards to the
-    installed recorder, no-op (one TLS read) when none. *)
-
-val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
-(** Run [f] with [r] recording: installs the recorder plus both executor
-    hooks, restoring all three afterwards (exception-safe). *)

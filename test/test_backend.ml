@@ -18,6 +18,8 @@ let exec ?(globals = [||]) code ~func ~args =
       Exec.call = (fun _ _ -> Alcotest.fail "unexpected call");
       globals;
       cycles;
+      on_charge = None;
+      on_instr = None;
     }
   in
   let act = Exec.make_activation ~func ~args () in
@@ -233,7 +235,7 @@ let prop_three_way_differential =
         | Eval.Bailed _ -> true
       in
       let code, _ = Regalloc.run (Lower.run f) in
-      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0 } in
+      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
       let act = Exec.make_activation ~func ~args () in
       let native_agrees =
         match Exec.run cb code act ~at_osr:false with
@@ -265,7 +267,7 @@ let prop_native_matches_interp =
       in
       ignore (Pipeline.apply ~program Pipeline.baseline f);
       let code, _ = Regalloc.run (Lower.run f) in
-      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0 } in
+      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
       let act = Exec.make_activation ~func ~args () in
       match Exec.run cb code act ~at_osr:false with
       | Exec.Finished v -> Value.same_value v expected

@@ -559,7 +559,7 @@ let test_unroll_constant_trip_loop () =
   let loops = Cfg.natural_loops f (Cfg.dominators f) in
   Alcotest.(check int) "no loops left" 0 (List.length loops);
   let code, _ = Regalloc.run (Lower.run f) in
-  let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0 } in
+  let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
   let act = Exec.make_activation ~func ~args:[| arr; Value.Int 5 |] () in
   (match Exec.run cb code act ~at_osr:false with
   | Exec.Finished v -> Alcotest.(check bool) "sum" true (Value.same_value v (Value.Int 30))
@@ -575,7 +575,7 @@ let test_unroll_zero_trip_loop () =
   in
   Alcotest.(check int) "zero-trip loop removed" 1 stats.Pipeline.unrolled;
   let code, _ = Regalloc.run (Lower.run f) in
-  let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0 } in
+  let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
   let act = Exec.make_activation ~func ~args:[| Value.Int 0 |] () in
   match Exec.run cb code act ~at_osr:false with
   | Exec.Finished v -> Alcotest.(check bool) "initial value" true (Value.same_value v (Value.Int 7))
@@ -893,7 +893,7 @@ print(map(new Array(1, 2, 3, 4, 5), 2, 5, inc));
   let code, _ = Regalloc.run (Lower.run f) in
   let cb =
     { Exec.call = (fun _ _ -> Alcotest.fail "unexpected call in inlined code");
-      globals = [||]; cycles = ref 0 }
+      globals = [||]; cycles = ref 0; on_charge = None; on_instr = None }
   in
   let act = Exec.make_activation ~func:map_fn ~args:spec_args () in
   (match Exec.run cb code act ~at_osr:false with

@@ -14,8 +14,9 @@ let loop_src =
    var a = [1, 2, 3, 4, 5, 6, 7, 8];\n\
    var j = 0; var t = 0; while (j < 60) { t = t + sum(a, 8); j = j + 1; } print(t);"
 
-(* Run [src] under [cfg] with a fresh recorder installed; returns the
-   recorder, the report, and everything the program printed. *)
+(* Run [src] under [cfg] with a fresh recorder attached to its engine;
+   returns the recorder, the report, and everything the program
+   printed. *)
 let run_recorded ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) src =
   let buf = Buffer.create 64 in
   Runtime.Builtins.with_print_hook
@@ -25,9 +26,9 @@ let run_recorded ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) src =
     (fun () ->
       let program = Bytecode.Compile.program_of_source src in
       let r = Profile.Recorder.create ~program in
-      let report =
-        Profile.with_recorder r (fun () -> Engine.run_program cfg program)
-      in
+      let engine = Engine.make cfg program in
+      Engine.attach_profile engine r;
+      let report = Engine.run engine in
       (r, report, Buffer.contents buf))
 
 let run_plain ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) src =
@@ -111,8 +112,8 @@ let test_off_identical () =
     (fun src ->
       let plain_report, plain_out = run_plain src in
       let _, recorded_report, recorded_out = run_recorded src in
-      (* A second plain run after the profiled one: the hooks were fully
-         uninstalled by [with_recorder]. *)
+      (* A second plain run after the profiled one: the recorder observed
+         only the engine it was attached to. *)
       let plain2_report, _ = run_plain src in
       Alcotest.(check int)
         "profiled run charges identical cycles" plain_report.Engine.total_cycles
@@ -122,6 +123,55 @@ let test_off_identical () =
         "hooks fully restored" plain_report.Engine.total_cycles
         plain2_report.Engine.total_cycles)
     [ fib_src; loop_src ]
+
+(* ------------------------------------------------------------------ *)
+(* Ownership: a recorder observes the engine it is attached to         *)
+(* ------------------------------------------------------------------ *)
+
+let test_recorder_per_engine () =
+  let program = Bytecode.Compile.program_of_source fib_src in
+  let cfg = Engine.default_config ~opt:Pipeline.all_on () in
+  let a = Engine.make cfg program in
+  let r = Profile.Recorder.create ~program in
+  Engine.attach_profile a r;
+  let report_a = Runtime.Builtins.with_print_hook ignore (fun () -> Engine.run a) in
+  (* Engine B runs the same program on the same domain afterwards, with
+     no recorder of its own. *)
+  let b = Engine.make cfg program in
+  ignore (Runtime.Builtins.with_print_hook ignore (fun () -> Engine.run b));
+  Alcotest.(check int)
+    "A's recorder total = A's total_cycles" report_a.Engine.total_cycles
+    (Profile.Recorder.total_cycles r)
+
+(* A profiled run that trips its deadline, once in the interpreter and
+   once in native code: the composed hooks attribute every cycle charged
+   up to the trip, and the trip fires exactly once. *)
+let test_profiled_deadline () =
+  List.iter
+    (fun (label, cfg) ->
+      let program = Bytecode.Compile.program_of_source fib_src in
+      let budget =
+        (Runtime.Builtins.with_print_hook ignore (fun () -> Engine.run_program cfg program))
+          .Engine.total_cycles / 2
+      in
+      let engine = Engine.make { cfg with Engine.deadline = budget } program in
+      let r = Profile.Recorder.create ~program in
+      Engine.attach_profile engine r;
+      let hits = ref 0 in
+      Telemetry.attach (Engine.telemetry engine) (function
+        | Telemetry.Deadline_hit _ -> incr hits
+        | _ -> ());
+      (match Runtime.Builtins.with_print_hook ignore (fun () -> Engine.run engine) with
+      | exception Engine.Deadline_exceeded { dl_spent; _ } ->
+        Alcotest.(check int) (label ^ ": fresh engine, spent = clock") dl_spent
+          (Engine.clock engine)
+      | _ -> Alcotest.fail (label ^ ": expected Deadline_exceeded"));
+      Alcotest.(check int)
+        (label ^ ": attributed = clock at the trip")
+        (Engine.clock engine) (Profile.Recorder.total_cycles r);
+      Alcotest.(check int) (label ^ ": exactly one Deadline_hit") 1 !hits)
+    [ ("interp-only", Engine.interp_only);
+      ("spec", Engine.default_config ~opt:Pipeline.all_on ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -289,9 +339,10 @@ let at_jobs jobs f =
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
 
 let test_folded_jobs_invariant () =
-  (* Fan recorder runs out over the pool: each cell installs its recorder
-     on whichever worker domain runs it, and the folded rendering is sorted,
-     so the merged output cannot depend on scheduling. *)
+  (* Fan recorder runs out over the pool: each cell attaches its recorder
+     to its own engine on whichever worker domain runs it, and the folded
+     rendering is sorted, so the merged output cannot depend on
+     scheduling. *)
   let cells jobs =
     at_jobs jobs (fun () ->
         Pool.map (Pool.default ()) folded_of [ fib_src; loop_src; fib_src ])
@@ -312,6 +363,13 @@ let suites =
         Alcotest.test_case "profiling off is cycle- and output-identical" `Quick
           test_off_identical;
         Alcotest.test_case "tracing charges nothing" `Quick test_spans_off_identical;
+      ] );
+    ( "profile.ownership",
+      [
+        Alcotest.test_case "a recorder is charged only by its engine" `Quick
+          test_recorder_per_engine;
+        Alcotest.test_case "profiled deadline trip attributes the clock" `Quick
+          test_profiled_deadline;
       ] );
     ( "profile.spans",
       [
