@@ -3,8 +3,9 @@
     the full specializing one, per suite — which checks specialization
     removed (bounds and type guards), which loads it folded, which call
     overhead inlining absorbed. Built on {!Profile.Recorder}; each
-    (member, config) cell gets a fresh recorder and reads its counts from
-    its own engine's registry, so nothing bleeds between cells. *)
+    (member, config) cell attaches a fresh recorder to its own engine and
+    reads its counts from that engine's registry, so nothing bleeds
+    between cells. *)
 
 type cell = {
   native : int;  (** native-tier cycles, all categories *)

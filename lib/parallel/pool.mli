@@ -11,8 +11,8 @@
       time only; every table, figure and JSONL byte is identical at any
       [--jobs].
     - {b Self-contained tasks.} Ambient VM context ({!Support.Tls} slots:
-      print hook, PRNG, pipeline checks, fault plans, telemetry sinks,
-      diagnostic hooks) does not cross into pool tasks. A task that needs
+      print hook, PRNG, pipeline checks, fault plans, the request trace
+      context, diagnostic hooks) does not cross into pool tasks. A task that needs
       context installs it itself ([Runner.quiet], [Pipeline.with_checks],
       [Faults.with_plan], ...).
     - {b Nested fan-out.} A task may itself call [map] on the same pool:

@@ -669,10 +669,6 @@ module Key = struct
      argument is a [Faults.point_to_string] name; telemetry sits below the
      faults library, so the name crosses as a string. *)
   let faults_fired point = "faults.fired." ^ point
-
-  (* Events a bounded ring sink overwrote (observability must account for
-     its own losses; see [ring_counted_sink]). *)
-  let telemetry_dropped = "telemetry.dropped"
 end
 
 module Counters = struct
@@ -732,15 +728,6 @@ module Counters = struct
         if v = 0 then None else Some (name, v))
       (names t)
 end
-
-(* A ring sink that accounts for its own losses: every event written over
-   a still-buffered one bumps [Key.telemetry_dropped] in the given
-   registry, so an operator reading a post-mortem ring knows exactly how
-   much history it is missing (silent overwriting was the old behavior;
-   the ring's [dropped] count still agrees with the counter). *)
-let ring_counted_sink r c ev =
-  if Ring.length r = Ring.capacity r then Counters.bump_global c Key.telemetry_dropped;
-  Ring.sink r ev
 
 (* ------------------------------------------------------------------ *)
 (* The hub: one per engine instance                                    *)

@@ -374,9 +374,6 @@ module Key : sig
       name, e.g. ["faults.fired.exec_guard"]. The argument is a
       [Faults.point_to_string] name (telemetry sits below the faults
       library, so the point crosses as a string). *)
-
-  val telemetry_dropped : string
-  (** events a bounded ring sink overwrote ({!ring_counted_sink}) *)
 end
 
 (** Named monotonic counters, per-function and global. A per-function
@@ -479,9 +476,3 @@ val span_flow :
     [id]). [trace] overrides the current context on the finish side, so a
     background compile's install is attributed back to the request that
     enqueued it, whichever request harvests it. *)
-
-val ring_counted_sink : Ring.t -> Counters.t -> sink
-(** {!Ring.sink} that additionally bumps {!Key.telemetry_dropped} in the
-    given registry every time the write overwrites a still-buffered event,
-    so bounded-buffer losses are accounted for instead of silent. The
-    counter always agrees with {!Ring.dropped}. *)

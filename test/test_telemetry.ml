@@ -48,35 +48,6 @@ let test_ring_buffer () =
   Telemetry.Ring.clear ring;
   Alcotest.(check int) "clear empties" 0 (Telemetry.Ring.length ring)
 
-(* Regression: the counted ring sink exposes its losses as the
-   [telemetry.dropped] counter, on an exact overflow schedule — the first
-   [capacity] events are free, every one after bumps by exactly one, and
-   the counter always equals [Ring.dropped]. *)
-let test_ring_counted_sink_overflow_schedule () =
-  let capacity = 3 and total = 9 in
-  let ring = Telemetry.Ring.create capacity in
-  let counters = Telemetry.Counters.create ~nfuncs:1 () in
-  let sink = Telemetry.ring_counted_sink ring counters in
-  for i = 1 to total do
-    sink (Telemetry.Blacklist { fid = i; fname = "f" ^ string_of_int i });
-    let expected = max 0 (i - capacity) in
-    Alcotest.(check int)
-      (Printf.sprintf "dropped counter after event %d" i)
-      expected
-      (Telemetry.Counters.total counters Telemetry.Key.telemetry_dropped);
-    Alcotest.(check int)
-      (Printf.sprintf "counter tracks Ring.dropped after event %d" i)
-      (Telemetry.Ring.dropped ring)
-      (Telemetry.Counters.total counters Telemetry.Key.telemetry_dropped)
-  done;
-  (* The ring still behaves as a plain ring underneath. *)
-  Alcotest.(check (list int)) "most recent survive" [ 7; 8; 9 ]
-    (List.map Telemetry.event_fid (Telemetry.Ring.contents ring));
-  (* Clearing the ring does not rewind the counter: losses are monotone. *)
-  Telemetry.Ring.clear ring;
-  Alcotest.(check int) "counter is monotone across clear" (total - capacity)
-    (Telemetry.Counters.total counters Telemetry.Key.telemetry_dropped)
-
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -524,8 +495,6 @@ let suites =
     ( "telemetry.sinks",
       [
         Alcotest.test_case "ring buffer" `Quick test_ring_buffer;
-        Alcotest.test_case "counted sink: exact overflow schedule (regression)" `Quick
-          test_ring_counted_sink_overflow_schedule;
         Alcotest.test_case "json escaping" `Quick test_json_escaping;
         Alcotest.test_case "control-byte escapes" `Quick test_json_escape_controls;
         Alcotest.test_case "escape/unescape round-trip" `Quick test_json_roundtrip;
