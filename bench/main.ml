@@ -1,51 +1,21 @@
-(* The benchmark harness: regenerates every table and figure of the paper
-   (deterministic model-cycle measurements through the experiment drivers)
-   and then takes Bechamel wall-clock measurements of the VM itself — one
-   Test.make per table/figure driver plus ablation benches for the design
-   choices DESIGN.md calls out.
+(* The benchmark harness for what no other tool measures: ablations over
+   the cost model for the design choices DESIGN.md calls out, the per-pass
+   attribution of compile cycles, and the model-cycle record — the
+   deterministic cost of a fixed set of engine runs and service soaks,
+   committed as BENCH_wall.json and re-checked by check-model. The paper's
+   tables live in `vs-experiments`; host wall time per layer in
+   perfbench/.
 
-     dune exec bench/main.exe                  # everything below
-     dune exec bench/main.exe -- tables        # only the paper tables
+     dune exec bench/main.exe                  # ablations, attribution, record
+     dune exec bench/main.exe -- ablations     # only the ablations
      dune exec bench/main.exe -- attribution   # per-pass compile-time split
-     dune exec bench/main.exe -- wall          # only the Bechamel measurements *)
+     dune exec bench/main.exe -- record        # rewrite BENCH_wall.json
+     dune exec bench/main.exe -- check-model   # fail on drift from BENCH_wall.json *)
 
-open Bechamel
-open Toolkit
-
-(* Domain-safe print silencing: the hook is a [Support.Tls] slot now, so
-   this composes with the drivers fanning out over the pool. *)
 let quiet f = Runtime.Builtins.with_print_hook ignore f
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: the paper's tables and figures (model cycles)               *)
-(* ------------------------------------------------------------------ *)
-
-let print_tables () =
-  print_endline "==================================================================";
-  print_endline " Figures 1, 2 and 4 (web)";
-  print_endline "==================================================================";
-  Fig_web.print (Fig_web.run ());
-  print_endline "\n==================================================================";
-  print_endline " Figure 3 and Figure 4 (benchmark suites)";
-  print_endline "==================================================================";
-  Fig_suite_calls.print (Fig_suite_calls.run ());
-  print_endline "\n==================================================================";
-  print_endline " Figure 9 (runtime speedup and compilation overhead)";
-  print_endline "==================================================================";
-  Fig_speedup.print (Fig_speedup.run ());
-  print_endline "\n==================================================================";
-  print_endline " Figure 10 (code size) and the web code-size study";
-  print_endline "==================================================================";
-  Fig_codesize.print (Fig_codesize.run_suites ()) (Fig_codesize.run_sites ());
-  print_endline "\n==================================================================";
-  print_endline " Section 4: specialization policy and recompilations";
-  print_endline "==================================================================";
-  Fig_policy.print (Fig_policy.run ());
-  print_newline ();
-  Fig_recompile.print (Fig_recompile.run ())
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: ablations over the cost model (DESIGN.md design choices)    *)
+(* Ablations over the cost model (DESIGN.md design choices)            *)
 (* ------------------------------------------------------------------ *)
 
 let member_of suite_name member_name =
@@ -154,7 +124,7 @@ let print_ablations () =
     [ ("v8 version 6", "richards"); ("sunspider 1.0", "crypto-md5") ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: compilation-overhead attribution (telemetry)                *)
+(* Compilation-overhead attribution (telemetry)                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Where do the compile cycles of Figure 9(c,d) actually go? The engine's
@@ -220,42 +190,12 @@ let print_compile_attribution () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: Bechamel wall-clock benches                                 *)
+(* The recorded benches                                                *)
 (* ------------------------------------------------------------------ *)
-
-let engine_test name cfg (m : Suite.member) =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         quiet (fun () -> ignore (Engine.run_source cfg m.Suite.m_source))))
-
-let compile_test name ~spec =
-  (* Wall-clock cost of one full compilation (build -> passes -> lowering ->
-     regalloc) of the paper's running example. *)
-  let source =
-    "function map(s, b, n, f) { var i = b; while (i < n) { s[i] = f(s[i]); i++; } \
-     return s; }"
-  in
-  let program = Bytecode.Compile.program_of_source source in
-  let func = program.Bytecode.Program.funcs.(1) in
-  let spec_args =
-    if spec then
-      Some
-        [|
-          Runtime.Value.Arr (Runtime.Value.new_arr 8);
-          Runtime.Value.Int 0; Runtime.Value.Int 8;
-          Runtime.Value.Native_fun "Math.floor";
-        |]
-    else None
-  in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let f = Builder.build ~program ~func ?spec_args () in
-         ignore (Pipeline.apply ~program Pipeline.all_on f);
-         ignore (Regalloc.run (Lower.run f))))
 
 (* Guard-heavy microbench for the abstract-interpretation elision pass:
    a hot in-bounds array loop where specialization proves every type,
-   array and bounds guard, so the specialized series measures the elided
+   array and bounds guard, so the specialized row measures the elided
    loop against the baseline's fully guarded one. Source-based on purpose
    — not a suite member, so the 48-workload sweeps stay as the paper
    defines them. *)
@@ -267,9 +207,8 @@ let bounds_hotloop_member =
      var t = 0; var j = 0; while (j < 200) { t = (t + hot(a, 16)) | 0; j = j + 1; }\n\
      print(t);"
 
-(* The engine-level benches, listed once so BENCH_wall.json can pair each
-   wall-clock estimate with the deterministic model-cycle cost of the same
-   run — the data needed to recalibrate the cost model against reality. *)
+(* The engine-level benches: BENCH_wall.json records the total model
+   cycles of each run. *)
 let engine_benches =
   [
     ("fig9_sunspider_bitsinbyte_base", cfg_of Pipeline.baseline, member_of "sunspider 1.0" "bitops-bits-in-byte");
@@ -291,8 +230,7 @@ let engine_benches =
     (* Background tiered compilation on the call-heavy V8 member: the same
        pipeline with compiles routed through the queue. The model companion
        drops by exactly the synchronous compile charge (the fig9(c,d) stall
-       the queue removes — bg cycles are off-clock by design); the wall
-       pair shows what the physical overlap buys on top. *)
+       the queue removes — bg cycles are off-clock by design). *)
     ("bg_richards_sync", cfg_of Pipeline.all_on, member_of "v8 version 6" "richards");
     ( "bg_richards_bg",
       Engine.default_config ~opt:Pipeline.all_on ~bg_compile:true (),
@@ -300,9 +238,8 @@ let engine_benches =
   ]
 
 (* Service-layer soaks: the forced-overload smoke scenario (bounded queue,
-   deadlines, poison tenants, chaos plans) once per policy. Wall-clock
-   measures the whole service simulation; the deterministic model-cycle
-   companion recorded in BENCH_wall.json is the run's makespan — the
+   deadlines, poison tenants, chaos plans) once per policy. The model
+   cycles recorded in BENCH_wall.json are the run's makespan — the
    service-level figure check-model pins, so a silent shift in admission,
    deadline or backoff accounting shows up as drift. *)
 let serve_benches =
@@ -348,304 +285,75 @@ let serve_cold_benches =
 
 let serve_p99 cfg = (Serve.run cfg).Serve.sm_p99
 
-(* Dispatch ablation: the interpreter alone on a hot arithmetic loop — the
-   series the dispatch overhaul (exception-based loop exit, unsafe in-bounds
-   code fetch, allocation-free operand handling) is measured by. *)
-let interp_hotloop_program =
-  lazy
-    (Bytecode.Compile.program_of_source
-       "function work(n) { var s = 0; var i = 0; while (i < n) { s = s + i % 7 + (i * 3 \
-        - s % 13); i = i + 1; } return s; }\n\
-        var t = 0; var j = 0; while (j < 20) { t = t + work(2500); j = j + 1; } print(t);")
-
-let wall_tests () =
-  Test.make_grouped ~name:"vs" ~fmt:"%s.%s"
-    ((* One wall-clock series per paper artifact family. *)
-     List.map (fun (name, cfg, m) -> engine_test name cfg m) engine_benches
-    @ List.map
-        (fun (name, cfg) ->
-          Test.make ~name (Staged.stage (fun () -> ignore (Serve.run (cfg ())))))
-        (serve_benches @ serve_cold_benches)
-    @ [
-        Test.make ~name:"interp_dispatch_hotloop"
-          (Staged.stage (fun () ->
-               quiet (fun () -> ignore (Interp.run_program (Lazy.force interp_hotloop_program)))));
-        (* Figure 9(c,d): compilation time itself. *)
-        compile_test "fig9cd_compile_generic" ~spec:false;
-        compile_test "fig9cd_compile_specialized" ~spec:true;
-        (* Figures 1/2/4: the workload generator. *)
-        Test.make ~name:"fig1_2_4_web_session"
-          (Staged.stage (fun () -> ignore (Web.session ~seed:1 ~nfunctions:4000)));
-        (* Figure 10: code-size measurement of one site program. *)
-        Test.make ~name:"fig10_site_program"
-          (Staged.stage (fun () ->
-               quiet (fun () ->
-                   ignore
-                     (Engine.run_source
-                        (Engine.default_config ~opt:Pipeline.all_on ())
-                        (Web.synthetic_site ~seed:1 Web.google)))));
-      ])
-
-(* Machine-readable companion to the wall table: one object per bench with
-   the OLS ns/run estimate, its r-square, and (for the engine benches) the
-   model cycles the identical run charges. *)
-let write_wall_json rows =
-  let model_cycles =
-    List.map (fun (name, cfg, m) -> ("vs." ^ name, cycles cfg m)) engine_benches
-    @ List.map (fun (name, cfg) -> ("vs." ^ name, serve_makespan (cfg ()))) serve_benches
-    @ List.map (fun (name, cfg) -> ("vs." ^ name, serve_p99 (cfg ()))) serve_cold_benches
-  in
-  let oc = open_out "BENCH_wall.json" in
-  output_string oc "{\n  \"schema\": \"vs-bench-wall/1\",\n  \"benches\": [\n";
-  List.iteri
-    (fun i (name, ns, r2) ->
-      let opt_f = function Some f -> Printf.sprintf "%.2f" f | None -> "null" in
-      Printf.fprintf oc "    { \"name\": %S, \"ns_per_run\": %s, \"r_square\": %s, \"model_cycles\": %s }%s\n"
-        name (opt_f ns)
-        (match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "null")
-        (match List.assoc_opt name model_cycles with
-        | Some c -> string_of_int c
-        | None -> "null")
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  print_endline "\nwrote BENCH_wall.json"
-
-let run_wall () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  (* The long-running soaks (a whole service simulation or a 70ms+ suite
-     member per run) need a much bigger sample than the microbenches: at
-     0.5s they fit so few points that OLS r-square fell to ~0.75 on the
-     recorded rows. Eight times the quota and a raised sample cap give
-     every series enough points to ride out scheduler noise and keep
-     every recorded row's fit above 0.95. *)
-  let cfg = Benchmark.cfg ~limit:400 ~quota:(Time.second 4.0) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  (* One transient noise burst (another process waking mid-series) can sink
-     a single series' fit while every neighbour stays clean. Rather than
-     discard a whole recording over one bad row, re-measure any series
-     whose fit lands under the floor and keep the best attempt. *)
-  let r2_floor = 0.95 and max_attempts = 5 in
-  let measure elt =
-    let rec go best best_r2 attempt =
-      let raw = Benchmark.run cfg instances elt in
-      let res = Analyze.one ols Instance.monotonic_clock raw in
-      let r2 = Option.value ~default:0.0 (Analyze.OLS.r_square res) in
-      let best, best_r2 = if r2 > best_r2 then (Some res, r2) else (best, best_r2) in
-      if best_r2 >= r2_floor || attempt >= max_attempts then Option.get best
-      else go best best_r2 (attempt + 1)
-    in
-    go None (-1.0) 1
-  in
-  print_endline "\n==================================================================";
-  print_endline " Bechamel wall-clock (ns per run, OLS on monotonic clock)";
-  print_endline "==================================================================";
-  let rows = ref [] in
-  List.iter
-    (fun elt ->
-      let ols_result = measure elt in
-      let ns =
-        match Analyze.OLS.estimates ols_result with Some (x :: _) -> Some x | _ -> None
-      in
-      let r2 = Analyze.OLS.r_square ols_result in
-      rows := (Test.Elt.name elt, ns, r2) :: !rows)
-    (Test.elements (wall_tests ()));
-  let rows = List.sort compare !rows in
-  print_string
-    (Support.Table.render ~header:[ "bench"; "ns/run"; "r2" ]
-       ~rows:
-         (List.map
-            (fun (name, ns, r2) ->
-              [
-                name;
-                (match ns with Some x -> Printf.sprintf "%.0f" x | None -> "n/a");
-                (match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "-");
-              ])
-            rows)
-       ());
-  write_wall_json rows;
-  (* The service-level claim behind the bg rows, stated in the run log:
-     with compiles off the request path, cold tenants stop paying the
-     first-compile stall inline and the tail contracts. *)
-  let p99 name = serve_p99 ((List.assoc name serve_cold_benches) ()) in
-  let sync = p99 "serve_cold_paper" and bg = p99 "serve_cold_bg" in
-  Printf.printf "serve cold-tail p99 (model cycles): sync=%d bg=%d (%+.2f%%)\n" sync bg
-    (Support.Stats.percent_change ~base:(float_of_int sync) ~v:(float_of_int bg))
-
 (* ------------------------------------------------------------------ *)
-(* check-model: guard the committed model cycles                       *)
+(* The model-cycle record and check-model                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The model cycles in BENCH_wall.json are part of the repo's record: they
-   pair each wall-clock estimate with the deterministic cost of the same
-   run. Any change to the VM that shifts them must regenerate the file
-   deliberately (run `bench wall`), never silently — this mode recomputes
-   the engine benches' cycles and fails on drift, and check.sh runs it. *)
+(* The model cycles in BENCH_wall.json are part of the repo's record. Any
+   change to the VM that shifts them must regenerate the file deliberately
+   (run `record`), never silently: check-model renders the record afresh
+   and fails on any line that differs from the committed file, and
+   check.sh runs it. *)
+let record_path = "BENCH_wall.json"
 
-(* Minimal extraction from our own writer's output: one bench object per
-   line, ["name"] a JSON string, ["model_cycles"] an integer or null,
-   ["ns_per_run"] a float or null. *)
-let parse_wall_json path =
-  let lines = In_channel.with_open_text path In_channel.input_lines in
-  (match lines with
-  | _ :: schema :: _
-    when Support.Strings.contains_substring schema "vs-bench-wall/1" ->
-    ()
-  | _ ->
-    Printf.eprintf "check-model: %s is not a vs-bench-wall/1 file\n" path;
-    exit 1);
-  List.filter_map
-    (fun line ->
-      let find_field key =
-        let marker = Printf.sprintf "\"%s\": " key in
-        Option.map
-          (fun i -> i + String.length marker)
-          (Support.Strings.find_substring line marker)
-      in
-      match find_field "name" with
-      | None -> None
-      | Some start -> (
-        match String.index_from_opt line start '"' with
-        | None -> None
-        | Some _ ->
-          let stop = String.index_from line (start + 1) '"' in
-          let name =
-            Telemetry.json_unescape (String.sub line (start + 1) (stop - start - 1))
-          in
-          let number_at i charset of_string =
-            let j = ref i in
-            while !j < String.length line && charset line.[!j] do
-              incr j
-            done;
-            of_string (String.sub line i (!j - i))
-          in
-          let cycles =
-            match find_field "model_cycles" with
-            | None -> None
-            | Some i ->
-              number_at i
-                (function '0' .. '9' | '-' -> true | _ -> false)
-                int_of_string_opt
-          in
-          let ns =
-            match find_field "ns_per_run" with
-            | None -> None
-            | Some i ->
-              number_at i
-                (function '0' .. '9' | '-' | '.' -> true | _ -> false)
-                float_of_string_opt
-          in
-          Some (name, cycles, ns)))
-    lines
-
-(* Wall-vs-model divergence advisory: within a family of variants of the
-   same workload (names differing only in the last _suffix — base/spec/
-   poly, sync/bg, paper/poly), the model may rank the configurations one
-   way while the committed wall-clock estimates rank them another. The
-   canonical case is fig9_v8_earleyboyer_poly: fewest model cycles of its
-   family yet the worst ns/run, because the polyvariant version-cache
-   probe is host-side work the cost model charges nothing for (see
-   bench/README.md). Rank disagreement marks a cost-model coverage gap,
-   not a regression, so this warns and never fails. *)
-let warn_rank_disagreements committed =
-  let family name =
-    match String.rindex_opt name '_' with
-    | Some i -> String.sub name 0 i
-    | None -> name
-  in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (name, cycles, ns) ->
-      match (cycles, ns) with
-      | Some c, Some n ->
-        let fam = family name in
-        Hashtbl.replace tbl fam
-          ((name, c, n) :: Option.value (Hashtbl.find_opt tbl fam) ~default:[])
-      | _ -> ())
-    committed;
-  Hashtbl.fold (fun fam members acc -> (fam, members) :: acc) tbl []
+(* Every recorded bench with its model cycles, sorted by name. *)
+let model_rows () =
+  List.map (fun (name, cfg, m) -> ("vs." ^ name, cycles cfg m)) engine_benches
+  @ List.map (fun (name, cfg) -> ("vs." ^ name, serve_makespan (cfg ()))) serve_benches
+  @ List.map (fun (name, cfg) -> ("vs." ^ name, serve_p99 (cfg ()))) serve_cold_benches
   |> List.sort compare
-  |> List.iter (fun (fam, members) ->
-         if List.length members >= 2 then begin
-           let names order =
-             List.map (fun (n, _, _) -> n) (List.sort order members)
-           in
-           let by_model = names (fun (_, c1, _) (_, c2, _) -> compare c1 c2) in
-           let by_wall = names (fun (_, _, n1) (_, _, n2) -> compare n1 n2) in
-           if by_model <> by_wall then begin
-             Printf.printf
-               "check-model: warning: %s_*: model and wall-clock rank orders disagree \
-                (unmodeled host-side cost; see bench/README.md)\n"
-               fam;
-             Printf.printf "  by model cycles: %s\n" (String.concat " < " by_model);
-             Printf.printf "  by ns/run:       %s\n" (String.concat " < " by_wall)
-           end
-         end)
+
+(* The record's lines, one bench object per line. *)
+let render rows =
+  let last = List.length rows - 1 in
+  [ "{"; "  \"schema\": \"vs-model-cycles/1\","; "  \"benches\": [" ]
+  @ List.mapi
+      (fun i (name, c) ->
+        Printf.sprintf "    { \"name\": %S, \"model_cycles\": %d }%s" name c
+          (if i < last then "," else ""))
+      rows
+  @ [ "  ]"; "}" ]
+
+let record () =
+  Out_channel.with_open_text record_path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (render (model_rows ())));
+  Printf.printf "wrote %s\n" record_path
 
 let check_model () =
-  let path = "BENCH_wall.json" in
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "check-model: %s not found (run `bench wall` and commit it)\n" path;
-    exit 1
-  end;
-  let committed = parse_wall_json path in
-  warn_rank_disagreements committed;
-  let current_rows =
-    List.map (fun (name, cfg, m) -> ("vs." ^ name, cycles cfg m)) engine_benches
-    @ List.map (fun (name, cfg) -> ("vs." ^ name, serve_makespan (cfg ()))) serve_benches
-    @ List.map (fun (name, cfg) -> ("vs." ^ name, serve_p99 (cfg ()))) serve_cold_benches
+  let rows = model_rows () in
+  let current = Array.of_list (render rows) in
+  let committed =
+    match In_channel.with_open_text record_path In_channel.input_lines with
+    | lines -> Array.of_list lines
+    | exception Sys_error msg ->
+      Printf.eprintf "check-model: %s (run `record` and commit it)\n" msg;
+      exit 1
   in
+  let line a i = if i < Array.length a then a.(i) else "(none)" in
   let drifted =
-    List.filter_map
-      (fun (name, current) ->
-        match
-          List.find_map
-            (fun (n, cycles, _) -> if n = name then Some cycles else None)
-            committed
-        with
-        | Some (Some c) when c = current -> None
-        | Some (Some c) -> Some (name, string_of_int c, current)
-        | Some None | None -> Some (name, "absent", current))
-      current_rows
+    List.init (max (Array.length current) (Array.length committed)) Fun.id
+    |> List.filter (fun i -> line current i <> line committed i)
   in
   match drifted with
   | [] ->
-    Printf.printf "check-model: %d benches match %s\n" (List.length current_rows) path
+    Printf.printf "check-model: %d benches match %s\n" (List.length rows) record_path
   | _ ->
-    Printf.eprintf "check-model: model cycles drifted from %s:\n" path;
+    Printf.eprintf "check-model: model cycles drifted from %s:\n" record_path;
     List.iter
-      (fun (name, committed, current) ->
-        Printf.eprintf "  %-36s committed=%s current=%d\n" name committed current)
+      (fun i ->
+        Printf.eprintf "  line %d\n    committed: %s\n    current:   %s\n" (i + 1)
+          (line committed i) (line current i))
       drifted;
     Printf.eprintf
-      "if the change is intentional, regenerate with `dune exec bench/main.exe -- wall`\n";
+      "if the change is intentional, regenerate with `dune exec bench/main.exe -- record`\n";
     exit 1
-
-let print_pool_stats () =
-  (* Where the fan-out went: tasks per participant, steals (tasks run by a
-     domain other than their submitter) and time spent inside joins. Only
-     present when a pool was created (the tables fan out; [wall] alone
-     never touches it). *)
-  match Pool.peek_default () with
-  | None -> ()
-  | Some pool ->
-    let s = Pool.stats pool in
-    Printf.printf
-      "\npool utilization: jobs=%d steals=%d joins=%d join_wait=%.3fs tasks/participant=[%s]\n"
-      s.Pool.st_jobs s.Pool.st_steals s.Pool.st_joins s.Pool.st_join_wait
-      (String.concat ";" (Array.to_list (Array.map string_of_int s.Pool.st_tasks)))
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let want x = args = [] || List.mem x args in
-  if List.mem "check-model" args then begin
-    (* Standalone gate: just the drift check, nothing else. *)
-    check_model ();
-    exit 0
-  end;
-  if want "tables" then print_tables ();
-  if want "ablations" then print_ablations ();
-  if want "attribution" then print_compile_attribution ();
-  if want "wall" then run_wall ();
-  print_pool_stats ()
+  if List.mem "check-model" args then check_model ()
+  else begin
+    if want "ablations" then print_ablations ();
+    if want "attribution" then print_compile_attribution ();
+    if want "record" then record ()
+  end

@@ -1,7 +1,7 @@
 #!/bin/sh
 # The full local gate, in CI order: build everything, run the static-analysis
-# lint sweep, run the test suite, then smoke the benchmark harness (the paper
-# tables exercise every experiment driver end to end).
+# lint sweep, run the test suite and the goldens, then check the committed
+# model-cycle record.
 #
 #   bin/check.sh
 #
@@ -66,10 +66,6 @@ elapsed
 
 echo "== bench check-model (model cycles vs committed BENCH_wall.json) =="
 dune exec bench/main.exe -- check-model
-elapsed
-
-echo "== bench smoke (paper tables) =="
-dune exec bench/main.exe -- tables > /dev/null
 elapsed
 
 echo "check: all stages passed in $(($(date +%s) - start)) s"

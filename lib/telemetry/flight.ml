@@ -1,7 +1,7 @@
 (* The flight recorder: a bounded ring of trace-stamped telemetry events
    with triggered post-mortem dumps. Pure model-clock data in, so dumps
-   are byte-identical at any --jobs; capture count is bounded (and the
-   overflow counted) so chaos runs cannot balloon the output. *)
+   are byte-identical at any --jobs; capture count is bounded so chaos
+   runs cannot balloon the output. *)
 
 type entry = {
   fe_seq : int;
@@ -27,7 +27,6 @@ type t = {
   max_dumps : int;
   mutable dumps : dump list;  (* reversed *)
   mutable ndumps : int;
-  mutable suppressed : int;
 }
 
 let create ?(capacity = 64) ?(max_dumps = 4) () =
@@ -40,12 +39,9 @@ let create ?(capacity = 64) ?(max_dumps = 4) () =
     max_dumps;
     dumps = [];
     ndumps = 0;
-    suppressed = 0;
   }
 
-let recorded t = t.total
 let dropped t = max 0 (t.total - Array.length t.buf)
-let suppressed t = t.suppressed
 let dumps t = List.rev t.dumps
 
 (* The ring at this instant, oldest first. *)
@@ -57,8 +53,7 @@ let entries t =
       match t.buf.((start + i) mod cap) with Some e -> e | None -> assert false)
 
 let trigger t ~trigger ~detail ~at =
-  if t.ndumps >= t.max_dumps then t.suppressed <- t.suppressed + 1
-  else begin
+  if t.ndumps < t.max_dumps then begin
     t.ndumps <- t.ndumps + 1;
     t.dumps <-
       {

@@ -13,10 +13,10 @@
 
     Determinism contract: entries carry only model-clock data, capture
     order is the (serial, per-isolate) emission order, and the number of
-    captured dumps is bounded by [max_dumps] with the overflow counted in
-    {!suppressed} — so a chaos run's flight-recorder output is
-    byte-identical at any [--jobs]. Ring overwrites are counted (the
-    dropped total rides along in each dump header), never silent. *)
+    captured dumps is bounded by [max_dumps] — so a chaos run's
+    flight-recorder output is byte-identical at any [--jobs]. Ring
+    overwrites are counted (the dropped total rides along in each dump
+    header), never silent. *)
 
 type entry = {
   fe_seq : int;  (** monotone per recorder, from 1 *)
@@ -54,17 +54,10 @@ val sink : t -> clock:(unit -> int) -> Telemetry.sink
 val trigger : t -> trigger:string -> detail:string -> at:int -> unit
 (** Capture a dump now (the caller-side triggers: supervised faults,
     deadline outcomes, on-demand dumps). Past [max_dumps] the capture is
-    dropped and {!suppressed} bumped instead. *)
+    dropped. *)
 
 val dumps : t -> dump list
 (** Captured dumps, oldest first. *)
-
-val suppressed : t -> int
-val recorded : t -> int
-(** Events ever recorded (ring overwrites included). *)
-
-val dropped : t -> int
-(** Events overwritten so far. *)
 
 val dump_jsonl : dump -> string list
 (** One [vs-flight/1] header object, then one line per entry. *)
