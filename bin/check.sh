@@ -44,7 +44,7 @@ echo "== dune build @chaos (fault-injection fuzz smoke) =="
 dune build @chaos
 elapsed
 
-echo "== dune build @parallel (pool determinism: --jobs 4 == --jobs 1) =="
+echo "== dune build @parallel (experiments golden + pool determinism: --jobs 4 == --jobs 1) =="
 dune build @parallel
 elapsed
 
