@@ -23,7 +23,7 @@
    step, so ascending iteration terminates; a bounded descending (narrowing)
    pass afterwards recovers precision lost to widening where the body
    supports it. Reachability is tracked SCCP-style through executable
-   edges, so constant branches prune paths exactly like Sccp/Dce do.
+   edges, so constant branches prune paths the way Dce later does.
 
    On top of the per-def state the analysis records flow-sensitive
    refinements that are applied at query time:
@@ -36,7 +36,9 @@
    Consumers ask [prove]: can this guard, at this program point, ever
    fail? Guard elision ([Opt.Guard_elim]) deletes only [Redundant] guards;
    the translation-validation sandwich additionally accepts [Unreachable]
-   (a guard removed from dead code is vacuously sound). *)
+   (a guard removed from dead code is vacuously sound). The SCCP ablation
+   ([Opt.Sccp]) reads [value_of] and [block_executable] instead: it is
+   Wegman-Zadeck constant propagation folding this fixpoint's constants. *)
 
 open Runtime
 

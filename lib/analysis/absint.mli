@@ -1,7 +1,8 @@
 (* Abstract interpretation over the MIR CFG: a fixpoint analysis on a
    product lattice of constancy × integer intervals × type tags, seeded
    from the specialization key. Consumers: guard elision (Opt.Guard_elim),
-   per-pass translation validation, and irlint's missed-guard report. *)
+   the SCCP ablation's constant folder (Opt.Sccp), per-pass translation
+   validation, and irlint's missed-guard report. *)
 
 open Runtime
 

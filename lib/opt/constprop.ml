@@ -66,29 +66,16 @@ let try_fold kind lookup =
   | Mir.Load_captured _ | Mir.Store_captured _ ->
     Top
 
-let run (f : Mir.func) =
-  let lat : (Mir.def, lat) Hashtbl.t = Hashtbl.create 64 in
-  let lookup d = Option.value (Hashtbl.find_opt lat d) ~default:Bot in
-  (* Iterate successive applications of the meet operator to a fixpoint. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Mir.iter_instrs f (fun instr ->
-        let current = lookup instr.Mir.def in
-        let fresh = meet current (try_fold instr.Mir.kind lookup) in
-        if not (lat_equal fresh current) then begin
-          Hashtbl.replace lat instr.Mir.def fresh;
-          changed := true
-        end)
-  done;
-  (* Fold: rewrite instructions whose value is a known constant. Only pure,
-     non-effectful instructions are rewritten; a folded guard disappears
-     entirely (paper §3.3: "our constant propagation allows us to fold away
-     many type guards"). *)
+(* The fold door shared with {!Sccp}: every instruction [value] proves
+   constant is rewritten to that constant. Only pure, non-effectful
+   instructions are rewritten; a folded guard disappears entirely (paper
+   §3.3: "our constant propagation allows us to fold away many type
+   guards"). *)
+let fold (f : Mir.func) value =
   let folded = ref 0 in
   Mir.iter_instrs f (fun instr ->
-      match lookup instr.Mir.def with
-      | Const v
+      match value instr with
+      | Some v
         when (not (Mir.has_side_effect instr.Mir.kind))
              && (match instr.Mir.kind with Mir.Constant _ -> false | _ -> true) ->
         instr.Mir.kind <- Mir.Constant v;
@@ -112,3 +99,21 @@ let run (f : Mir.func) =
       end)
     f.Mir.block_order;
   !folded
+
+let run (f : Mir.func) =
+  let lat : (Mir.def, lat) Hashtbl.t = Hashtbl.create 64 in
+  let lookup d = Option.value (Hashtbl.find_opt lat d) ~default:Bot in
+  (* Iterate successive applications of the meet operator to a fixpoint. *)
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Mir.iter_instrs f (fun instr ->
+        let current = lookup instr.Mir.def in
+        let fresh = meet current (try_fold instr.Mir.kind lookup) in
+        if not (lat_equal fresh current) then begin
+          Hashtbl.replace lat instr.Mir.def fresh;
+          changed := true
+        end)
+  done;
+  fold f (fun instr ->
+      match lookup instr.Mir.def with Const v -> Some v | Bot | Top -> None)

@@ -12,18 +12,12 @@
     [Check_array] whose operand is a compile-time constant of the right tag
     is folded away. *)
 
-type lat = Bot | Const of Runtime.Value.t | Top
-(** ⊥ (no information yet) < constant < ⊤ (known to vary). *)
-
-val meet : lat -> lat -> lat
-
-val lat_equal : lat -> lat -> bool
-(** Lattice equality through {!Runtime.Value.same_value} — structural
-    equality would loop the fixpoint on NaN. *)
-
-val try_fold : Mir.instr_kind -> (Mir.def -> lat) -> lat
-(** Evaluate one instruction over the operand lattice. Shared with
-    {!Sccp}, which supplies an executability-aware phi evaluation on top. *)
+val fold : Mir.func -> (Mir.instr -> Runtime.Value.t option) -> int
+(** [fold f value] rewrites every pure, non-[Constant] instruction for
+    which [value] returns [Some v] to the constant [v], then moves folded
+    phis out of the phi section. Returns the number of instructions
+    folded. The one rewrite both constant propagators share: {!run}
+    supplies its Aho lattice, {!Sccp} the facts of {!Absint}. *)
 
 val run : Mir.func -> int
 (** Returns the number of instructions folded to constants. *)

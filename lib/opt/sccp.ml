@@ -1,177 +1,36 @@
 open Runtime
-open Constprop
 
 type stats = { folded : int; branches_decided : int }
 
-(* Instruction kinds [try_fold] can evaluate to a constant when the
-   operands are constants — for these a ⊥ operand means "wait", not ⊤. *)
-let foldable (kind : Mir.instr_kind) =
-  match kind with
-  | Mir.Binop _ | Mir.Cmp _ | Mir.Unop _ | Mir.To_bool _ | Mir.Box _
-  | Mir.Type_barrier _ | Mir.Check_array _ | Mir.String_length _ ->
-    true
-  | Mir.Call_native (name, _) -> Builtins.is_pure name
-  | _ -> false
-
 let run (f : Mir.func) =
-  let lat : (Mir.def, lat) Hashtbl.t = Hashtbl.create 64 in
-  let lookup d = Option.value (Hashtbl.find_opt lat d) ~default:Bot in
-  let exec_edges : (int * int, unit) Hashtbl.t = Hashtbl.create 32 in
-  let exec_blocks : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  let edge_executable p s = Hashtbl.mem exec_edges (p, s) in
-  let block_executable b = Hashtbl.mem exec_blocks b in
-  (* Use lists: def -> instructions reading it, def -> blocks whose
-     terminator tests it. *)
-  let users : (Mir.def, Mir.instr list) Hashtbl.t = Hashtbl.create 64 in
-  let branch_users : (Mir.def, int list) Hashtbl.t = Hashtbl.create 16 in
-  let add tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  let facts = Absint.analyze f in
+  let const d =
+    match Absint.value_of facts d with Absint.Const v -> Some v | _ -> None
   in
-  List.iter
-    (fun bid ->
-      let b = Mir.block f bid in
-      List.iter
-        (fun (i : Mir.instr) ->
-          List.iter (fun d -> add users d i) (Mir.instr_operands i.Mir.kind))
-        (b.Mir.phis @ b.Mir.body);
-      match b.Mir.term with
-      | Mir.Branch (c, _, _) -> add branch_users c bid
-      | Mir.Goto _ | Mir.Return _ | Mir.Unreachable -> ())
-    f.Mir.block_order;
-  (* Worklists. *)
-  let ssa_wl : Mir.def Queue.t = Queue.create () in
-  let flow_wl : (int * int) Queue.t = Queue.create () in
-  let set_lat d fresh =
-    let current = lookup d in
-    let merged = meet current fresh in
-    if not (lat_equal merged current) then begin
-      Hashtbl.replace lat d merged;
-      Queue.add d ssa_wl
-    end
-  in
-  let eval_instr bid (i : Mir.instr) =
-    let fresh =
-      match i.Mir.kind with
-      | Mir.Phi ops ->
-        (* Meet only over operands arriving on executable edges. *)
-        let b = Mir.block f bid in
-        let preds = Array.of_list b.Mir.preds in
-        let acc = ref Bot in
-        Array.iteri
-          (fun k d ->
-            if k < Array.length preds && edge_executable preds.(k) bid then
-              acc := meet !acc (lookup d))
-          ops;
-        !acc
-      | kind ->
-        let v = try_fold kind lookup in
-        if
-          (match v with Top -> true | Bot | Const _ -> false)
-          && foldable kind
-          && List.exists
-               (fun d -> lat_equal (lookup d) Bot)
-               (Mir.instr_operands kind)
-        then Bot (* operands not resolved yet: stay optimistic *)
-        else v
+  (* A def's abstract value holds only if control gets past it, so a guard
+     (or a checked int op, which bails like one) can be [Const] and still
+     fail. A non-phi therefore folds only on constant operands: its value
+     is then the one it computes, and a guard whose constant operand has
+     the wrong tag is [Bot]. [Bounds_check] never folds: its value is its
+     index, which says nothing about the array's length. *)
+  let value (i : Mir.instr) =
+    let on_constants () =
+      List.for_all (fun d -> Option.is_some (const d)) (Mir.instr_operands i.Mir.kind)
     in
-    set_lat i.Mir.def fresh
+    match i.Mir.kind with
+    | Mir.Phi _ -> const i.Mir.def
+    | Mir.Binop _ | Mir.Cmp _ | Mir.Unop _ | Mir.To_bool _ | Mir.Box _
+    | Mir.Type_barrier _ | Mir.Check_array _ | Mir.String_length _
+      when on_constants () ->
+      const i.Mir.def
+    | Mir.Call_native (name, _) when Builtins.is_pure name && on_constants () ->
+      const i.Mir.def
+    | _ -> None
   in
-  let eval_term bid =
-    let b = Mir.block f bid in
-    match b.Mir.term with
-    | Mir.Goto t -> Queue.add (bid, t) flow_wl
-    | Mir.Branch (c, t, e) -> (
-      match lookup c with
-      | Bot -> () (* condition unknown yet; revisited when it resolves *)
-      | Const v -> Queue.add ((bid, if Convert.to_boolean v then t else e)) flow_wl
-      | Top ->
-        Queue.add (bid, t) flow_wl;
-        Queue.add (bid, e) flow_wl)
-    | Mir.Return _ | Mir.Unreachable -> ()
+  let folded = Constprop.fold f value in
+  let decided bid =
+    match (Mir.block f bid).Mir.term with
+    | Mir.Branch (c, _, _) -> Absint.block_executable facts bid && Option.is_some (const c)
+    | Mir.Goto _ | Mir.Return _ | Mir.Unreachable -> false
   in
-  let eval_block bid =
-    let b = Mir.block f bid in
-    List.iter (eval_instr bid) b.Mir.phis;
-    List.iter (eval_instr bid) b.Mir.body;
-    eval_term bid
-  in
-  let mark_block bid =
-    if not (block_executable bid) then begin
-      Hashtbl.replace exec_blocks bid ();
-      eval_block bid
-    end
-  in
-  (* Roots: the function entry and, when present, the OSR entry. *)
-  mark_block f.Mir.entry;
-  Option.iter mark_block f.Mir.osr_entry;
-  let drain () =
-    while not (Queue.is_empty flow_wl && Queue.is_empty ssa_wl) do
-      while not (Queue.is_empty flow_wl) do
-        let p, s = Queue.pop flow_wl in
-        if not (edge_executable p s) then begin
-          Hashtbl.replace exec_edges (p, s) ();
-          if block_executable s then
-            (* Known block, new incoming edge: only its phis can change. *)
-            List.iter (eval_instr s) (Mir.block f s).Mir.phis
-          else mark_block s
-        end
-      done;
-      while not (Queue.is_empty ssa_wl) do
-        let d = Queue.pop ssa_wl in
-        List.iter
-          (fun (u : Mir.instr) ->
-            match Hashtbl.find_opt f.Mir.def_block u.Mir.def with
-            | Some bid when block_executable bid -> eval_instr bid u
-            | _ -> ())
-          (Option.value (Hashtbl.find_opt users d) ~default:[]);
-        List.iter
-          (fun bid -> if block_executable bid then eval_term bid)
-          (Option.value (Hashtbl.find_opt branch_users d) ~default:[])
-      done
-    done
-  in
-  drain ();
-  (* Fold constants in executable blocks (identical policy to Constprop);
-     untouched unexecutable blocks are DCE's to delete. *)
-  let folded = ref 0 in
-  List.iter
-    (fun bid ->
-      if block_executable bid then
-        let b = Mir.block f bid in
-        List.iter
-          (fun (i : Mir.instr) ->
-            match lookup i.Mir.def with
-            | Const v
-              when (not (Mir.has_side_effect i.Mir.kind))
-                   && (match i.Mir.kind with Mir.Constant _ -> false | _ -> true) ->
-              i.Mir.kind <- Mir.Constant v;
-              i.Mir.ty <- Mir.ty_of_value v;
-              i.Mir.rp <- None;
-              incr folded
-            | _ -> ())
-          (b.Mir.phis @ b.Mir.body))
-    f.Mir.block_order;
-  (* Folded phis are no longer phis: keep the phi section well-formed. *)
-  List.iter
-    (fun bid ->
-      let b = Mir.block f bid in
-      let still_phi, folded_phis =
-        List.partition
-          (fun (i : Mir.instr) -> match i.Mir.kind with Mir.Phi _ -> true | _ -> false)
-          b.Mir.phis
-      in
-      if folded_phis <> [] then begin
-        b.Mir.phis <- still_phi;
-        b.Mir.body <- folded_phis @ b.Mir.body
-      end)
-    f.Mir.block_order;
-  let branches_decided = ref 0 in
-  List.iter
-    (fun bid ->
-      if block_executable bid then
-        match (Mir.block f bid).Mir.term with
-        | Mir.Branch (c, _, _) -> (
-          match lookup c with Const _ -> incr branches_decided | Bot | Top -> ())
-        | _ -> ())
-    f.Mir.block_order;
-  { folded = !folded; branches_decided = !branches_decided }
+  { folded; branches_decided = List.length (List.filter decided f.Mir.block_order) }

@@ -784,6 +784,39 @@ let test_sccp_matches_constprop_on_straight_line () =
   Alcotest.(check int) "same final constant" aho_result sccp_result;
   Alcotest.(check bool) "the expression folded" true (aho_result >= 1)
 
+let test_sccp_guards_fold_only_on_constant_operands () =
+  (* Hand-built: a branch on an unknown parameter feeds x = φ(3, 0.5) into
+     a Type_barrier(x, Int), and a constant-index Bounds_check stands on an
+     array whose length is unknown. Absint gives both guards a [Const]
+     value (the barrier's holds only if it passes; the bounds check's is
+     just its index), yet either can fail: both must survive. *)
+  let program = Bytecode.Compile.program_of_source "function f(c, a) { return 0; }" in
+  let f = Mir.create_func program.Bytecode.Program.funcs.(1) in
+  let entry = Mir.new_block f and then_blk = Mir.new_block f in
+  let else_blk = Mir.new_block f and join = Mir.new_block f in
+  let c = Mir.append f entry (Mir.Parameter 0) in
+  let a = Mir.append f entry (Mir.Parameter 1) in
+  let cond = Mir.append f entry (Mir.To_bool c) in
+  entry.Mir.term <- Mir.Branch (cond, then_blk.Mir.bid, else_blk.Mir.bid);
+  let three = Mir.append f then_blk (Mir.Constant (Value.Int 3)) in
+  then_blk.Mir.term <- Mir.Goto join.Mir.bid;
+  let half = Mir.append f else_blk (Mir.Constant (Value.Double 0.5)) in
+  else_blk.Mir.term <- Mir.Goto join.Mir.bid;
+  then_blk.Mir.preds <- [ entry.Mir.bid ];
+  else_blk.Mir.preds <- [ entry.Mir.bid ];
+  join.Mir.preds <- [ then_blk.Mir.bid; else_blk.Mir.bid ];
+  let x = Mir.append_phi f join [| three; half |] in
+  let checked = Mir.append f join (Mir.Type_barrier (x, Value.Tag_int)) in
+  let arr = Mir.append f join (Mir.Check_array a) in
+  let zero = Mir.append f join (Mir.Constant (Value.Int 0)) in
+  ignore (Mir.append f join (Mir.Bounds_check (zero, arr)));
+  join.Mir.term <- Mir.Return checked;
+  ignore (Sccp.run f);
+  let is_barrier = function Mir.Type_barrier _ -> true | _ -> false in
+  let is_bounds = function Mir.Bounds_check _ -> true | _ -> false in
+  Alcotest.(check int) "type barrier kept" 1 (count f is_barrier);
+  Alcotest.(check int) "bounds check kept" 1 (count f is_bounds)
+
 let test_sccp_pipeline_end_to_end () =
   (* The sccp pipeline flag produces the same output and is at least as
      effective (never slower in model cycles on this shape). *)
@@ -1024,6 +1057,8 @@ let suites =
         Alcotest.test_case "matches constprop on straight line" `Quick
           test_sccp_matches_constprop_on_straight_line;
         Alcotest.test_case "pipeline end to end" `Quick test_sccp_pipeline_end_to_end;
+        Alcotest.test_case "guards fold only on constant operands" `Quick
+          test_sccp_guards_fold_only_on_constant_operands;
       ] );
     ( "opt.section3",
       [
