@@ -241,7 +241,7 @@ type edge_fact = {
 type result = {
   r_vals : (Mir.def, aval) Hashtbl.t;
   r_exec : (int, unit) Hashtbl.t;
-  r_idom : (int, int) Hashtbl.t;
+  r_doms : Cfg.dominators;
   r_canon : (Mir.def, Mir.def) Hashtbl.t;
   r_guards : guard_site list;
   r_edge_facts : (int * int, edge_fact list) Hashtbl.t;
@@ -254,17 +254,10 @@ let value_of r d = Option.value (Hashtbl.find_opt r.r_vals d) ~default:top
 let block_executable r bid = Hashtbl.mem r.r_exec bid
 let canonical r d = Option.value (Hashtbl.find_opt r.r_canon d) ~default:d
 
-let dominates_blk r a b =
-  let rec walk x =
-    if x = a then true
-    else match Hashtbl.find_opt r.r_idom x with None -> false | Some p -> walk p
-  in
-  walk b
-
 (* Does position (b1, i1) strictly dominate position (b2, i2)? Positions are
    (block, index-in-body). *)
 let pos_dominates r (b1, i1) (b2, i2) =
-  if b1 = b2 then i1 < i2 else dominates_blk r b1 b2
+  if b1 = b2 then i1 < i2 else Cfg.dominates r.r_doms b1 b2
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                            *)
@@ -326,18 +319,11 @@ let abs_unop op a =
 let analyze ?(precise_alias = false) (f : Mir.func) =
   let vals_tbl : (Mir.def, aval) Hashtbl.t = Hashtbl.create 64 in
   let lookup d = Option.value (Hashtbl.find_opt vals_tbl d) ~default:Bot in
-  let instr_of d = Hashtbl.find_opt f.Mir.defs d in
+  let instr_of d = Mir.find_instr f d in
   let exec_blocks = Hashtbl.create 16 in
   let exec_edges = Hashtbl.create 32 in
   let doms = Cfg.dominators f in
   let rpo = Mir.reverse_postorder f in
-  let idom_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun bid ->
-      match Cfg.immediate_dominator doms bid with
-      | Some p -> Hashtbl.replace idom_tbl bid p
-      | None -> ())
-    rpo;
   (* Loop headers: targets of retreating edges in RPO. Widening there. *)
   let rpo_index = Hashtbl.create 16 in
   List.iteri (fun i b -> Hashtbl.replace rpo_index b i) rpo;
@@ -744,7 +730,7 @@ let analyze ?(precise_alias = false) (f : Mir.func) =
   {
     r_vals = vals_tbl;
     r_exec = exec_blocks;
-    r_idom = idom_tbl;
+    r_doms = doms;
     r_canon = canon_tbl;
     r_guards = List.rev !guards;
     r_edge_facts = edge_facts;
@@ -799,9 +785,9 @@ let refinements r x ~at =
       | Some facts -> List.iter (fun ef -> apply_fact ef x) facts
       | None -> ())
     | None -> ());
-    match Hashtbl.find_opt r.r_idom bid with
-    | Some p when p <> bid -> walk p
-    | _ -> ()
+    match Cfg.immediate_dominator r.r_doms bid with
+    | Some p -> walk p
+    | None -> ()
   in
   walk at;
   (!range, !below)

@@ -257,7 +257,7 @@ let check ~stage (f : Mir.func) =
               else Hashtbl.replace seen_guards i.Mir.kind ();
               match i.Mir.kind with
               | Mir.Type_barrier (a, tag) -> (
-                match Hashtbl.find_opt f.Mir.defs a with
+                match Mir.find_instr f a with
                 | Some def
                   when def.Mir.ty <> Mir.Ty_value
                        && def.Mir.ty = Mir.ty_of_tag tag ->

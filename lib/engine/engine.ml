@@ -431,7 +431,7 @@ let record_anticipated t (mir : Mir.func) =
             let consts =
               Array.map
                 (fun d ->
-                  match Hashtbl.find_opt mir.Mir.defs d with
+                  match Mir.find_instr mir d with
                   | Some { Mir.kind = Mir.Constant v; _ } -> Some v
                   | _ -> None)
                 argdefs

@@ -8,7 +8,7 @@ type item =
   | I_ret of Code.src
 
 let resolve_src (f : Mir.func) d : Code.src =
-  match (Hashtbl.find f.Mir.defs d).Mir.kind with
+  match (Mir.instr f d).Mir.kind with
   | Mir.Constant v -> Code.Imm v
   | _ -> Code.L (Code.V d)
 

@@ -119,11 +119,11 @@ let pop_n st n =
   go [] st n
 
 let const_of ctx d =
-  match (Hashtbl.find ctx.f.Mir.defs d).Mir.kind with
+  match (Mir.instr ctx.f d).Mir.kind with
   | Mir.Constant v -> Some v
   | _ -> None
 
-let ty_of ctx d = (Hashtbl.find ctx.f.Mir.defs d).Mir.ty
+let ty_of ctx d = (Mir.instr ctx.f d).Mir.ty
 
 (* Pick the arithmetic lowering mode from operand types (IonMonkey-style
    type specialization; refined again by the Typer pass after phis are
@@ -207,7 +207,7 @@ let translate_instr ctx blk pc (st : bstate) (instr : Bytecode.Instr.t) =
         (* A load from a write-once function global is a monomorphic call
            site: keep the load (the callee value is what gets invoked) but
            mark the instruction with the callee's identity. *)
-        match (Hashtbl.find ctx.f.Mir.defs callee).Mir.kind with
+        match (Mir.instr ctx.f callee).Mir.kind with
         | Mir.Get_global i
           when i < Array.length ctx.known_globals && ctx.known_globals.(i) <> None ->
           Mir.Call_known (Option.get ctx.known_globals.(i), callee, args)
@@ -398,9 +398,9 @@ let setup_loop_header ctx blk (edges : (int * bstate) list) =
   in
   let nargs = Array.length first.s_args in
   let nlocals = Array.length first.s_locals in
-  let arg_phis = Array.init nargs (fun i -> Hashtbl.find ctx.f.Mir.defs (mk (fun s j -> s.s_args.(j)) i)) in
+  let arg_phis = Array.init nargs (fun i -> Mir.instr ctx.f (mk (fun s j -> s.s_args.(j)) i)) in
   let local_phis =
-    Array.init nlocals (fun i -> Hashtbl.find ctx.f.Mir.defs (mk (fun s j -> s.s_locals.(j)) i))
+    Array.init nlocals (fun i -> Mir.instr ctx.f (mk (fun s j -> s.s_locals.(j)) i))
   in
   let pending =
     { ph_block = blk; ph_args = arg_phis; ph_locals = local_phis; ph_filled = n_forward_edges }
@@ -437,12 +437,6 @@ let patch_loop_headers ctx =
         pending.ph_filled <- List.length !all_edges
       end)
     ctx.pending
-
-(* Remove unreachable blocks from the layout. *)
-let prune f =
-  let reachable = Mir.reachable_blocks f in
-  f.Mir.block_order <- List.filter (Hashtbl.mem reachable) f.Mir.block_order;
-  Mir.recompute_preds f
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -530,7 +524,7 @@ let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_t
                lets guard elision remove the barrier. *)
             (match f.Mir.specialized_tags with
             | Some tags when i < Array.length tags ->
-              (Hashtbl.find f.Mir.defs d).Mir.ty <- Mir.ty_of_tag tags.(i)
+              (Mir.instr f d).Mir.ty <- Mir.ty_of_tag tags.(i)
             | _ -> ());
             d)
     in
@@ -596,7 +590,7 @@ let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_t
       if spec then Mir.append f ob (Mir.Constant v)
       else begin
         let d = Mir.append f ob (Mir.Osr_value slot) in
-        (Hashtbl.find f.Mir.defs d).Mir.ty <- Mir.ty_of_value v;
+        (Mir.instr f d).Mir.ty <- Mir.ty_of_value v;
         d
       end
     in
@@ -636,5 +630,5 @@ let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_t
         process_span ctx blk leader state)
     leaders;
   patch_loop_headers ctx;
-  prune f;
+  Mir.prune_unreachable f;
   f

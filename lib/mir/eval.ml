@@ -22,7 +22,7 @@ let run env (f : Mir.func) ~at_osr =
     | None ->
       (* Constants may be referenced before their block runs (they are
          location-independent); anything else is a bug in a pass. *)
-      (match (Hashtbl.find f.Mir.defs d).Mir.kind with
+      (match (Mir.instr f d).Mir.kind with
       | Mir.Constant v -> v
       | _ -> invalid_arg (Printf.sprintf "Eval.run: v%d read before definition" d))
   in

@@ -124,12 +124,13 @@ type func = {
   entry : int;
   mutable osr_entry : int option;
   mutable osr_loop_header : int option;  (* block the OSR path joins *)
-  blocks : (int, block) Hashtbl.t;
+  mutable blocks : block option array;
+      (* indexed by block id; holds exactly the blocks in [block_order] *)
   mutable block_order : int list;  (* layout order; entry first *)
   mutable next_def : int;
   mutable next_block : int;
-  defs : (def, instr) Hashtbl.t;
-  def_block : (def, int) Hashtbl.t;
+  mutable defs : instr option array;
+      (* indexed by def; a deleted instruction keeps its record *)
   mutable specialized_args : Value.t array option;
   mutable specialized_mask : bool array option;
       (* selective specialization: which positions of [specialized_args] are
@@ -160,12 +161,11 @@ let create_func source =
     entry = 0;
     osr_entry = None;
     osr_loop_header = None;
-    blocks = Hashtbl.create 16;
+    blocks = Array.make 16 None;
     block_order = [];
     next_def = 0;
     next_block = 0;
-    defs = Hashtbl.create 64;
-    def_block = Hashtbl.create 64;
+    defs = Array.make 64 None;
     specialized_args = None;
     specialized_mask = None;
     specialized_tags = None;
@@ -174,15 +174,45 @@ let create_func source =
     cur_pass = "build";
   }
 
-let block f bid = Hashtbl.find f.blocks bid
+(* The block and def tables are dense arrays indexed by id, grown by
+   doubling; only this module reads or writes them. *)
+let slot tbl i = if i >= 0 && i < Array.length tbl then tbl.(i) else None
+
+let grown tbl i =
+  if i < Array.length tbl then tbl
+  else begin
+    let t = Array.make (max (i + 1) (2 * Array.length tbl)) None in
+    Array.blit tbl 0 t 0 (Array.length tbl);
+    t
+  end
+
+let has_block f bid = slot f.blocks bid <> None
+let block f bid = match slot f.blocks bid with Some b -> b | None -> raise Not_found
+let iter_blocks f fn = List.iter (fun bid -> fn (block f bid)) f.block_order
+
+(* The instruction record of a def; deleted instructions keep theirs. *)
+let find_instr f d = slot f.defs d
+let instr f d = match slot f.defs d with Some i -> i | None -> raise Not_found
+
+(* Record [i] as the instruction of its def. Instructions built by hand
+   (copies) must be registered before they are laid out. *)
+let register f i =
+  f.defs <- grown f.defs i.def;
+  f.defs.(i.def) <- Some i
 
 let new_block f =
   let bid = f.next_block in
   f.next_block <- f.next_block + 1;
   let b = { bid; phis = []; body = []; term = Unreachable; preds = [] } in
-  Hashtbl.replace f.blocks bid b;
+  f.blocks <- grown f.blocks bid;
+  f.blocks.(bid) <- Some b;
   f.block_order <- f.block_order @ [ bid ];
   b
+
+(* Delete blocks from the layout and the table. *)
+let remove_blocks f bids =
+  f.block_order <- List.filter (fun bid -> not (List.mem bid bids)) f.block_order;
+  List.iter (fun bid -> f.blocks.(bid) <- None) bids
 
 let fresh_def f =
   let d = f.next_def in
@@ -273,7 +303,7 @@ let result_ty ty_of kind =
     ty_of v
   | To_bool _ -> Ty_bool
 
-let ty_of_def f d = (Hashtbl.find f.defs d).ty
+let ty_of_def f d = (instr f d).ty
 
 (* Origin for an instruction created right now: the builder/pass context
    recorded on the function, stamped with the fresh def id. *)
@@ -285,36 +315,29 @@ let cur_origin f def =
     o_pass = f.cur_pass;
   }
 
-(* Append an instruction to a block's body, registering its def. *)
-let append f b ?rp ?org kind =
-  let def = fresh_def f in
-  let ty = result_ty (ty_of_def f) kind in
-  let org = match org with Some o -> o | None -> cur_origin f def in
-  let instr = { def; kind; ty; rp; org } in
-  b.body <- b.body @ [ instr ];
-  Hashtbl.replace f.defs def instr;
-  Hashtbl.replace f.def_block def b.bid;
-  def
-
 (* Create and register an instruction without appending it to any body;
    callers splice it into a block themselves (used by passes that insert
    guards mid-block). *)
-let make_instr f bid ?rp ?org kind =
+let make_instr f ?rp ?org kind =
   let def = fresh_def f in
   let ty = result_ty (ty_of_def f) kind in
   let org = match org with Some o -> o | None -> cur_origin f def in
   let instr = { def; kind; ty; rp; org } in
-  Hashtbl.replace f.defs def instr;
-  Hashtbl.replace f.def_block def bid;
+  register f instr;
   instr
+
+(* Append an instruction to a block's body, registering its def. *)
+let append f b ?rp ?org kind =
+  let instr = make_instr f ?rp ?org kind in
+  b.body <- b.body @ [ instr ];
+  instr.def
 
 let append_phi f b ?org operands =
   let def = fresh_def f in
   let org = match org with Some o -> o | None -> cur_origin f def in
   let instr = { def; kind = Phi operands; ty = Ty_value; rp = None; org } in
   b.phis <- b.phis @ [ instr ];
-  Hashtbl.replace f.defs def instr;
-  Hashtbl.replace f.def_block def b.bid;
+  register f instr;
   def
 
 let successors b =
@@ -323,31 +346,9 @@ let successors b =
   | Branch (_, a, c) -> [ a; c ]
   | Return _ | Unreachable -> []
 
-let instr_operands kind =
+(* Every operand of an instruction kind, in order (callee before args). *)
+let iter_operands fn kind =
   match kind with
-  | Parameter _ | Osr_value _ | Constant _ | Get_global _ | Get_cell _ | Get_upval _
-  | Load_captured _ | Make_closure _ ->
-    []
-  | Phi ops -> Array.to_list ops
-  | Box a | Type_barrier (a, _) | Check_array a | Unop (_, a) | Load_prop (a, _)
-  | Array_length a | String_length a | Set_global (_, a) | Set_cell (_, a)
-  | Set_upval (_, a) | Store_captured (_, a) | To_bool a ->
-    [ a ]
-  | Bounds_check (a, b) | Binop (_, a, b, _) | Cmp (_, a, b) | Load_elem (a, b)
-  | Elem_generic (a, b) ->
-    [ a; b ]
-  | Store_elem (a, b, c) | Store_elem_generic (a, b, c) -> [ a; b; c ]
-  | Store_prop (a, _, c) -> [ a; c ]
-  | Call (callee, args) -> callee :: Array.to_list args
-  | Call_known (_, callee, args) -> callee :: Array.to_list args
-  | Call_native (_, args) -> Array.to_list args
-  | Method_call (recv, _, args) -> recv :: Array.to_list args
-  | New_array args | Construct (_, args) | New_object (_, args) -> Array.to_list args
-
-(* Every def an instruction reads, without building a list: the operands in
-   [instr_operands] order, then the resume point's args, locals and stack. *)
-let iter_uses fn i =
-  (match i.kind with
   | Parameter _ | Osr_value _ | Constant _ | Get_global _ | Get_cell _ | Get_upval _
   | Load_captured _ | Make_closure _ ->
     ()
@@ -368,7 +369,17 @@ let iter_uses fn i =
     fn callee;
     Array.iter fn args
   | Call_native (_, args) | New_array args | Construct (_, args) | New_object (_, args) ->
-    Array.iter fn args);
+    Array.iter fn args
+
+let instr_operands kind =
+  let ops = ref [] in
+  iter_operands (fun d -> ops := d :: !ops) kind;
+  List.rev !ops
+
+(* Every def an instruction reads, without building a list: the operands in
+   [iter_operands] order, then the resume point's args, locals and stack. *)
+let iter_uses fn i =
+  iter_operands fn i.kind;
   match i.rp with
   | None -> ()
   | Some rp ->
@@ -452,8 +463,7 @@ let substitute f subst =
     i.kind <- map_operands subst i.kind;
     i.rp <- Option.map (map_resume_point subst) i.rp
   in
-  Hashtbl.iter
-    (fun _ b ->
+  iter_blocks f (fun b ->
       List.iter apply b.phis;
       List.iter apply b.body;
       b.term <-
@@ -462,7 +472,6 @@ let substitute f subst =
         | Branch (c, a, bb) -> Branch (subst c, a, bb)
         | Return d -> Return (subst d)
         | Unreachable -> Unreachable))
-    f.blocks
 
 (* ------------------------------------------------------------------ *)
 (* Guard elision                                                       *)
@@ -563,11 +572,10 @@ let reachable_blocks f =
    relative order of surviving preds so phi operands stay aligned. *)
 let recompute_preds f =
   let reachable = reachable_blocks f in
-  Hashtbl.iter
-    (fun bid b ->
-      if Hashtbl.mem reachable bid then begin
+  iter_blocks f (fun b ->
+      if Hashtbl.mem reachable b.bid then begin
         let still_pred p =
-          Hashtbl.mem reachable p && List.mem bid (successors (block f p))
+          Hashtbl.mem reachable p && List.mem b.bid (successors (block f p))
         in
         let kept = List.filter still_pred b.preds in
         (* Drop phi operands for removed preds. *)
@@ -584,15 +592,18 @@ let recompute_preds f =
           b.phis;
         b.preds <- kept
       end)
-    f.blocks
+
+(* Drop the blocks no entry reaches, from the layout and the table, and the
+   preds and phi operands that came from them. *)
+let prune_unreachable f =
+  let reachable = reachable_blocks f in
+  remove_blocks f (List.filter (fun bid -> not (Hashtbl.mem reachable bid)) f.block_order);
+  recompute_preds f
 
 let iter_instrs f fn =
-  List.iter
-    (fun bid ->
-      let b = block f bid in
+  iter_blocks f (fun b ->
       List.iter fn b.phis;
       List.iter fn b.body)
-    f.block_order
 
 let all_instr_count f =
   let n = ref 0 in

@@ -98,14 +98,14 @@ let specialize_memory_ops (f : Mir.func) =
       let expand instr =
         match instr.Mir.kind with
         | Mir.Elem_generic (a, i) when ty a = Mir.Ty_array && instr.Mir.rp <> None ->
-          let chk = Mir.make_instr f bid ?rp:instr.Mir.rp (Mir.Check_array a) in
-          let bc = Mir.make_instr f bid ?rp:instr.Mir.rp (Mir.Bounds_check (i, chk.Mir.def)) in
+          let chk = Mir.make_instr f ?rp:instr.Mir.rp (Mir.Check_array a) in
+          let bc = Mir.make_instr f ?rp:instr.Mir.rp (Mir.Bounds_check (i, chk.Mir.def)) in
           instr.Mir.kind <- Mir.Load_elem (chk.Mir.def, i);
           instr.Mir.ty <- Mir.Ty_value;
           [ chk; bc; instr ]
         | Mir.Store_elem_generic (a, i, v) when ty a = Mir.Ty_array && instr.Mir.rp <> None ->
-          let chk = Mir.make_instr f bid ?rp:instr.Mir.rp (Mir.Check_array a) in
-          let bc = Mir.make_instr f bid ?rp:instr.Mir.rp (Mir.Bounds_check (i, chk.Mir.def)) in
+          let chk = Mir.make_instr f ?rp:instr.Mir.rp (Mir.Check_array a) in
+          let bc = Mir.make_instr f ?rp:instr.Mir.rp (Mir.Bounds_check (i, chk.Mir.def)) in
           instr.Mir.kind <- Mir.Store_elem (chk.Mir.def, i, v);
           [ chk; bc; instr ]
         | Mir.Load_prop (a, "length") when ty a = Mir.Ty_array ->

@@ -27,7 +27,7 @@ let run ?pass (f : Mir.func) =
     (fun bid ->
       if Hashtbl.mem layout bid then fail ~block:bid "block B%d laid out twice" bid;
       Hashtbl.replace layout bid true;
-      if not (Hashtbl.mem f.Mir.blocks bid) then
+      if not (Mir.has_block f bid) then
         fail ~block:bid "layout references missing B%d" bid)
     f.Mir.block_order;
   Hashtbl.iter
@@ -35,23 +35,33 @@ let run ?pass (f : Mir.func) =
       if not (Hashtbl.mem layout bid) then
         fail ~block:bid "reachable block B%d not in layout" bid)
     reachable;
-  (* Def table consistency and operand dominance. A def must be PRESENT in
+  (* Def table consistency and operand dominance. Every laid-out
+     instruction must be the record registered for its def (a hand-built
+     copy that skipped [Mir.register] is not). A def must be PRESENT in
      some laid-out block, not merely remembered by the def table: passes
-     that delete instructions leave stale table entries behind, and a
-     reference to one would read garbage at runtime. *)
+     that delete instructions leave their records behind, and a reference
+     to one would read garbage at runtime. *)
   let doms = Cfg.dominators f in
   let present = Hashtbl.create 64 in
   List.iter
     (fun bid ->
       let b = Mir.block f bid in
-      List.iter (fun (i : Mir.instr) -> Hashtbl.replace present i.Mir.def bid) b.Mir.phis;
-      List.iter (fun (i : Mir.instr) -> Hashtbl.replace present i.Mir.def bid) b.Mir.body)
+      let note (i : Mir.instr) =
+        (match Mir.find_instr f i.Mir.def with
+        | Some r when r == i -> ()
+        | _ ->
+          fail ~block:bid ~value:i.Mir.def
+            "v%d in B%d is not the instruction registered for its def" i.Mir.def bid);
+        Hashtbl.replace present i.Mir.def bid
+      in
+      List.iter note b.Mir.phis;
+      List.iter note b.Mir.body)
     f.Mir.block_order;
   let block_of_def ?block d =
     match Hashtbl.find_opt present d with
     | Some b -> b
     | None ->
-      if Hashtbl.mem f.Mir.defs d then
+      if Mir.find_instr f d <> None then
         fail ?block ~value:d "v%d is referenced but its instruction was deleted" d
       else fail ?block ~value:d "v%d has no defining block" d
   in
@@ -59,7 +69,7 @@ let run ?pass (f : Mir.func) =
   (* Constants are location-independent: lowering turns every reference
      into an immediate, so ordering/dominance does not apply to them. *)
   let is_constant d =
-    match Hashtbl.find_opt f.Mir.defs d with
+    match Mir.find_instr f d with
     | Some { Mir.kind = Mir.Constant _; _ } -> true
     | _ -> false
   in
@@ -148,13 +158,13 @@ let run ?pass (f : Mir.func) =
         (* Terminator. *)
         (match b.Mir.term with
         | Mir.Goto t ->
-          if not (Hashtbl.mem f.Mir.blocks t) then
+          if not (Mir.has_block f t) then
             fail ~block:bid "B%d: goto missing B%d" bid t
         | Mir.Branch (c, t1, t2) ->
           check_defined ~block:bid c;
-          if not (Hashtbl.mem f.Mir.blocks t1) then
+          if not (Mir.has_block f t1) then
             fail ~block:bid "B%d: branch missing B%d" bid t1;
-          if not (Hashtbl.mem f.Mir.blocks t2) then
+          if not (Mir.has_block f t2) then
             fail ~block:bid "B%d: branch missing B%d" bid t2
         | Mir.Return d -> check_defined ~block:bid d
         | Mir.Unreachable -> ());

@@ -25,12 +25,12 @@ let blocking ~precise_alias (kind : Mir.instr_kind) =
 
 (* Strip the ToNumber wrapper that i++ produces. *)
 let strip_tonum (f : Mir.func) d =
-  match (Hashtbl.find f.Mir.defs d).Mir.kind with
+  match (Mir.instr f d).Mir.kind with
   | Mir.Unop (Ops.To_number, x) -> x
   | _ -> d
 
 let const_int (f : Mir.func) d =
-  match (Hashtbl.find f.Mir.defs d).Mir.kind with
+  match (Mir.instr f d).Mir.kind with
   | Mir.Constant (Value.Int n) -> Some n
   | _ -> None
 
@@ -45,7 +45,7 @@ let induction_candidates (f : Mir.func) (loop : Cfg.loop) pre_index =
       match phi.Mir.kind with
       | Mir.Phi [| a; b |] ->
         let init, step = if pre_index = 0 then (a, b) else (b, a) in
-        (match (const_int f init, (Hashtbl.find f.Mir.defs step).Mir.kind) with
+        (match (const_int f init, (Mir.instr f step).Mir.kind) with
         | Some n0, Mir.Binop (Ops.Add, x, y, _) ->
           let x = strip_tonum f x and y = strip_tonum f y in
           let step_const =
@@ -81,7 +81,7 @@ let upper_bound (f : Mir.func) (loop : Cfg.loop) p step =
                || (in_loop t_false && not (in_loop t_true)) -> (
           let stays_true = in_loop t_true in
           let s_block = if stays_true then t_true else t_false in
-          match (Hashtbl.find f.Mir.defs c).Mir.kind with
+          match (Mir.instr f c).Mir.kind with
           | Mir.Cmp (op, x, k) -> (
             let x = strip_tonum f x in
             match (const_int f k, x = p || x = step) with
@@ -158,8 +158,8 @@ let run ?(precise_alias = false) ?(eliminate_overflow_checks = false)
                 (* The receiver may still be wrapped in its type guard when
                    BCE runs before constant propagation folds it. *)
                 let receiver =
-                  match (Hashtbl.find f.Mir.defs arr).Mir.kind with
-                  | Mir.Check_array inner -> (Hashtbl.find f.Mir.defs inner).Mir.kind
+                  match (Mir.instr f arr).Mir.kind with
+                  | Mir.Check_array inner -> (Mir.instr f inner).Mir.kind
                   | k -> k
                 in
                 match (receiver, range_of idx ~at:bid) with
@@ -174,21 +174,24 @@ let run ?(precise_alias = false) ?(eliminate_overflow_checks = false)
   (* Optional extension: overflow-check elimination on induction steps. *)
   let overflow_checks_removed = ref 0 in
   if eliminate_overflow_checks then
-    Mir.iter_instrs f (fun i ->
-        match i.Mir.kind with
-        | Mir.Binop (Ops.Add, x, y, Mir.Mode_int) -> (
-          let at = Hashtbl.find f.Mir.def_block i.Mir.def in
-          let bound d =
-            match range_of d ~at with
-            | Some r when r.lo >= 0 -> Some r.hi
-            | _ -> None
-          in
-          match (bound x, bound y) with
-          | Some hx, Some hy when hx + hy <= Value.int32_max ->
-            i.Mir.kind <- Mir.Binop (Ops.Add, x, y, Mir.Mode_int_nocheck);
-            i.Mir.rp <- None;
-            incr overflow_checks_removed
-          | _ -> ())
-        | _ -> ());
+    Mir.iter_blocks f (fun b ->
+        let at = b.Mir.bid in
+        let bound d =
+          match range_of d ~at with
+          | Some r when r.lo >= 0 -> Some r.hi
+          | _ -> None
+        in
+        List.iter
+          (fun (i : Mir.instr) ->
+            match i.Mir.kind with
+            | Mir.Binop (Ops.Add, x, y, Mir.Mode_int) -> (
+              match (bound x, bound y) with
+              | Some hx, Some hy when hx + hy <= Value.int32_max ->
+                i.Mir.kind <- Mir.Binop (Ops.Add, x, y, Mir.Mode_int_nocheck);
+                i.Mir.rp <- None;
+                incr overflow_checks_removed
+              | _ -> ())
+            | _ -> ())
+          b.Mir.body);
   if !bounds_removed = 0 && !overflow_checks_removed = 0 then no_stats
   else { bounds_removed = !bounds_removed; overflow_checks_removed = !overflow_checks_removed }

@@ -11,11 +11,11 @@ let rec const_bool (f : Mir.func) depth d =
   if depth > 4 then None
   else
     let const x =
-      match (Hashtbl.find f.Mir.defs x).Mir.kind with
+      match (Mir.instr f x).Mir.kind with
       | Mir.Constant v -> Some v
       | _ -> None
     in
-    match (Hashtbl.find f.Mir.defs d).Mir.kind with
+    match (Mir.instr f d).Mir.kind with
     | Mir.Constant v -> Some (Convert.to_boolean v)
     | Mir.Cmp (op, a, b) -> (
       match (const a, const b) with
@@ -43,9 +43,7 @@ let fold_branches (f : Mir.func) =
 
 let remove_unreachable (f : Mir.func) =
   let before = List.length f.Mir.block_order in
-  let reachable = Mir.reachable_blocks f in
-  f.Mir.block_order <- List.filter (Hashtbl.mem reachable) f.Mir.block_order;
-  Mir.recompute_preds f;
+  Mir.prune_unreachable f;
   (* Phis of blocks left with a single predecessor degenerate to copies. *)
   let subst = Hashtbl.create 16 in
   List.iter
@@ -122,7 +120,7 @@ let remove_dead_instrs (f : Mir.func) =
     f.Mir.block_order;
   while not (Queue.is_empty worklist) do
     let d = Queue.pop worklist in
-    match Hashtbl.find_opt f.Mir.defs d with
+    match Mir.find_instr f d with
     | None -> ()
     | Some instr ->
       List.iter mark (Mir.instr_operands instr.Mir.kind);

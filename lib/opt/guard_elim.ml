@@ -83,7 +83,7 @@ let run ?(precise_alias = false) (f : Mir.func) =
   let r = Absint.analyze ~precise_alias f in
   let used = used_defs f in
   let operand_ty_is a ty =
-    match Hashtbl.find_opt f.Mir.defs a with
+    match Mir.find_instr f a with
     | Some (ai : Mir.instr) -> ai.Mir.ty = ty
     | None -> false
   in

@@ -43,16 +43,8 @@ let inline_site (caller : Mir.func) ~program ~site_block ~(site : Mir.instr)
      undefined); everything else gets a fresh def as we copy. *)
   let def_map : (Mir.def, Mir.def) Hashtbl.t = Hashtbl.create 64 in
   let b_site = Mir.block caller site_block in
-  let undef_def =
-    lazy
-      (let i = Mir.make_instr caller site_block (Mir.Constant Value.Undefined) in
-       b_site.Mir.body <- b_site.Mir.body @ [ i ];
-       i)
-  in
-  let arg_def i =
-    if i < Array.length args then args.(i)
-    else (Lazy.force undef_def).Mir.def
-  in
+  let undef_def = lazy (Mir.append caller b_site (Mir.Constant Value.Undefined)) in
+  let arg_def i = if i < Array.length args then args.(i) else Lazy.force undef_def in
   let map d = match Hashtbl.find_opt def_map d with Some d' -> d' | None -> d in
   (* Split the site block: everything after the call moves to a
      continuation block. *)
@@ -65,9 +57,6 @@ let inline_site (caller : Mir.func) ~program ~site_block ~(site : Mir.instr)
   in
   let before, after = split [] b_site.Mir.body in
   cont.Mir.body <- after;
-  List.iter
-    (fun (i : Mir.instr) -> Hashtbl.replace caller.Mir.def_block i.Mir.def cont.Mir.bid)
-    after;
   cont.Mir.term <- b_site.Mir.term;
   (* Successors of the old site block now hail from the continuation. *)
   List.iter
@@ -107,8 +96,7 @@ let inline_site (caller : Mir.func) ~program ~site_block ~(site : Mir.instr)
               }
             in
             nb.Mir.phis <- nb.Mir.phis @ [ ni ];
-            Hashtbl.replace caller.Mir.defs nd ni;
-            Hashtbl.replace caller.Mir.def_block nd nb.Mir.bid
+            Mir.register caller ni
           | _ -> assert false)
         cb.Mir.phis;
       List.iter
@@ -136,8 +124,7 @@ let inline_site (caller : Mir.func) ~program ~site_block ~(site : Mir.instr)
               { Mir.def = nd; kind; ty; rp = None; org = { i.Mir.org with Mir.o_def = nd } }
             in
             nb.Mir.body <- nb.Mir.body @ [ ni ];
-            Hashtbl.replace caller.Mir.defs nd ni;
-            Hashtbl.replace caller.Mir.def_block nd nb.Mir.bid)
+            Mir.register caller ni)
         cb.Mir.body;
       nb.Mir.term <-
         (match cb.Mir.term with
@@ -158,11 +145,10 @@ let inline_site (caller : Mir.func) ~program ~site_block ~(site : Mir.instr)
     | [] ->
       (* Callee never returns normally (infinite loop); keep the graph
          well-formed with an undefined constant. *)
-      (Lazy.force undef_def).Mir.def
+      Lazy.force undef_def
     | [ (_, d) ] -> d
     | multiple -> Mir.append_phi caller cont (Array.of_list (List.map snd multiple))
   in
-  Hashtbl.remove caller.Mir.defs site.Mir.def;
   let subst d = if d = site.Mir.def then result_def else d in
   Mir.substitute caller subst
 
@@ -182,7 +168,7 @@ let run ~program ?(max_size = 60) ?(max_sites = 8) (caller : Mir.func) =
                 if !found = None then
                   match i.Mir.kind with
                   | Mir.Call_known (_, callee_def, _) | Mir.Call (callee_def, _) -> (
-                    match (Hashtbl.find caller.Mir.defs callee_def).Mir.kind with
+                    match (Mir.instr caller callee_def).Mir.kind with
                     | Mir.Constant (Value.Closure c)
                       when inlinable program.Bytecode.Program.funcs.(c.Value.fid) ~max_size ->
                       found := Some (bid, i, c)

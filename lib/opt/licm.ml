@@ -90,7 +90,6 @@ let run (f : Mir.func) =
                   List.iter
                     (fun (i : Mir.instr) ->
                       Hashtbl.remove def_in_loop i.Mir.def;
-                      Hashtbl.replace f.Mir.def_block i.Mir.def pre_bid;
                       (* Hoisted instructions cannot deoptimize (guards and
                          checked arithmetic are not hoistable); their stale
                          resume points would reference loop-interior values

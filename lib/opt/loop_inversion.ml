@@ -73,17 +73,17 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
           let latch_map = List.map (fun (p, _, l) -> (p.Mir.def, l)) phi_info in
           let chain = header.Mir.body in
           (* Clone the test into the preheader (wrapping conditional). *)
-          let rec clone_seq target_bid base_map instrs acc =
+          let rec clone_seq base_map instrs acc =
             match instrs with
             | [] -> List.rev acc
             | (i : Mir.instr) :: rest ->
               let map = path_map base_map acc in
               let kind = Mir.map_operands map i.Mir.kind in
               let rp = Option.map (Mir.map_resume_point map) i.Mir.rp in
-              let ni = Mir.make_instr f target_bid ?rp kind in
-              clone_seq target_bid base_map rest ((i.Mir.def, ni.Mir.def) :: acc)
+              let ni = Mir.make_instr f ?rp kind in
+              clone_seq base_map rest ((i.Mir.def, ni.Mir.def) :: acc)
           in
-          let pre_pairs = clone_seq pre_bid entry_map chain [] in
+          let pre_pairs = clone_seq entry_map chain [] in
           (* Constants are location-independent: the latch path reuses the
              preheader's clone (which dominates the whole loop) instead of
              duplicating it and merging the two copies through a phi. *)
@@ -96,19 +96,19 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
           let is_const d = List.mem d const_defs in
           let latch_pairs =
             let reused = List.filter (fun (d, _) -> is_const d) pre_pairs in
-            clone_seq latch_bid latch_map
+            clone_seq latch_map
               (List.filter
                  (fun (i : Mir.instr) -> not (is_const i.Mir.def))
                  chain)
               (List.rev reused)
           in
           let pre_clones =
-            List.map (fun (_, nd) -> Hashtbl.find f.Mir.defs nd) pre_pairs
+            List.map (fun (_, nd) -> Mir.instr f nd) pre_pairs
           in
           let latch_clones =
             List.filter_map
               (fun (d, nd) ->
-                if is_const d then None else Some (Hashtbl.find f.Mir.defs nd))
+                if is_const d then None else Some (Mir.instr f nd))
               latch_pairs
           in
           pre.Mir.body <- pre.Mir.body @ pre_clones;
@@ -174,7 +174,7 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
             (fun (phi, e, l) ->
               if used_beyond_header phi.Mir.def then begin
                 let q = Mir.append_phi f body_blk [| e; l |] in
-                (Hashtbl.find f.Mir.defs q).Mir.ty <- phi.Mir.ty;
+                (Mir.instr f q).Mir.ty <- phi.Mir.ty;
                 Hashtbl.replace in_loop_subst phi.Mir.def q
               end)
             phi_info;
@@ -186,7 +186,7 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
               else if used_beyond_header i.Mir.def then begin
                 let pre_v = map_pre i.Mir.def and latch_v = map_latch i.Mir.def in
                 let q = Mir.append_phi f body_blk [| pre_v; latch_v |] in
-                (Hashtbl.find f.Mir.defs q).Mir.ty <- i.Mir.ty;
+                (Mir.instr f q).Mir.ty <- i.Mir.ty;
                 Hashtbl.replace in_loop_subst i.Mir.def q
               end)
             chain;
@@ -353,8 +353,7 @@ let invert_one (f : Mir.func) doms (loop : Cfg.loop) =
           in
           List.iter subst_block visit;
           (* Retire the header. *)
-          f.Mir.block_order <- List.filter (fun b -> b <> loop.Cfg.header) f.Mir.block_order;
-          Hashtbl.remove f.Mir.blocks loop.Cfg.header;
+          Mir.remove_blocks f [ loop.Cfg.header ];
           if f.Mir.osr_loop_header = Some loop.Cfg.header then
             f.Mir.osr_loop_header <- Some body_bid;
           true

@@ -1,12 +1,12 @@
 open Runtime
 
 let strip_tonum (f : Mir.func) d =
-  match (Hashtbl.find f.Mir.defs d).Mir.kind with
+  match (Mir.instr f d).Mir.kind with
   | Mir.Unop (Ops.To_number, x) -> x
   | _ -> d
 
 let const_int (f : Mir.func) d =
-  match (Hashtbl.find f.Mir.defs d).Mir.kind with
+  match (Mir.instr f d).Mir.kind with
   | Mir.Constant (Value.Int n) -> Some n
   | _ -> None
 
@@ -113,13 +113,13 @@ let find_candidate (f : Mir.func) ~max_trips ~max_copied_instrs (loop : Cfg.loop
           if List.length phi_ops <> List.length header.Mir.phis then None
           else
             (* The controlling induction variable. *)
-            match (Hashtbl.find f.Mir.defs c).Mir.kind with
+            match (Mir.instr f c).Mir.kind with
             | Mir.Cmp (op, x, kd) -> (
               let x = strip_tonum f x in
               match (List.assoc_opt x phi_ops, const_int f kd) with
               | Some (init, step), Some k -> (
                 match
-                  (const_int f init, (Hashtbl.find f.Mir.defs step).Mir.kind)
+                  (const_int f init, (Mir.instr f step).Mir.kind)
                 with
                 | Some c0, Mir.Binop (Ops.Add, a, b, _) -> (
                   let a = strip_tonum f a and b = strip_tonum f b in
@@ -211,8 +211,7 @@ let unroll_one (f : Mir.func) (c : candidate) =
               org = { i.Mir.org with Mir.o_def = nd };
             }
           in
-          Hashtbl.replace f.Mir.defs nd ni;
-          Hashtbl.replace f.Mir.def_block nd nb.Mir.bid;
+          Mir.register f ni;
           ni
         in
         nb.Mir.phis <- List.map copy b.Mir.phis;
@@ -253,9 +252,7 @@ let unroll_one (f : Mir.func) (c : candidate) =
   let subst d = Option.value (List.assoc_opt d exit_subst) ~default:d in
   (* Retire the original loop blocks before the global substitution so the
      stale uses inside them do not matter. *)
-  f.Mir.block_order <-
-    List.filter (fun b -> not (List.mem b c.loop.Cfg.body)) f.Mir.block_order;
-  List.iter (fun b -> Hashtbl.remove f.Mir.blocks b) c.loop.Cfg.body;
+  Mir.remove_blocks f c.loop.Cfg.body;
   Mir.substitute f subst
 
 let run ?(max_trips = 8) ?(max_copied_instrs = 256) (f : Mir.func) =

@@ -179,11 +179,14 @@ let test_constant_branch_prunes () =
   let r = Absint.analyze f in
   let block_of c =
     let found = ref None in
-    Mir.iter_instrs f (fun i ->
-        match i.Mir.kind with
-        | Mir.Constant (Value.Int n) when n = c && !found = None ->
-          found := Some (Hashtbl.find f.Mir.def_block i.Mir.def)
-        | _ -> ());
+    Mir.iter_blocks f (fun b ->
+        List.iter
+          (fun (i : Mir.instr) ->
+            match i.Mir.kind with
+            | Mir.Constant (Value.Int n) when n = c && !found = None ->
+              found := Some b.Mir.bid
+            | _ -> ())
+          (b.Mir.phis @ b.Mir.body));
     match !found with
     | Some b -> b
     | None -> Alcotest.failf "constant %d not found" c

@@ -141,8 +141,10 @@ let test_mir_deleted_def_attributed () =
       | Mir.Binop (_, a, _, _) when !victim = None -> victim := Some a
       | _ -> ());
   let d = match !victim with Some d -> d | None -> Alcotest.fail "no binop" in
-  let db = Hashtbl.find f.Mir.def_block d in
-  let b = Mir.block f db in
+  let defines (b : Mir.block) =
+    List.exists (fun (i : Mir.instr) -> i.Mir.def = d) (b.Mir.phis @ b.Mir.body)
+  in
+  let b = List.find defines (List.map (Mir.block f) f.Mir.block_order) in
   b.Mir.body <- List.filter (fun (i : Mir.instr) -> i.Mir.def <> d) b.Mir.body;
   b.Mir.phis <- List.filter (fun (i : Mir.instr) -> i.Mir.def <> d) b.Mir.phis;
   (match Verify.run ~pass:"test-mutation" f with
@@ -156,8 +158,7 @@ let test_mir_deleted_def_attributed () =
 let test_mir_phi_arity_attributed () =
   let f = build_fn map_src 2 in
   let corrupted = ref false in
-  Hashtbl.iter
-    (fun _ b ->
+  Mir.iter_blocks f (fun b ->
       List.iter
         (fun (phi : Mir.instr) ->
           match phi.Mir.kind with
@@ -165,8 +166,7 @@ let test_mir_phi_arity_attributed () =
             phi.Mir.kind <- Mir.Phi (Array.sub ops 0 (Array.length ops - 1));
             corrupted := true
           | _ -> ())
-        b.Mir.phis)
-    f.Mir.blocks;
+        b.Mir.phis);
   Alcotest.(check bool) "did corrupt" true !corrupted;
   match Verify.run ~pass:"test-mutation" f with
   | exception Diag.Failed diag ->
@@ -189,6 +189,29 @@ let test_mir_stripped_rp_attributed () =
   | exception Diag.Failed diag ->
     check_contains "missing rp" diag.Diag.message "resume point"
   | () -> Alcotest.fail "verifier accepted a guard without a resume point"
+
+let test_mir_unregistered_copy_attributed () =
+  let f = build_fn map_src 2 in
+  (* Swap a body instruction for a copy the def table never saw. *)
+  let swapped = ref None in
+  List.iter
+    (fun bid ->
+      let b = Mir.block f bid in
+      match b.Mir.body with
+      | i :: rest when !swapped = None ->
+        b.Mir.body <- { i with Mir.def = i.Mir.def } :: rest;
+        swapped := Some bid
+      | _ -> ())
+    f.Mir.block_order;
+  let bid = match !swapped with Some b -> b | None -> Alcotest.fail "no body" in
+  match Verify.run ~pass:"test-mutation" f with
+  | exception Diag.Failed diag ->
+    Alcotest.(check string) "layer" "mir" diag.Diag.layer;
+    Alcotest.(check (option string)) "pass attributed" (Some "test-mutation")
+      diag.Diag.pass;
+    Alcotest.(check (option int)) "block attributed" (Some bid) diag.Diag.block;
+    check_contains "unregistered copy" diag.Diag.message "registered"
+  | () -> Alcotest.fail "verifier accepted an unregistered instruction"
 
 let test_mir_type_lie_rejected () =
   let f = build_fn map_src 2 in
@@ -280,7 +303,7 @@ let test_spec_redundant_guard_warning () =
             (fun (i : Mir.instr) ->
               if (not !placed) && Mir.is_guard i.Mir.kind then begin
                 placed := true;
-                let dup = Mir.make_instr f bid ?rp:i.Mir.rp i.Mir.kind in
+                let dup = Mir.make_instr f ?rp:i.Mir.rp i.Mir.kind in
                 [ i; dup ]
               end
               else [ i ])
@@ -355,6 +378,8 @@ let suites =
         Alcotest.test_case "phi arity attributed" `Quick test_mir_phi_arity_attributed;
         Alcotest.test_case "stripped rp attributed" `Quick
           test_mir_stripped_rp_attributed;
+        Alcotest.test_case "unregistered copy attributed" `Quick
+          test_mir_unregistered_copy_attributed;
         Alcotest.test_case "declared-type lie rejected" `Quick
           test_mir_type_lie_rejected;
       ] );

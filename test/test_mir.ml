@@ -70,7 +70,7 @@ let test_specialized_build_constants () =
   Mir.iter_instrs f (fun i ->
       match i.Mir.kind with
       | Mir.Call (callee, _) | Mir.Call_known (_, callee, _) -> (
-        match (Hashtbl.find f.Mir.defs callee).Mir.kind with
+        match (Mir.instr f callee).Mir.kind with
         | Mir.Constant (Value.Closure _) -> direct := true
         | _ -> ())
       | _ -> ());
@@ -162,8 +162,7 @@ let test_verifier_catches_bad_phi () =
   let _, f = build_fn map_src 2 in
   (* Corrupt a phi: drop one operand. *)
   let corrupted = ref false in
-  Hashtbl.iter
-    (fun _ b ->
+  Mir.iter_blocks f (fun b ->
       List.iter
         (fun (phi : Mir.instr) ->
           match phi.Mir.kind with
@@ -171,8 +170,7 @@ let test_verifier_catches_bad_phi () =
             phi.Mir.kind <- Mir.Phi (Array.sub ops 0 (Array.length ops - 1));
             corrupted := true
           | _ -> ())
-        b.Mir.phis)
-    f.Mir.blocks;
+        b.Mir.phis);
   Alcotest.(check bool) "did corrupt" true !corrupted;
   match Verify.run f with
   | exception Diag.Failed _ -> ()
