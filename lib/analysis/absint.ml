@@ -316,6 +316,22 @@ let abs_unop op a =
     | Ops.Neg -> vals t_numeric None
     | Ops.To_number -> if tags_within a t_int then a else vals t_numeric None)
 
+(* Alias discipline: which instructions make a compile-time array length
+   untrustworthy as an upper bound. Element stores only ever grow an array
+   in this VM, so the compile-time length stays a valid LOWER bound on the
+   runtime length and stores never block. What can shrink a length is a
+   [pop]/[shift]/[splice] method call, an explicit [x.length = n] store, or
+   — conservatively — any call, which might reach one of those on an alias.
+   [precise_alias] is the paper's Figure 8 assumption that callees do not
+   alias the specialized array. *)
+let may_shrink ~precise_alias (kind : Mir.instr_kind) =
+  match kind with
+  | Mir.Store_prop (_, p, _) -> p = "length"
+  | Mir.Method_call (_, m, _) -> m = "pop" || m = "shift" || m = "splice"
+  | Mir.Call _ | Mir.Call_known _ -> not precise_alias
+  | Mir.Call_native (name, _) -> not (Builtins.is_pure name)
+  | _ -> false
+
 let analyze ?(precise_alias = false) (f : Mir.func) =
   let vals_tbl : (Mir.def, aval) Hashtbl.t = Hashtbl.create 64 in
   let lookup d = Option.value (Hashtbl.find_opt vals_tbl d) ~default:Bot in
@@ -717,16 +733,9 @@ let analyze ?(precise_alias = false) (f : Mir.func) =
         | _ -> ())
       | _ -> ())
     f.Mir.block_order;
-  (* Shrink blockers: same discipline as [Opt.Bounds_check.blocking]. *)
   let shrinkers = ref false in
   Mir.iter_instrs f (fun i ->
-      match i.Mir.kind with
-      | Mir.Store_prop (_, p, _) -> if p = "length" then shrinkers := true
-      | Mir.Method_call (_, m, _) ->
-        if m = "pop" || m = "shift" || m = "splice" then shrinkers := true
-      | Mir.Call _ | Mir.Call_known _ -> if not precise_alias then shrinkers := true
-      | Mir.Call_native (name, _) -> if not (Builtins.is_pure name) then shrinkers := true
-      | _ -> ());
+      if may_shrink ~precise_alias i.Mir.kind then shrinkers := true);
   {
     r_vals = vals_tbl;
     r_exec = exec_blocks;

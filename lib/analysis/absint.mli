@@ -36,6 +36,12 @@ val entry_state : Mir.func -> aval array
 
 (* ---- whole-function analysis ---- *)
 
+(* Can this instruction shrink some array's length? The one alias
+   discipline: [analyze]'s shrink-blocker scan, Bounds_check and GVN's
+   bounds-check numbering all ask it. [precise_alias] assumes callees do
+   not alias the specialized array (the paper's Figure 8). *)
+val may_shrink : precise_alias:bool -> Mir.instr_kind -> bool
+
 type result
 
 (* Run the fixpoint. The result is self-contained (it snapshots values,

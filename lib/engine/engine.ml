@@ -17,8 +17,6 @@ type config = {
   cache_size : int;
   policy : Policy.kind;
   selective : bool;
-  compile_retries : int;
-  storm_threshold : int;
   code_cache_bytes : int;
   max_depth : int;
   deadline : int;
@@ -37,8 +35,6 @@ let default_config ?(opt = Pipeline.baseline) ?(policy = Policy.Paper) ?(cache_s
     max_bailouts = 3;
     cache_size;
     selective;
-    compile_retries = 3;
-    storm_threshold = 8;
     code_cache_bytes;
     max_depth;
     policy;
@@ -48,6 +44,17 @@ let default_config ?(opt = Pipeline.baseline) ?(policy = Policy.Paper) ?(cache_s
   }
 
 let interp_only = { (default_config ()) with jit = false }
+
+(* Compile failures (aborted compilations, cache-admission failures, deopt
+   storms) a function may accumulate before it is pinned to the
+   interpreter tier for good; each earlier one quarantines it with
+   exponential backoff ([quarantine]). *)
+let compile_retries = 3
+
+(* Binary discards (entry-guard bails and strike limits) before the
+   deopt-storm detector trips and quarantines the function
+   ([note_discard]). *)
+let storm_threshold = 8
 
 (* Compile observation hooks, all domain-local so a lint task collecting
    findings on a pool worker never leaks its closures into unrelated
@@ -68,7 +75,6 @@ let with_mir_hook h f = Support.Tls.with_value mir_hook (Some h) f
 let diag_warn_hook : (Diag.t -> unit) option Support.Tls.t =
   Support.Tls.make (fun () -> None)
 
-let set_diag_warn_hook h = Support.Tls.set diag_warn_hook h
 let with_diag_warn_hook h f = Support.Tls.with_value diag_warn_hook (Some h) f
 
 (* Abort sink for the containment barrier: every diagnostic that aborts a
@@ -637,11 +643,10 @@ let compile t fs req =
           let start = now t in
           charge "mir" c;
           (* Per-pass child spans, sequential from the compile's start.
-             Each pass was charged [compile_per_mir_instr] per instruction
-             it entered with ([pd_before]), and every recorded pass was
-             preceded by exactly one such charge, so the children sum to at
-             most the charge and always fit inside the parent compile
-             span. *)
+             The pipeline bills each pass [compile_per_mir_instr] per
+             instruction it entered with ([pd_before]) and bills nothing
+             else, so the children sum exactly to the charge and tile the
+             parent compile span. *)
           if Telemetry.spans_active t.tel then
             ignore
               (List.fold_left
@@ -680,7 +685,7 @@ let compile t fs req =
    compiler early (its threshold scales by the same power of two). *)
 let quarantine t fs reason =
   fs.q_failures <- fs.q_failures + 1;
-  if fs.q_failures > t.cfg.compile_retries then begin
+  if fs.q_failures > compile_retries then begin
     if not fs.pinned then begin
       fs.pinned <- true;
       bump t fs Telemetry.Key.pins;
@@ -710,7 +715,7 @@ let can_compile t fs =
    deopts, which blacklist and settle by themselves) trip a quarantine. *)
 let note_discard t fs =
   fs.discards <- fs.discards + 1;
-  if fs.discards >= t.cfg.storm_threshold then begin
+  if fs.discards >= storm_threshold then begin
     fs.discards <- 0;
     bump t fs Telemetry.Key.storms;
     quarantine t fs Telemetry.Deopt_storm
@@ -1083,7 +1088,7 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
          redo is charged again at its own install — until the retry cap
          quarantines the function. *)
       bg_cancel t fs ~reason:"install-fault" Telemetry.Key.bg_cancelled;
-      if e.Bgcompile.e_attempts > t.cfg.compile_retries then begin
+      if e.Bgcompile.e_attempts > compile_retries then begin
         quarantine t fs Telemetry.Compile_fault;
         finish_flow "cancel"
       end

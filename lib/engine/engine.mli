@@ -50,16 +50,6 @@ type config = {
           respecializes instead of blacklisting; since stability is sticky,
           a function respecializes at most [arity] times before settling on
           its stable core (or generic code). *)
-  compile_retries : int;
-      (** compile failures (aborted compilations, cache-admission failures,
-          deopt storms) a function may accumulate before it is pinned to
-          the interpreter tier permanently. Until then each failure
-          quarantines it with exponential backoff: the [n]-th failure defers
-          the next compile attempt by [hot_calls * 2^n] further calls (and
-          scales the OSR loop-edge threshold by the same factor). *)
-  storm_threshold : int;
-      (** binary discards (entry-guard bails and strike limits) before the
-          deopt-storm detector trips and quarantines the function *)
   code_cache_bytes : int;
       (** global code-cache byte budget across all functions, with
           cross-function LRU eviction on admission; 0 = unbounded. A binary
@@ -116,10 +106,20 @@ val default_config :
   config
 (** Defaults: [jit = true], [hot_calls = 10], [hot_loop_edges = 40],
     [max_bailouts = 3], [policy = Policy.Paper], [cache_size = 1],
-    [selective = false], baseline pipeline, [compile_retries = 3],
-    [storm_threshold = 8], [code_cache_bytes = 0] (unbounded), [max_depth =
-    Interp.default_max_depth], [deadline = 0] (no deadline), [bg_compile =
-    false] (synchronous compilation), [bg_queue_depth = 8]. *)
+    [selective = false], baseline pipeline, [code_cache_bytes = 0]
+    (unbounded), [max_depth = Interp.default_max_depth], [deadline = 0]
+    (no deadline), [bg_compile = false] (synchronous compilation),
+    [bg_queue_depth = 8].
+
+    Two failure-domain limits are engine constants, not config: a
+    function may accumulate 3 compile failures (aborted compilations,
+    cache-admission failures, deopt storms), each quarantining it with
+    exponential backoff — the [n]-th defers the next compile attempt by
+    [hot_calls * 2^n] further calls and scales the OSR loop-edge
+    threshold by the same factor — before the next one pins it to the
+    interpreter tier for good; and 8 binary discards (entry-guard bails
+    and strike limits) trip the deopt-storm detector, which counts as
+    one such failure. *)
 
 val interp_only : config
 
@@ -171,13 +171,11 @@ val set_mir_hook : (Mir.func -> unit) option -> unit
 val with_mir_hook : (Mir.func -> unit) -> (unit -> 'a) -> 'a
 (** Run with the MIR hook temporarily installed on this domain. *)
 
-val set_diag_warn_hook : (Diag.t -> unit) option -> unit
-(** Warning sink for the lint layer: when {!Pipeline.checks} is on, the
-    specialization-soundness checker's warnings are delivered here;
-    [None] drops them. *)
-
 val with_diag_warn_hook : (Diag.t -> unit) -> (unit -> 'a) -> 'a
-(** Run with the warning sink temporarily installed on this domain. *)
+(** Run with a warning sink for the lint layer temporarily installed on
+    this domain: when {!Pipeline.checks} is on, the
+    specialization-soundness checker's warnings are delivered to it
+    (dropped when none is installed). *)
 
 val set_diag_abort_hook : (Diag.t -> unit) option -> unit
 (** Called with every diagnostic that aborts a mid-run compilation — a

@@ -33,7 +33,6 @@ let make ~seed spec =
     prng = Support.Prng.create seed;
   }
 
-let seed_of p = p.seed
 let spec_of p = List.map (fun r -> (r.r_point, r.r_mode)) p.rules
 
 let point_to_string = function
@@ -103,12 +102,7 @@ let active () = Support.Tls.get current <> None
    assert a plan did more than install itself. *)
 let fired_hook : (point -> unit) option Support.Tls.t = Support.Tls.make (fun () -> None)
 
-let set_fired_hook h = Support.Tls.set fired_hook h
-
-let with_fired_hook h f =
-  let previous = Support.Tls.get fired_hook in
-  Support.Tls.set fired_hook (Some h);
-  Fun.protect ~finally:(fun () -> Support.Tls.set fired_hook previous) f
+let with_fired_hook h f = Support.Tls.with_value fired_hook (Some h) f
 
 let fire point =
   match Support.Tls.get current with

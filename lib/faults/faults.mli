@@ -51,7 +51,7 @@
     - [Bg_install]: one occurrence per background artifact reaching its
       install point; firing drops the finished artifact — the engine
       re-enqueues the request with doubled modeled cost (backoff) until
-      [compile_retries] attempts, then quarantines. Never consulted with
+      the engine's compile-retry cap, then quarantines. Never consulted with
       [--bg-compile] off. *)
 type point =
   | Compile_diag
@@ -82,7 +82,6 @@ type plan
     a fresh copy) or rebuild with {!make} to replay one. *)
 
 val make : seed:int -> spec -> plan
-val seed_of : plan -> int
 val spec_of : plan -> spec
 
 val sample : int -> plan
@@ -121,8 +120,6 @@ val with_plan : plan -> (unit -> 'a) -> 'a
     lets the harness assert injected faults actually fired. It is
     domain-local and consulted only when {!fire} decides to fail an
     occurrence, so the disabled-layer cost is unchanged. *)
-
-val set_fired_hook : (point -> unit) option -> unit
 
 val with_fired_hook : (point -> unit) -> (unit -> 'a) -> 'a
 (** Install a hook for the extent of the callback, restoring the

@@ -1,5 +1,4 @@
 type t = { line : int; col : int }
 
-let dummy = { line = 0; col = 0 }
 let pp fmt { line; col } = Format.fprintf fmt "%d:%d" line col
 let to_string p = Format.asprintf "%a" pp p

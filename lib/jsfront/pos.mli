@@ -2,6 +2,5 @@
 
 type t = { line : int; col : int }
 
-val dummy : t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

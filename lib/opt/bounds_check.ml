@@ -6,23 +6,6 @@ type range = { lo : int; hi : int }
 
 let no_stats = { bounds_removed = 0; overflow_checks_removed = 0 }
 
-(* Alias discipline: which instructions make a compile-time array length
-   untrustworthy as an upper bound. Element stores only ever grow an array
-   in this VM, so the compile-time length stays a valid LOWER bound on the
-   runtime length and stores never block. What can shrink a length is a
-   [pop]/[shift]/[splice] method call, an explicit [x.length = n] store, or
-   — conservatively — any call, which might reach one of those on an alias.
-   [precise_alias] is the paper's Figure 8 assumption that callees do not
-   alias the specialized array. *)
-let blocking ~precise_alias (kind : Mir.instr_kind) =
-  match kind with
-  | Mir.Store_elem _ | Mir.Store_elem_generic _ -> false
-  | Mir.Store_prop (_, p, _) -> p = "length"
-  | Mir.Method_call (_, m, _) -> m = "pop" || m = "shift" || m = "splice"
-  | Mir.Call _ | Mir.Call_known _ -> not precise_alias
-  | Mir.Call_native (name, _) -> not (Builtins.is_pure name)
-  | _ -> false
-
 (* Strip the ToNumber wrapper that i++ produces. *)
 let strip_tonum (f : Mir.func) d =
   match (Mir.instr f d).Mir.kind with
@@ -108,7 +91,8 @@ let upper_bound (f : Mir.func) (loop : Cfg.loop) p step =
 let run ?(precise_alias = false) ?(eliminate_overflow_checks = false)
     ?(defer_bounds = false) (f : Mir.func) =
   let has_blocker = ref false in
-  Mir.iter_instrs f (fun i -> if blocking ~precise_alias i.Mir.kind then has_blocker := true);
+  Mir.iter_instrs f (fun i ->
+      if Absint.may_shrink ~precise_alias i.Mir.kind then has_blocker := true);
   (* Ranges of induction variables (and their step defs), each valid only
      in blocks dominated by the bounding test's in-loop edge. *)
   let ranges : (Mir.def, range * int) Hashtbl.t = Hashtbl.create 8 in

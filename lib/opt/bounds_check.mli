@@ -28,11 +28,6 @@
 
 type stats = { bounds_removed : int; overflow_checks_removed : int }
 
-val blocking : precise_alias:bool -> Mir.instr_kind -> bool
-(** Can this instruction shrink some array's length? The alias discipline
-    shared with {!Gvn} (bounds-check numbering) and {!Guard_elim} (via
-    [Absint]'s blocker scan). *)
-
 val run :
   ?precise_alias:bool ->
   ?eliminate_overflow_checks:bool ->

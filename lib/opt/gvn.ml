@@ -2,8 +2,8 @@ open Runtime
 
 (* Hash key for a pure instruction, after operand resolution. [None] means
    the instruction is not eligible for value numbering. [bounds_stable] says
-   no instruction in the function can shrink an array length (the
-   Bounds_check alias discipline): only then is a later Bounds_check on the
+   no instruction in the function can shrink an array length
+   ([Absint.may_shrink]): only then is a later Bounds_check on the
    same (index, array) pair guaranteed to pass because a dominating one did
    — found by the translation-validation sandwich, which refused to certify
    the dedup across a potentially shrinking call. *)
@@ -54,7 +54,7 @@ let run (f : Mir.func) =
   let doms = Cfg.dominators f in
   let bounds_stable = ref true in
   Mir.iter_instrs f (fun i ->
-      if Bounds_check.blocking ~precise_alias:false i.Mir.kind then
+      if Absint.may_shrink ~precise_alias:false i.Mir.kind then
         bounds_stable := false);
   let bounds_stable = !bounds_stable in
   let subst : (Mir.def, Mir.def) Hashtbl.t = Hashtbl.create 32 in

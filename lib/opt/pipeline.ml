@@ -58,11 +58,10 @@ let figure9_configs =
    pass, so the first broken invariant is attributed to the pass that broke
    it instead of surfacing four passes later. Tests, the fuzzer and
    bin/irlint flip this on; benchmarks leave it off (the final end-of-
-   pipeline [Verify.run] stays unconditional either way, and cycle
-   accounting via [charge] never includes verification). *)
+   pipeline [Verify.run] stays unconditional either way, and the compile
+   charge never includes verification). *)
 let checks_slot = Support.Tls.make (fun () -> false)
 let checks () = Support.Tls.get checks_slot
-let set_checks b = Support.Tls.set checks_slot b
 let with_checks b f = Support.Tls.with_value checks_slot b f
 
 type run_stats = {
@@ -70,13 +69,10 @@ type run_stats = {
   inlined : int;
   loops_inverted : int;
   branches_folded : int;
-  blocks_removed : int;
   instrs_removed : int;
   bounds_removed : int;
   overflow_removed : int;
   unrolled : int;
-  gvn_eliminated : int;
-  licm_hoisted : int;
   guards_elided : int;
   elisions : Mir.elision list;
   mir_instrs_processed : int;
@@ -85,18 +81,8 @@ type run_stats = {
 
 let apply ?check ~program config (f : Mir.func) =
   let check = match check with Some c -> c | None -> checks () in
-  let sandwich pass =
-    if check then begin
-      Verify.run ~pass f;
-      Verify.check_types ~pass f
-    end
-  in
-  let processed = ref 0 in
-  let charge () = processed := !processed + Mir.all_instr_count f in
   (* Per-pass attribution for the telemetry layer: graph size entering and
-     leaving every pass that ran, in execution order. [pd_before] is also
-     the pass's compile-time weight, since [charge] bills per instruction
-     present when the pass starts. *)
+     leaving every pass that ran, in execution order. *)
   let pass_trace = ref [] in
   (* Translation validation (sandwich mode only): before each pass we hold
      a guard snapshot and the abstract state of the pre-pass graph; after
@@ -109,6 +95,9 @@ let apply ?check ~program config (f : Mir.func) =
       Some (ref (Guard_elim.snapshot f, Absint.analyze ~precise_alias:config.precise_alias f))
     else None
   in
+  (* The one pass runner: every pass is traced, verified and validated
+     here, and billed the graph size it enters ([pd_before]) — the
+     compile charge is the sum of [pd_before] over the trace. *)
   let run_pass name body =
     let before = Mir.all_instr_count f in
     (* Provenance context: instructions a pass creates are tagged with the
@@ -117,7 +106,10 @@ let apply ?check ~program config (f : Mir.func) =
     let saved_pass = f.Mir.cur_pass in
     f.Mir.cur_pass <- name;
     let r = Fun.protect ~finally:(fun () -> f.Mir.cur_pass <- saved_pass) body in
-    sandwich name;
+    if check then begin
+      Verify.run ~pass:name f;
+      Verify.check_types ~pass:name f
+    end;
     (match tv with
     | Some st ->
       let snap, pre = !st in
@@ -130,138 +122,88 @@ let apply ?check ~program config (f : Mir.func) =
       :: !pass_trace;
     r
   in
+  (* An optional pass: runs (and is billed) only when its flag is on;
+     [off] stands in for its result otherwise. *)
+  let when_ flag ~off name body = if flag then run_pass name body else off in
+  let typer () = run_pass "typer" (fun () -> Typer.run f) in
+  let gvn () = ignore (when_ config.gvn ~off:0 "gvn" (fun () -> Gvn.run f)) in
   (* The constant-propagation step: the paper's Aho formulation, or the
      Wegman-Zadeck conditional algorithm under the ablation flag. *)
-  let cp_name = if config.sccp then "sccp" else "constprop" in
-  let run_cp () =
-    run_pass cp_name (fun () ->
-        if config.sccp then (Sccp.run f).Sccp.folded else Constprop.run f)
+  let folded = ref 0 in
+  let cp () =
+    folded :=
+      !folded
+      + when_ (config.constprop || config.sccp) ~off:0
+          (if config.sccp then "sccp" else "constprop")
+          (fun () -> if config.sccp then (Sccp.run f).Sccp.folded else Constprop.run f)
   in
-  let run_typer () = run_pass "typer" (fun () -> Typer.run f) in
-  let run_gvn () = run_pass "gvn" (fun () -> Gvn.run f) in
-  let want_cp = config.constprop || config.sccp in
   (* Baseline: type specialization and GVN, like IonMonkey. GVN's phi
      simplification is what lets constant closure arguments reach call
      sites, so it precedes inlining. *)
-  charge ();
-  run_typer ();
-  let gvn_eliminated = ref 0 in
-  if config.gvn then begin
-    charge ();
-    gvn_eliminated := run_gvn ()
-  end;
-  let folded = ref 0 in
-  if want_cp then begin
-    charge ();
-    folded := run_cp ()
-  end;
+  typer ();
+  gvn ();
+  cp ();
   (* Closure inlining accompanies parameter specialization (§4's
      "PARAMETER SPEC ... augmented with the automatic inlining of functions
      passed as parameters"). The spliced code is re-typed and re-numbered. *)
-  let inlined =
-    if config.param_spec then begin
-      charge ();
-      let n = run_pass "inline" (fun () -> Inline.run ~program f) in
-      if n > 0 then begin
-        charge ();
-        run_typer ();
-        charge ();
-        if config.gvn then gvn_eliminated := !gvn_eliminated + run_gvn ();
-        if want_cp then begin
-          charge ();
-          folded := !folded + run_cp ()
-        end
-      end;
-      n
-    end
-    else 0
-  in
+  let inlined = when_ config.param_spec ~off:0 "inline" (fun () -> Inline.run ~program f) in
+  if inlined > 0 then begin
+    typer ();
+    gvn ();
+    cp ()
+  end;
   (* §6 extension: unrolling, enabled by the constant bounds that
      specialization + constprop expose. Before inversion, which would
      change the loop shape it recognizes. *)
-  let unrolled =
-    if config.loop_unroll then begin
-      charge ();
-      let n = run_pass "unroll" (fun () -> Unroll.run f) in
-      if n > 0 then begin
-        charge ();
-        if config.gvn then gvn_eliminated := !gvn_eliminated + run_gvn ();
-        if want_cp then begin
-          charge ();
-          folded := !folded + run_cp ()
-        end
-      end;
-      n
-    end
-    else 0
-  in
+  let unrolled = when_ config.loop_unroll ~off:0 "unroll" (fun () -> Unroll.run f) in
+  if unrolled > 0 then begin
+    gvn ();
+    cp ()
+  end;
+  (* The cloned tests duplicate constants and create phi(x, x) merges; a
+     value-numbering sweep (baseline hygiene) cleans them before lowering
+     would materialize them into registers. *)
   let loops_inverted =
-    if config.loop_inversion then begin
-      charge ();
-      let n = run_pass "loop-inversion" (fun () -> Loop_inversion.run f) in
-      if n > 0 then begin
-        (* The cloned tests duplicate constants and create phi(x, x) merges;
-           a value-numbering sweep (baseline hygiene) cleans them before
-           lowering would materialize them into registers. *)
-        charge ();
-        if config.gvn then gvn_eliminated := !gvn_eliminated + run_gvn ()
-      end;
-      n
-    end
-    else 0
+    when_ config.loop_inversion ~off:0 "loop-inversion" (fun () -> Loop_inversion.run f)
   in
-  let dce_stats =
-    if config.dce then begin
-      charge ();
-      run_pass "dce" (fun () -> Dce.run f)
-    end
-    else { Dce.branches_folded = 0; blocks_removed = 0; instrs_removed = 0 }
+  if loops_inverted > 0 then gvn ();
+  let dce =
+    when_ config.dce "dce" (fun () -> Dce.run f)
+      ~off:{ Dce.branches_folded = 0; blocks_removed = 0; instrs_removed = 0 }
   in
-  let bce_stats =
-    if config.bounds_check_elim then begin
-      charge ();
-      run_pass "bounds-check-elim" (fun () ->
-          Bounds_check.run ~precise_alias:config.precise_alias
-            ~eliminate_overflow_checks:config.overflow_elim
-            ~defer_bounds:config.guard_elim f)
-    end
-    else { Bounds_check.bounds_removed = 0; overflow_checks_removed = 0 }
+  let bce =
+    when_ config.bounds_check_elim "bounds-check-elim"
+      (fun () ->
+        Bounds_check.run ~precise_alias:config.precise_alias
+          ~eliminate_overflow_checks:config.overflow_elim ~defer_bounds:config.guard_elim f)
+      ~off:{ Bounds_check.bounds_removed = 0; overflow_checks_removed = 0 }
   in
   (* Baseline invariant code motion, which loop inversion feeds (§4). *)
-  let licm_hoisted = ref 0 in
-  if config.licm then begin
-    charge ();
-    licm_hoisted := run_pass "licm" (fun () -> Licm.run f)
-  end;
+  ignore (when_ config.licm ~off:0 "licm" (fun () -> Licm.run f));
   (* Abstract-interpretation guard elision, last: it harvests whatever
      specialization + constprop/SCCP/GVN and the loop passes exposed. *)
-  let elisions = ref [] in
-  if config.guard_elim then begin
-    charge ();
-    elisions :=
-      run_pass "guard-elim" (fun () ->
-          Guard_elim.run ~precise_alias:config.precise_alias f)
-  end;
+  let elisions =
+    when_ config.guard_elim ~off:[] "guard-elim" (fun () ->
+        Guard_elim.run ~precise_alias:config.precise_alias f)
+  in
   (* The end-of-pipeline structural check stays unconditional; the type
      lint only runs in sandwich mode. *)
   Verify.run ~pass:"pipeline" f;
   if check then Verify.check_types ~pass:"pipeline" f;
+  let passes = List.rev !pass_trace in
   {
     folded = !folded;
     inlined;
     loops_inverted;
-    branches_folded = dce_stats.Dce.branches_folded;
-    blocks_removed = dce_stats.Dce.blocks_removed;
-    instrs_removed = dce_stats.Dce.instrs_removed;
-    bounds_removed = bce_stats.Bounds_check.bounds_removed;
-    overflow_removed = bce_stats.Bounds_check.overflow_checks_removed;
+    branches_folded = dce.Dce.branches_folded;
+    instrs_removed = dce.Dce.instrs_removed;
+    bounds_removed = bce.Bounds_check.bounds_removed;
+    overflow_removed = bce.Bounds_check.overflow_checks_removed;
     unrolled;
-    gvn_eliminated = !gvn_eliminated;
-    licm_hoisted = !licm_hoisted;
-    guards_elided = List.length !elisions;
-    elisions = !elisions;
-    mir_instrs_processed = !processed;
-    passes = List.rev !pass_trace;
+    guards_elided = List.length elisions;
+    elisions;
+    mir_instrs_processed = List.fold_left (fun n p -> n + p.Telemetry.pd_before) 0 passes;
+    passes;
   }
 
 (* Scheduled pass count for a config — the background queue's completion

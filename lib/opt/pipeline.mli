@@ -49,19 +49,18 @@ type run_stats = {
   inlined : int;
   loops_inverted : int;
   branches_folded : int;
-  blocks_removed : int;
   instrs_removed : int;
   bounds_removed : int;
   overflow_removed : int;
   unrolled : int;
-  gvn_eliminated : int;
-  licm_hoisted : int;
   guards_elided : int;  (** guards deleted by the {!Guard_elim} pass *)
   elisions : Mir.elision list;
       (** origin provenance of each deleted guard, for telemetry events *)
   mir_instrs_processed : int;
-      (** total instruction-visits across passes; the compile-time model
-          charges per visit, so leaner graphs compile faster, as §4 observes *)
+      (** the compile-time model's weight: the sum of [pd_before] over
+          [passes]. Every pass is billed the graph size it enters, so
+          leaner graphs compile faster, as §4 observes; a pass that does
+          not run is not billed *)
   passes : Telemetry.pass_delta list;
       (** every pass that ran, in execution order, with the graph size
           entering and leaving it — the per-pass attribution the engine
@@ -75,20 +74,21 @@ val checks : unit -> bool
     task can share a pool. Verification never contributes to the
     compile-cycle model. *)
 
-val set_checks : bool -> unit
-(** Set the current domain's check mode. *)
-
 val with_checks : bool -> (unit -> 'a) -> 'a
 (** Run with the current domain's check mode temporarily replaced. *)
 
 val apply : ?check:bool -> program:Bytecode.Program.t -> config -> Mir.func -> run_stats
-(** Run the configured passes over a freshly built MIR graph, in the
-    paper's order: inlining (when specializing), type specialization, GVN,
-    constant propagation, loop inversion, DCE, bounds-check elimination,
-    LICM, and a final DCE cleanup. Verifies the graph afterwards
-    (structurally always; with {!Verify.check_types} after every pass when
-    [check] — defaulting to {!checks} — is on, raising {!Diag.Failed}
-    attributed to the offending pass). *)
+(** Run the configured passes over a freshly built MIR graph: type
+    specialization, GVN and constant propagation; closure inlining (when
+    specializing), unrolling and loop inversion, each followed by the
+    clean-up passes it needs when it changed the graph; DCE,
+    bounds-check elimination, LICM and guard elision. One runner executes
+    every pass: it records the pass in [passes], bills it the graph size
+    it enters (so [mir_instrs_processed] is the sum of [pd_before]), and,
+    when [check] — defaulting to {!checks} — is on, runs
+    {!Verify.run}, {!Verify.check_types} and translation validation after
+    it, raising {!Diag.Failed} attributed to the offending pass. The
+    structural verifier also runs once at the end, unconditionally. *)
 
 val npasses : config -> int
 (** Scheduled pass count for this config — the compile-latency weight the

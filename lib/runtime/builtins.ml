@@ -9,7 +9,6 @@ let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
    the same defaults a fresh process would. *)
 let print_hook = Support.Tls.make (fun () -> print_endline)
 
-let set_print_hook h = Support.Tls.set print_hook h
 let print_line s = (Support.Tls.get print_hook) s
 let with_print_hook h f = Support.Tls.with_value print_hook h f
 

@@ -7,14 +7,11 @@
 
 exception Runtime_error of string
 
-val set_print_hook : (string -> unit) -> unit
-(** Where [print] writes on the current domain; defaults to
-    [print_endline]. Domain-local, so pool tasks redirecting their own
-    output never race. *)
-
 val with_print_hook : (string -> unit) -> (unit -> 'a) -> 'a
-(** Run with this domain's print sink temporarily replaced, restoring it
-    afterwards (also on exception). *)
+(** Run with this domain's [print] sink (default [print_endline])
+    temporarily replaced, restoring it afterwards (also on exception).
+    Domain-local, so pool tasks redirecting their own output never
+    race. *)
 
 val reset_random : int -> unit
 (** Reseed [Math.random]'s deterministic generator (domain-local: each

@@ -160,7 +160,3 @@ let unop_to_string = function
   | Bit_not -> "bitnot"
   | Typeof -> "typeof"
   | To_number -> "tonum"
-
-let binop_is_int_pure = function
-  | Bit_and | Bit_or | Bit_xor | Shl | Shr -> true
-  | Add | Sub | Mul | Div | Mod | Ushr -> false

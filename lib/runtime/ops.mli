@@ -42,8 +42,3 @@ val loose_eq : Value.t -> Value.t -> bool
 val binop_to_string : binop -> string
 val cmp_to_string : cmp -> string
 val unop_to_string : unop -> string
-
-val binop_is_int_pure : binop -> bool
-(** True for operators that map int32 operands to an int32 result with no
-    possibility of overflow ([Bit_and], [Bit_or], [Bit_xor], [Shl], [Shr]);
-    used by the JIT to omit overflow guards. *)

@@ -34,4 +34,3 @@ let render ?align ~header ~rows () =
   String.concat "\n" (render_row header :: sep :: List.map render_row rows) ^ "\n"
 
 let fmt_pct x = Printf.sprintf "%.2f" x
-let fmt_f ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x

@@ -17,5 +17,3 @@ val render :
 
 val fmt_pct : float -> string
 (** Two-decimal percentage, e.g. [5.38] -> ["5.38"]. *)
-
-val fmt_f : ?decimals:int -> float -> string

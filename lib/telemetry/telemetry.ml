@@ -452,44 +452,6 @@ let text_sink ?(prefix = "[jit] ") oc ev =
 let jsonl_sink oc ev =
   output_string oc (to_json ev ^ "\n")
 
-(* Bounded in-memory buffer: keeps the most recent [capacity] events and
-   counts what it had to drop. The test suite's window into the engine. *)
-module Ring = struct
-  type t = {
-    buf : event option array;
-    mutable next : int;  (* next write position *)
-    mutable stored : int;  (* total events ever written *)
-  }
-
-  let create capacity =
-    if capacity <= 0 then invalid_arg "Telemetry.Ring.create: capacity must be positive";
-    { buf = Array.make capacity None; next = 0; stored = 0 }
-
-  let sink r ev =
-    r.buf.(r.next) <- Some ev;
-    r.next <- (r.next + 1) mod Array.length r.buf;
-    r.stored <- r.stored + 1
-
-  let capacity r = Array.length r.buf
-  let length r = min r.stored (Array.length r.buf)
-  let dropped r = max 0 (r.stored - Array.length r.buf)
-
-  (* Oldest first. *)
-  let contents r =
-    let cap = Array.length r.buf in
-    let n = length r in
-    let start = if r.stored <= cap then 0 else r.next in
-    List.init n (fun i ->
-        match r.buf.((start + i) mod cap) with
-        | Some ev -> ev
-        | None -> assert false)
-
-  let clear r =
-    Array.fill r.buf 0 (Array.length r.buf) None;
-    r.next <- 0;
-    r.stored <- 0
-end
-
 (* ------------------------------------------------------------------ *)
 (* Request trace context                                               *)
 (* ------------------------------------------------------------------ *)
@@ -540,8 +502,8 @@ type span = {
       (* extra Chrome-trace args: (key, already-rendered JSON value) *)
   sp_ph : span_ph;  (* Ph_complete outside flow stitching *)
   sp_flow : int;  (* flow id tying a start to its finish; 0 = none *)
-  sp_trace : int;  (* requesting trace id; 0 = no request context *)
-  sp_lane : int;  (* Perfetto tid (the request lane); 0 renders as 1 *)
+  sp_trace : int;  (* requesting trace id, rendered as the Perfetto tid
+                      (the request lane); 0 = no request context *)
   sp_pid : int;  (* Perfetto pid (the isolate); 0 renders as 1 *)
 }
 
@@ -569,18 +531,17 @@ let make_span ~ctx ~ph ~flow ~depth ~args ~name ~cat ~fid ~fname ~start ~dur =
     sp_ph = ph;
     sp_flow = flow;
     sp_trace = trace;
-    sp_lane = trace;
     sp_pid = pid;
   }
 
 (* One Chrome trace-event object, loadable in Perfetto / chrome://tracing
    when wrapped as {"traceEvents":[...]}. Complete spans are "ph":"X";
    flow stitches are "ph":"s"/"f" pairs sharing an "id". The model-cycle
-   clock maps onto the format's microsecond timestamps. Lane/pid zero
-   renders as 1 so standalone (`jsvm`) traces are byte-identical to the
+   clock maps onto the format's microsecond timestamps. A zero trace id
+   or pid renders as 1 so standalone (`jsvm`) traces are byte-identical to the
    pre-flow format. *)
 let span_to_chrome_json s =
-  let tid = if s.sp_lane = 0 then 1 else s.sp_lane in
+  let tid = if s.sp_trace = 0 then 1 else s.sp_trace in
   let pid = if s.sp_pid = 0 then 1 else s.sp_pid in
   let trace_arg = if s.sp_trace = 0 then [] else [ ("trace_id", string_of_int s.sp_trace) ] in
   match s.sp_ph with

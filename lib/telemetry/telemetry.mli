@@ -3,8 +3,8 @@
     The paper's whole argument is about {e when} the engine compiles,
     specializes, bails out, deoptimizes and blacklists (§4, §6). This module
     makes those decisions first-class: the engine emits an {!event} at every
-    policy transition, pluggable {!sink}s consume them (an in-memory
-    {!Ring} for tests, {!text_sink} for humans, {!jsonl_sink} for tools),
+    policy transition, pluggable {!sink}s consume them ({!text_sink} for
+    humans, {!jsonl_sink} for tools, any [event -> unit] for tests),
     lifecycle {!span}s record where the model cycles went, and a
     {!Counters} registry of named per-function/global counters is the
     single source of truth the engine report is derived from. All three
@@ -21,9 +21,9 @@ type pass_delta = {
   pd_before : int;  (** MIR instructions entering the pass *)
   pd_after : int;  (** MIR instructions after it ran *)
 }
-(** Per-pass size attribution for one compilation. The model charges
-    compile time per instruction visited, so [pd_before] is also the pass's
-    cost weight. *)
+(** Per-pass size attribution for one compilation. The model bills each
+    pass the graph size it enters, so [pd_before] is the pass's cost
+    weight and the compile charge is their sum. *)
 
 type deopt_reason =
   | Arg_mismatch
@@ -40,7 +40,7 @@ type quarantine_reason =
           or an injected [Faults] failure *)
   | Deopt_storm
       (** the function oscillated compile→bailout→recompile past the
-          engine's [storm_threshold] *)
+          engine's storm threshold (8 binary discards) *)
   | Cache_oom  (** code-cache admission failed for the function's binary *)
 
 type event =
@@ -239,8 +239,9 @@ type span = {
       (** extra Chrome-trace args: (key, already-rendered JSON value) *)
   sp_ph : span_ph;  (** [Ph_complete] outside flow stitching *)
   sp_flow : int;  (** flow id tying a start to its finish; 0 = none *)
-  sp_trace : int;  (** requesting trace id; 0 = no request context *)
-  sp_lane : int;  (** Perfetto tid (the request lane); 0 renders as 1 *)
+  sp_trace : int;
+      (** requesting trace id, rendered as the Perfetto tid (the request
+          lane); 0 = no request context, rendered as 1 *)
   sp_pid : int;  (** Perfetto pid (the isolate); 0 renders as 1 *)
 }
 (** A completed engine-lifecycle interval on the deterministic model-cycle
@@ -263,22 +264,6 @@ val text_sink : ?prefix:string -> out_channel -> sink
 
 val jsonl_sink : out_channel -> sink
 (** Writes [to_json ev] per event, newline-terminated, unflushed. *)
-
-(** Bounded in-memory event buffer: keeps the most recent [capacity]
-    events, oldest first in {!contents}, and counts what it dropped. *)
-module Ring : sig
-  type t
-
-  val create : int -> t
-  (** @raise Invalid_argument when the capacity is not positive. *)
-
-  val sink : t -> sink
-  val contents : t -> event list
-  val length : t -> int
-  val capacity : t -> int
-  val dropped : t -> int
-  val clear : t -> unit
-end
 
 (** {1 Counters} *)
 

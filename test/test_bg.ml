@@ -8,6 +8,9 @@
 
 open Runtime
 
+(* A list sink: [collect evs] records every event in [evs], newest first. *)
+let collect evs ev = evs := ev :: !evs
+
 let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = [])
     ?(span_sinks = []) src =
   let buf = Buffer.create 64 in
@@ -124,10 +127,10 @@ let test_bg_off_is_default () =
   Alcotest.(check int) "nothing in flight" 0 (Engine.bg_in_flight engine)
 
 let test_enqueue_and_ready_events () =
-  let ring = Telemetry.Ring.create 4096 in
-  let engine, _, _ = run ~cfg:(bg_cfg ()) ~sinks:[ Telemetry.Ring.sink ring ] call_hot_src in
+  let evs = ref [] in
+  let engine, _, _ = run ~cfg:(bg_cfg ()) ~sinks:[ collect evs ] call_hot_src in
   let events k =
-    List.filter (fun e -> Telemetry.event_kind e = k) (Telemetry.Ring.contents ring)
+    List.filter (fun e -> Telemetry.event_kind e = k) (List.rev !evs)
   in
   let enqueues = events "compile_enqueue" and readies = events "compile_ready" in
   Alcotest.(check bool) "at least one enqueue" true (List.length enqueues >= 1);
@@ -173,10 +176,10 @@ let test_osr_entry_and_stale_refusal () =
     ((fn report "churn").Engine.fr_compiles >= 1)
 
 let test_osr_entry_events_match_counter () =
-  let ring = Telemetry.Ring.create 4096 in
-  let engine, _, _ = run ~cfg:(bg_cfg ()) ~sinks:[ Telemetry.Ring.sink ring ] loop_src in
+  let evs = ref [] in
+  let engine, _, _ = run ~cfg:(bg_cfg ()) ~sinks:[ collect evs ] loop_src in
   let entries =
-    List.filter (fun e -> Telemetry.event_kind e = "osr_entry") (Telemetry.Ring.contents ring)
+    List.filter (fun e -> Telemetry.event_kind e = "osr_entry") (List.rev !evs)
   in
   Alcotest.(check int) "one Osr_entry event per counted entry"
     (total engine Telemetry.Key.bg_osr_entries)
@@ -282,7 +285,7 @@ let test_promotion_and_seeding_counted_once () =
    booked off-clock. *)
 let test_bg_fault point () =
   let plan = Faults.make ~seed:3 [ (point, Faults.Nth 1) ] in
-  let ring = Telemetry.Ring.create 4096 in
+  let evs = ref [] in
   let spans = ref [] in
   let fired = ref [] in
   let engine, report, out =
@@ -290,7 +293,7 @@ let test_bg_fault point () =
       (fun p -> fired := p :: !fired)
       (fun () ->
         Faults.with_plan plan (fun () ->
-            run ~cfg:(bg_cfg ()) ~sinks:[ Telemetry.Ring.sink ring ]
+            run ~cfg:(bg_cfg ()) ~sinks:[ collect evs ]
               ~span_sinks:[ (fun sp -> spans := sp :: !spans) ]
               call_hot_src))
   in
@@ -312,12 +315,12 @@ let test_bg_fault point () =
   Alcotest.(check (list int)) "every flow start has exactly one finish" starts
     (flows Telemetry.Ph_flow_finish);
   let events k =
-    List.filter (fun e -> Telemetry.event_kind e = k) (Telemetry.Ring.contents ring)
+    List.filter (fun e -> Telemetry.event_kind e = k) (List.rev !evs)
   in
   let aborts =
     List.filter_map
       (function Telemetry.Compile_abort { cycles; _ } -> Some cycles | _ -> None)
-      (Telemetry.Ring.contents ring)
+      (List.rev !evs)
   in
   match point with
   | Faults.Bg_enqueue ->

@@ -9,8 +9,11 @@
 
 open Runtime
 
+(* A list sink: [collect evs] records every event in [evs], newest first. *)
+let collect evs ev = evs := ev :: !evs
+
 (* Run a source program on an explicit engine, capturing prints, with
-   optional ring sinks for event inspection. *)
+   optional list sinks for event inspection. *)
 let run ?(cfg = Engine.default_config ()) ?(sinks = []) src =
   let buf = Buffer.create 64 in
   Builtins.with_print_hook
@@ -33,8 +36,8 @@ let counter engine report name key =
     (Telemetry.counters (Engine.telemetry engine))
     ~fid:(fn report name).Engine.fr_fid key
 
-let events_of ring name =
-  List.filter (fun e -> Telemetry.event_fname e = name) (Telemetry.Ring.contents ring)
+let events_of evs name =
+  List.filter (fun e -> Telemetry.event_fname e = name) (List.rev !evs)
 
 let kinds events = List.map Telemetry.event_kind events
 
@@ -109,11 +112,11 @@ let test_compile_abort_retries () =
   (* One injected abort at the first compile (call 10): the wasted cycles
      are charged, the function is quarantined for hot_calls * 2 = 20
      calls, and the retry at call 30 succeeds. *)
-  let ring = Telemetry.Ring.create 256 in
+  let evs = ref [] in
   let src = hot_src 35 in
   let plan = Faults.make ~seed:1 [ (Faults.Compile_diag, Faults.Nth 1) ] in
   let engine, report, out =
-    Faults.with_plan plan (fun () -> run ~sinks:[ Telemetry.Ring.sink ring ] src)
+    Faults.with_plan plan (fun () -> run ~sinks:[ collect evs ] src)
   in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
@@ -121,7 +124,7 @@ let test_compile_abort_retries () =
   Alcotest.(check int) "one quarantine" 1 (get Telemetry.Key.quarantines);
   Alcotest.(check int) "not pinned" 0 (get Telemetry.Key.pins);
   Alcotest.(check int) "the retry succeeded" 1 (get Telemetry.Key.compiles);
-  (match events_of ring "f" with
+  (match events_of evs "f" with
   | Telemetry.Compile_start _
     :: Telemetry.Compile_abort { reason; cycles; osr = false; _ }
     :: Telemetry.Quarantine
@@ -193,10 +196,10 @@ let test_exec_fault_entry_guard () =
      for (var k = 0; k < 30; k++) t = (t + g(5, k % 7)) | 0;\n\
      print(t);"
   in
-  let ring = Telemetry.Ring.create 256 in
+  let evs = ref [] in
   let plan = Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Nth 1) ] in
   let engine, report, out =
-    Faults.with_plan plan (fun () -> run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] src)
+    Faults.with_plan plan (fun () -> run ~cfg ~sinks:[ collect evs ] src)
   in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "g" in
@@ -205,7 +208,7 @@ let test_exec_fault_entry_guard () =
   Alcotest.(check int) "narrowed, not blacklisted" 0 (get Telemetry.Key.blacklists);
   Alcotest.(check int) "respecialized once" 2 (get Telemetry.Key.compiles);
   match
-    List.filter (function Telemetry.Bailout _ -> true | _ -> false) (events_of ring "g")
+    List.filter (function Telemetry.Bailout _ -> true | _ -> false) (events_of evs "g")
   with
   | [ Telemetry.Bailout { pc = 0; strikes = 0; osr_entry = false; _ } ] -> ()
   | _ -> Alcotest.fail "expected exactly one entry bailout at pc 0"
@@ -230,10 +233,10 @@ let test_exec_fault_in_body () =
      survives (max_bailouts = 3) and keeps serving the remaining calls. *)
   let cfg = Engine.default_config ~opt:ps_only () in
   let src = guarded_src 30 in
-  let ring = Telemetry.Ring.create 256 in
+  let evs = ref [] in
   let plan = Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Nth 1) ] in
   let engine, report, out =
-    Faults.with_plan plan (fun () -> run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] src)
+    Faults.with_plan plan (fun () -> run ~cfg ~sinks:[ collect evs ] src)
   in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
@@ -243,7 +246,7 @@ let test_exec_fault_in_body () =
     (get Telemetry.Key.strike_discards);
   Alcotest.(check int) "no deopt, no recompile" 1 (get Telemetry.Key.compiles);
   match
-    List.filter (function Telemetry.Bailout _ -> true | _ -> false) (events_of ring "f")
+    List.filter (function Telemetry.Bailout _ -> true | _ -> false) (events_of evs "f")
   with
   | [ Telemetry.Bailout { pc; strikes = 1; osr_entry = false; _ } ] ->
     Alcotest.(check bool) "bailed mid-body" true (pc > 0)
@@ -297,8 +300,8 @@ let test_cache_budget_lru_eviction () =
   let _, unbounded, expected = run two_func_src in
   let budget = max (native_bytes unbounded "f") (native_bytes unbounded "g") in
   let cfg = Engine.default_config ~code_cache_bytes:budget () in
-  let ring = Telemetry.Ring.create 256 in
-  let engine, report, out = run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] two_func_src in
+  let evs = ref [] in
+  let engine, report, out = run ~cfg ~sinks:[ collect evs ] two_func_src in
   Alcotest.(check string) "same output under the budget" expected out;
   let get name = counter engine report name in
   Alcotest.(check int) "f evicted once, then g" 1 (get "f" Telemetry.Key.cache_evictions);
@@ -315,7 +318,7 @@ let test_cache_budget_lru_eviction () =
   match
     List.filter
       (function Telemetry.Cache_evict _ -> true | _ -> false)
-      (Telemetry.Ring.contents ring)
+      (List.rev !evs)
   with
   | [ Telemetry.Cache_evict { bytes = b1; _ }; Telemetry.Cache_evict { bytes = b2; _ } ]
     ->

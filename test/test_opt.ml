@@ -649,6 +649,39 @@ let test_inline_budget () =
   let stats = apply program (Pipeline.make ~ps:true ~cp:true "ps") f in
   Alcotest.(check bool) "bounded" true (stats.Pipeline.inlined <= 8)
 
+(* --- the pass runner --- *)
+
+(* One billing rule: a pass is charged the graph size it enters, and only
+   a pass that ran is charged, so the compile charge is the sum of
+   [pd_before] over the pass trace. The map example inlines [inc], which
+   runs the post-inline clean-up group; with GVN off that group must not
+   bill a GVN run. Configs: the Figure 9 grid plus the bench ablations. *)
+let test_billing_is_the_pass_trace () =
+  let ablations =
+    [
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~bce:true "conservative BCE";
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~bce:true ~precise_alias:true "precise BCE";
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~bce:true ~precise_alias:true
+        ~overflow_elim:true "precise + overflow";
+      Pipeline.make ~ps:true ~sccp:true ~dce:true "SCCP";
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~gvn:false "without GVN";
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~licm:false "without LICM";
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~li:true "with LI";
+      Pipeline.make ~ps:true ~cp:true ~dce:true ~loop_unroll:true "with unrolling";
+    ]
+  in
+  List.iter
+    (fun (config : Pipeline.config) ->
+      let program, f = build_map () in
+      let stats = apply program config f in
+      if config.Pipeline.param_spec then
+        Alcotest.(check int) (config.Pipeline.name ^ ": inc inlined") 1 stats.Pipeline.inlined;
+      Alcotest.(check int)
+        (config.Pipeline.name ^ ": charge is the sum of pd_before")
+        (List.fold_left (fun n pd -> n + pd.Telemetry.pd_before) 0 stats.Pipeline.passes)
+        stats.Pipeline.mir_instrs_processed)
+    ((Pipeline.baseline :: Pipeline.all_on :: Pipeline.figure9_configs) @ ablations)
+
 (* --- GVN / LICM --- *)
 
 let test_gvn_dedups_redundant_guards () =
@@ -1060,6 +1093,8 @@ let suites =
         Alcotest.test_case "guards fold only on constant operands" `Quick
           test_sccp_guards_fold_only_on_constant_operands;
       ] );
+    ( "opt.pipeline",
+      [ Alcotest.test_case "billing is the pass trace" `Quick test_billing_is_the_pass_trace ] );
     ( "opt.section3",
       [
         Alcotest.test_case "figures 6-8 progression on map/inc" `Quick

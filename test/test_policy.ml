@@ -9,6 +9,9 @@
 
 open Runtime
 
+(* A list sink: [collect evs] records every event in [evs], newest first. *)
+let collect evs ev = evs := ev :: !evs
+
 let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = []) src =
   let buf = Buffer.create 64 in
   Builtins.with_print_hook
@@ -27,8 +30,8 @@ let counter engine report name key =
     (Telemetry.counters (Engine.telemetry engine))
     ~fid:(fn report name).Engine.fr_fid key
 
-let events_of ring name =
-  List.filter (fun e -> Telemetry.event_fname e = name) (Telemetry.Ring.contents ring)
+let events_of evs name =
+  List.filter (fun e -> Telemetry.event_fname e = name) (List.rev !evs)
 
 let poly_cfg ?(cache_size = 2) ?(opt = Pipeline.all_on) () =
   Engine.default_config ~opt ~policy:Policy.Polyvariant ~cache_size ()
@@ -215,7 +218,7 @@ let test_on_miss_polyvariant () =
    which the miss path (and hence the widening ladder) is observable. *)
 
 let test_widening_ladder_schedule () =
-  let ring = Telemetry.Ring.create 4096 in
+  let evs = ref [] in
   let cfg = poly_cfg ~cache_size:1 () in
   let src =
     "function f(x) { return x + 1; }\n\
@@ -226,7 +229,7 @@ let test_widening_ladder_schedule () =
      t = f(1.5);\n\
      print(t);"
   in
-  let engine, report, out = run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] src in
+  let engine, report, out = run ~cfg ~sinks:[ collect evs ] src in
   Alcotest.(check string) "result" "2.5\n" out;
   let get = counter engine report "f" in
   (* Caller-seeded value version, then the full ladder: f(9) has the same
@@ -244,7 +247,7 @@ let test_widening_ladder_schedule () =
       (function
         | Telemetry.Version_widen { from_key; to_key; _ } -> Some (from_key, to_key)
         | _ -> None)
-      (events_of ring "f")
+      (events_of evs "f")
   in
   Alcotest.(check (list (pair string string)))
     "ladder transitions"
@@ -252,7 +255,7 @@ let test_widening_ladder_schedule () =
     widens
 
 let test_fill_and_best_rank_probe () =
-  let ring = Telemetry.Ring.create 4096 in
+  let evs = ref [] in
   let cfg = poly_cfg ~cache_size:2 () in
   let src =
     "function f(x) { return x; }\n\
@@ -263,7 +266,7 @@ let test_fill_and_best_rank_probe () =
      t = f(\"a\");\n\
      print(f(5));"
   in
-  let engine, report, out = run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] src in
+  let engine, report, out = run ~cfg ~sinks:[ collect evs ] src in
   Alcotest.(check string) "result" "5\n" out;
   let get = counter engine report "f" in
   (* The string call misses the value version; a novel tag with room
@@ -274,7 +277,7 @@ let test_fill_and_best_rank_probe () =
   (* The final f(5): the generic catch-all is at the front of the MRU list
      (the second string call hit it), but the probe must prefer the more
      specific value version behind it. *)
-  (match List.rev (events_of ring "f") with
+  (match List.rev (events_of evs "f") with
   | Telemetry.Cache_hit { index; entries; _ } :: _ ->
     Alcotest.(check int) "entries at the last probe" 2 entries;
     Alcotest.(check int) "most specific version wins, not the MRU generic" 1 index

@@ -1,4 +1,4 @@
-(* Telemetry-layer tests: the ring/JSON sinks themselves, exact event
+(* Telemetry-layer tests: the JSON sinks themselves, exact event
    sequences through the engine's policy transitions, the counter registry
    as the report's source of truth, and regression coverage for the two
    deoptimization-policy bugs (per-binary strike counting; entry bails on
@@ -6,7 +6,10 @@
 
 open Runtime
 
-(* Run a source program on an explicit engine so the test can attach ring
+(* A list sink: [collect evs] records every event in [evs], newest first. *)
+let collect evs ev = evs := ev :: !evs
+
+(* Run a source program on an explicit engine so the test can attach list
    sinks and read the counter registry afterwards. *)
 let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = []) src =
   let buf = Buffer.create 64 in
@@ -21,8 +24,8 @@ let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = []) src
 let fn report name =
   List.find (fun (f : Engine.func_report) -> f.Engine.fr_name = name) report.Engine.functions
 
-let events_of ring name =
-  List.filter (fun e -> Telemetry.event_fname e = name) (Telemetry.Ring.contents ring)
+let events_of evs name =
+  List.filter (fun e -> Telemetry.event_fname e = name) (List.rev !evs)
 
 let kinds events = List.map Telemetry.event_kind events
 
@@ -33,20 +36,6 @@ let ps_only = Pipeline.make ~ps:true "PS-only"
 (* ------------------------------------------------------------------ *)
 (* The sinks themselves                                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_ring_buffer () =
-  let ring = Telemetry.Ring.create 3 in
-  let sink = Telemetry.Ring.sink ring in
-  for i = 0 to 4 do
-    sink (Telemetry.Blacklist { fid = i; fname = "f" ^ string_of_int i })
-  done;
-  Alcotest.(check int) "capacity" 3 (Telemetry.Ring.capacity ring);
-  Alcotest.(check int) "length" 3 (Telemetry.Ring.length ring);
-  Alcotest.(check int) "dropped" 2 (Telemetry.Ring.dropped ring);
-  Alcotest.(check (list int)) "keeps the most recent, oldest first" [ 2; 3; 4 ]
-    (List.map Telemetry.event_fid (Telemetry.Ring.contents ring));
-  Telemetry.Ring.clear ring;
-  Alcotest.(check int) "clear empties" 0 (Telemetry.Ring.length ring)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -121,18 +110,18 @@ let test_exact_event_sequence () =
   (* The life cycle of one specialized binary, event by event: specialize
      and compile when hot, serve cache hits, then one in-body bailout that
      (with max_bailouts = 1) immediately strikes the binary out. *)
-  let ring = Telemetry.Ring.create 256 in
+  let evs = ref [] in
   let cfg = { (Engine.default_config ~opt:ps_only ()) with Engine.max_bailouts = 1 } in
   let _, report, out =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] (bailing_src "f(a);")
+    run ~cfg ~sinks:[ collect evs ] (bailing_src "f(a);")
   in
   Alcotest.(check string) "result" "40\n" out;
   Alcotest.(check (list string)) "exact event sequence"
     ([ "specialize"; "compile_start"; "guard_elided"; "compile_end" ]
     @ List.init 11 (fun _ -> "cache_hit")
     @ [ "bailout"; "deopt" ])
-    (kinds (events_of ring "f"));
-  (match List.rev (events_of ring "f") with
+    (kinds (events_of evs "f"));
+  (match List.rev (events_of evs "f") with
   | Telemetry.Deopt { reason = Telemetry.Strike_limit; _ }
     :: Telemetry.Bailout { strikes = 1; pc; osr_entry = false; _ } :: _ ->
     Alcotest.(check bool) "in-body bailout" true (pc > 0)
@@ -142,13 +131,13 @@ let test_exact_event_sequence () =
 let test_strike_limit_is_exact () =
   (* Regression (off-by-one): max_bailouts = 2 must mean the binary dies at
      its second bailout, not survive into a third. *)
-  let ring = Telemetry.Ring.create 1024 in
+  let evs = ref [] in
   let cfg = { (Engine.default_config ~opt:ps_only ()) with Engine.max_bailouts = 2 } in
   let engine, report, _ =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring ]
+    run ~cfg ~sinks:[ collect evs ]
       (bailing_src "for (var k = 0; k < 6; k++) f(a);")
   in
-  let events = events_of ring "f" in
+  let events = events_of evs "f" in
   let rec before_first_strike acc = function
     | [] -> List.rev acc
     | Telemetry.Deopt { reason = Telemetry.Strike_limit; _ } :: _ -> List.rev acc
@@ -191,7 +180,7 @@ let test_strikes_are_per_binary () =
      healthy one: the healthy binary compiles once and is never discarded,
      and every strike-out happens at exactly max_bailouts strikes of its
      own binary. *)
-  let ring = Telemetry.Ring.create 4096 in
+  let evs = ref [] in
   let cfg =
     {
       (Engine.default_config ~opt:ps_only ~cache_size:3 ()) with
@@ -199,7 +188,7 @@ let test_strikes_are_per_binary () =
     }
   in
   let engine, report, _ =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring ]
+    run ~cfg ~sinks:[ collect evs ]
       "function f(s, i) { return s[i]; }\n\
        var a = [1, 2, 3, 4];\n\
        var t = 0;\n\
@@ -207,7 +196,7 @@ let test_strikes_are_per_binary () =
        for (var k = 0; k < 8; k++) { f(a, 5); f(a, 6); t = (t + f(a, 1)) | 0; }\n\
        print(t);"
   in
-  let events = Array.of_list (events_of ring "f") in
+  let events = Array.of_list (events_of evs "f") in
   Array.iteri
     (fun i e ->
       match e with
@@ -242,7 +231,7 @@ let test_strikes_per_binary_polyvariant () =
      strike-out. Every [max_bailouts]-th in-body bailout discards only its
      own version — the healthy sibling and the catch-all survive to the
      end, and none of it costs the function its specialization rights. *)
-  let ring = Telemetry.Ring.create 4096 in
+  let evs = ref [] in
   let cfg =
     {
       (Engine.default_config ~opt:ps_only ~policy:Policy.Polyvariant
@@ -251,7 +240,7 @@ let test_strikes_per_binary_polyvariant () =
     }
   in
   let engine, report, out =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring ]
+    run ~cfg ~sinks:[ collect evs ]
       "function f(s, i) { return s[i]; }\n\
        var a = [1, 2, 3, 4];\n\
        var t = 0;\n\
@@ -260,7 +249,7 @@ let test_strikes_per_binary_polyvariant () =
        print(t);"
   in
   Alcotest.(check string) "result" "76\n" out;
-  let events = Array.of_list (events_of ring "f") in
+  let events = Array.of_list (events_of evs "f") in
   Array.iteri
     (fun i e ->
       match e with
@@ -296,7 +285,7 @@ let test_entry_bail_is_a_deopt () =
      rejected it — and must be visible as one. Selective mode narrows and
      respecializes instead of blacklisting, and the widened type feedback
      makes the replacement binary guard-free on that argument. *)
-  let ring = Telemetry.Ring.create 1024 in
+  let evs = ref [] in
   let cfg = Engine.default_config ~opt:Pipeline.all_on ~selective:true () in
   let src =
     "function g(a, b) { return (a * 10 + b) | 0; }\n\
@@ -306,7 +295,7 @@ let test_entry_bail_is_a_deopt () =
      for (var k = 0; k < 10; k++) t = (t + g(5, k % 7)) | 0;\n\
      print(t);"
   in
-  let engine, report, out = run ~cfg ~sinks:[ Telemetry.Ring.sink ring ] src in
+  let engine, report, out = run ~cfg ~sinks:[ collect evs ] src in
   let _, _, interp_out = run ~cfg:Engine.interp_only src in
   Alcotest.(check string) "matches the interpreter" interp_out out;
   let g = fn report "g" in
@@ -323,13 +312,13 @@ let test_entry_bail_is_a_deopt () =
   (match
      List.filter
        (function Telemetry.Deopt _ | Telemetry.Bailout _ -> true | _ -> false)
-       (events_of ring "g")
+       (events_of evs "g")
    with
   | [ Telemetry.Bailout { pc = 0; strikes = 0; _ };
       Telemetry.Deopt { reason = Telemetry.Entry_guard; _ } ] -> ()
   | _ -> Alcotest.fail "expected exactly one entry bailout followed by an entry-guard deopt");
   (* After narrowing, the replacement binary serves every remaining call. *)
-  (match List.rev (events_of ring "g") with
+  (match List.rev (events_of evs "g") with
   | Telemetry.Cache_hit _ :: _ -> ()
   | _ -> Alcotest.fail "expected the narrowed binary to serve the tail calls")
 
@@ -339,10 +328,10 @@ let test_entry_bail_is_a_deopt () =
 
 let test_lru_move_to_front () =
   (* With a 3-entry cache, hit positions expose the MRU reordering. *)
-  let ring = Telemetry.Ring.create 1024 in
+  let evs = ref [] in
   let cfg = Engine.default_config ~opt:Pipeline.all_on ~cache_size:3 () in
   let _, report, _ =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring ]
+    run ~cfg ~sinks:[ collect evs ]
       "function f(x) { return (x * 3) | 0; }\n\
        var t = 0;\n\
        for (var k = 0; k < 30; k++) t = (t + f(1)) | 0;\n\
@@ -359,7 +348,7 @@ let test_lru_move_to_front () =
   let hits =
     List.filter_map
       (function Telemetry.Cache_hit { index; _ } -> Some index | _ -> None)
-      (events_of ring "f")
+      (events_of evs "f")
   in
   (* Cache [3;2;1] after the fills; then f(1) hits slot 2 (-> [1;3;2]),
      f(3) slot 1 (-> [3;1;2]), f(3) slot 0, f(2) slot 2. *)
@@ -370,10 +359,10 @@ let test_full_cache_blacklists () =
   (* The eviction-vs-blacklist boundary: a miss on a FULL cache is the §4
      deoptimization — discard everything, blacklist, go generic — not an
      eviction of the least-recent entry. *)
-  let ring = Telemetry.Ring.create 1024 in
+  let evs = ref [] in
   let cfg = Engine.default_config ~opt:Pipeline.all_on ~cache_size:2 () in
   let engine, report, _ =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring ]
+    run ~cfg ~sinks:[ collect evs ]
       "function f(x) { return (x * 3) | 0; }\n\
        var t = 0;\n\
        for (var k = 0; k < 30; k++) t = (t + f(1)) | 0;\n\
@@ -399,7 +388,7 @@ let test_full_cache_blacklists () =
     in
     go None events
   in
-  (match kinds (after_last_miss (events_of ring "f")) with
+  (match kinds (after_last_miss (events_of evs "f")) with
   | "deopt" :: "blacklist" :: "compile_start" :: "compile_end" :: rest ->
     Alcotest.(check (list string)) "generic binary serves the tail" [ "cache_hit" ] rest
   | ks -> Alcotest.fail ("unexpected tail: " ^ String.concat "," ks));
@@ -449,12 +438,12 @@ let test_sinks_do_not_cost_cycles () =
   in
   let cfg = Engine.default_config ~opt:ps_only ~cache_size:2 () in
   let _, bare, out_bare = run ~cfg src in
-  let ring = Telemetry.Ring.create 4096 in
+  let evs = ref [] in
   let _, traced, out_traced =
-    run ~cfg ~sinks:[ Telemetry.Ring.sink ring; ignore ] src
+    run ~cfg ~sinks:[ collect evs; ignore ] src
   in
   Alcotest.(check string) "same output" out_bare out_traced;
-  Alcotest.(check bool) "events actually flowed" true (Telemetry.Ring.length ring > 0);
+  Alcotest.(check bool) "events actually flowed" true (!evs <> []);
   Alcotest.(check int) "same total cycles" bare.Engine.total_cycles traced.Engine.total_cycles;
   Alcotest.(check int) "same compile cycles" bare.Engine.compile_cycles
     traced.Engine.compile_cycles;
@@ -464,9 +453,9 @@ let test_sinks_do_not_cost_cycles () =
 let test_compile_end_carries_pass_deltas () =
   (* The per-pass attribution the bench harness aggregates: every
      Compile_end lists the configured passes in order, with coherent sizes. *)
-  let ring = Telemetry.Ring.create 256 in
+  let evs = ref [] in
   let _, _, _ =
-    run ~sinks:[ Telemetry.Ring.sink ring ]
+    run ~sinks:[ collect evs ]
       "function f(x) { return x + 1; } var t = 0;\n\
        for (var k = 0; k < 20; k++) t += f(7);\n\
        print(t);"
@@ -476,7 +465,7 @@ let test_compile_end_carries_pass_deltas () =
       (function
         | Telemetry.Compile_end { passes; cycles; _ } -> Some (passes, cycles)
         | _ -> None)
-      (Telemetry.Ring.contents ring)
+      (List.rev !evs)
   in
   Alcotest.(check bool) "at least one compile" true (ends <> []);
   List.iter
@@ -494,7 +483,6 @@ let suites =
   [
     ( "telemetry.sinks",
       [
-        Alcotest.test_case "ring buffer" `Quick test_ring_buffer;
         Alcotest.test_case "json escaping" `Quick test_json_escaping;
         Alcotest.test_case "control-byte escapes" `Quick test_json_escape_controls;
         Alcotest.test_case "escape/unescape round-trip" `Quick test_json_roundtrip;
