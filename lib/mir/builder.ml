@@ -379,11 +379,7 @@ let setup_loop_header ctx blk (edges : (int * bstate) list) =
       List.iter
         (fun (pred_bid, _) ->
           let pb = Mir.block ctx.f pred_bid in
-          pb.Mir.term <-
-            (match pb.Mir.term with
-            | Mir.Goto t -> Mir.Goto (redirect t)
-            | Mir.Branch (c, t1, t2) -> Mir.Branch (c, redirect t1, redirect t2)
-            | (Mir.Return _ | Mir.Unreachable) as t -> t))
+          pb.Mir.term <- Mir.map_term ~block:redirect pb.Mir.term)
         edges;
       [ (pre.Mir.bid, state) ]
   in

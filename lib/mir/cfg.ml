@@ -124,5 +124,70 @@ let natural_loops (f : Mir.func) doms =
     by_header;
   List.sort (fun a b -> compare (List.length b.body) (List.length a.body)) !loops
 
-let loop_depth loops bid =
-  List.length (List.filter (fun l -> List.mem bid l.body) loops)
+let in_loop loop bid = List.mem bid loop.body
+
+let entry_edge (f : Mir.func) loop =
+  match (Mir.block f loop.header).Mir.preds with
+  | [ a; b ] when not (in_loop loop a) && in_loop loop b -> Some (a, 0)
+  | [ a; b ] when in_loop loop a && not (in_loop loop b) -> Some (b, 1)
+  | _ -> None
+
+type while_shape = {
+  pre : int;
+  i_pre : int;
+  latch : int;
+  test : Mir.def;
+  body_entry : int;
+  exit : int;
+  stays_on_true : bool;
+}
+
+let while_shape (f : Mir.func) loop =
+  match (loop.latches, (Mir.block f loop.header).Mir.term, entry_edge f loop) with
+  | [ latch ], Mir.Branch (test, t, e), Some (pre, i_pre)
+    when latch <> loop.header && (Mir.block f latch).Mir.term = Mir.Goto loop.header -> (
+    let shape body_entry exit stays_on_true =
+      if body_entry = loop.header then None
+      else Some { pre; i_pre; latch; test; body_entry; exit; stays_on_true }
+    in
+    match (in_loop loop t, in_loop loop e) with
+    | true, false -> shape t e true
+    | false, true -> shape e t false
+    | _ -> None)
+  | _ -> None
+
+type induction = { phi : Mir.def; next : Mir.def; init : int; stride : int }
+
+let inductions (f : Mir.func) loop ~i_pre =
+  List.filter_map
+    (fun (phi : Mir.instr) ->
+      match phi.Mir.kind with
+      | Mir.Phi [| a; b |] -> (
+        let init, next = if i_pre = 0 then (a, b) else (b, a) in
+        match (Mir.const_int f init, (Mir.instr f next).Mir.kind) with
+        | Some init, Mir.Binop (Runtime.Ops.Add, x, y, _) -> (
+          let x = Mir.strip_to_number f x and y = Mir.strip_to_number f y in
+          let stride =
+            if x = phi.Mir.def then Mir.const_int f y
+            else if y = phi.Mir.def then Mir.const_int f x
+            else None
+          in
+          match stride with
+          | Some stride when stride > 0 -> Some { phi = phi.Mir.def; next; init; stride }
+          | _ -> None)
+        | _ -> None)
+      | _ -> None)
+    (Mir.block f loop.header).Mir.phis
+
+(* One loop per round: a rewrite changes the CFG, so dominators and the
+   loop forest are recomputed before the next. *)
+let rewrite_innermost ?(limit = max_int) (f : Mir.func) rewrite =
+  let rec round n =
+    if n >= limit then n
+    else
+      let doms = dominators f in
+      (* Innermost (smallest) first. *)
+      if List.exists (rewrite doms) (List.rev (natural_loops f doms)) then round (n + 1)
+      else n
+  in
+  round 0

@@ -346,6 +346,19 @@ let successors b =
   | Branch (_, a, c) -> [ a; c ]
   | Return _ | Unreachable -> []
 
+(* Rewrite a terminator's condition or returned def through [def] and its
+   successors through [block]. *)
+let map_term ?(def = Fun.id) ?(block = Fun.id) = function
+  | Goto t -> Goto (block t)
+  | Branch (c, a, b) -> Branch (def c, block a, block b)
+  | Return d -> Return (def d)
+  | Unreachable -> Unreachable
+
+(* The operand of the ToNumber wrapper that [i++] produces, else [d]. *)
+let strip_to_number f d = match (instr f d).kind with Unop (Ops.To_number, x) -> x | _ -> d
+
+let const_int f d = match (instr f d).kind with Constant (Value.Int n) -> Some n | _ -> None
+
 (* Every operand of an instruction kind, in order (callee before args). *)
 let iter_operands fn kind =
   match kind with
@@ -466,12 +479,7 @@ let substitute f subst =
   iter_blocks f (fun b ->
       List.iter apply b.phis;
       List.iter apply b.body;
-      b.term <-
-        (match b.term with
-        | Goto t -> Goto t
-        | Branch (c, a, bb) -> Branch (subst c, a, bb)
-        | Return d -> Return (subst d)
-        | Unreachable -> Unreachable))
+      b.term <- map_term ~def:subst b.term)
 
 (* ------------------------------------------------------------------ *)
 (* Guard elision                                                       *)

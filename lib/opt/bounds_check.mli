@@ -1,11 +1,12 @@
 (** Array-bounds-check elimination (paper §3.6).
 
-    Recognizes induction variables matching the paper's pattern
-    [i0 = exp; i1 = phi(i0, i2); i2 = i1 + c] and performs a trivial range
-    analysis: when the initial value is a known constant, the step is a
-    positive constant, and a loop-controlling comparison bounds the variable
-    by a constant, the bounds checks it indexes into compile-time-constant
-    arrays of sufficient length are removed.
+    Takes the induction variables {!Cfg.inductions} recognizes, the
+    paper's pattern [i0 = exp; i1 = phi(i0, i2); i2 = i1 + c], in every
+    loop with a {!Cfg.entry_edge}, and performs a trivial range analysis:
+    when the initial value is a known constant, the step is a positive
+    constant, and a loop-exit comparison anywhere in the loop bounds the
+    variable by a constant, the bounds checks it indexes into
+    compile-time-constant arrays of sufficient length are removed.
 
     Mirroring the paper's remark about IonMonkey's alias analysis, the pass
     is conservative by default: any store instruction or call in the
@@ -24,7 +25,8 @@
     With [~defer_bounds:true] the Bounds_check removal sweep is skipped:
     the abstract-interpretation pass (Guard_elim) subsumes it and records
     each deletion in telemetry exactly once. The overflow-check rewrite is
-    unaffected. *)
+    unaffected; without it the pass returns at once, before computing
+    dominators, loops or ranges. *)
 
 type stats = { bounds_removed : int; overflow_checks_removed : int }
 

@@ -28,11 +28,7 @@ let split_entry_edge (f : Mir.func) pre_bid header_bid =
   ph.Mir.preds <- [ pre_bid ];
   let pre = Mir.block f pre_bid in
   let redirect t = if t = header_bid then ph.Mir.bid else t in
-  pre.Mir.term <-
-    (match pre.Mir.term with
-    | Mir.Goto t -> Mir.Goto (redirect t)
-    | Mir.Branch (c, a, b) -> Mir.Branch (c, redirect a, redirect b)
-    | (Mir.Return _ | Mir.Unreachable) as t -> t);
+  pre.Mir.term <- Mir.map_term ~block:redirect pre.Mir.term;
   let header = Mir.block f header_bid in
   header.Mir.preds <-
     List.map (fun p -> if p = pre_bid then ph.Mir.bid else p) header.Mir.preds;
@@ -45,9 +41,8 @@ let run (f : Mir.func) =
   List.iter
     (fun (loop : Cfg.loop) ->
       let header = Mir.block f loop.Cfg.header in
-      let in_loop bid = List.mem bid loop.Cfg.body in
       (* The preheader is the unique predecessor outside the loop. *)
-      let outside = List.filter (fun p -> not (in_loop p)) header.Mir.preds in
+      let outside = List.filter (fun p -> not (Cfg.in_loop loop p)) header.Mir.preds in
       match outside with
       | [ direct_pre ] ->
         let pre_bid =

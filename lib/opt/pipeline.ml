@@ -219,7 +219,9 @@ let npasses (c : config) =
   + b (c.constprop || c.sccp)
   + b c.loop_unroll
   + b c.loop_inversion
-  + (2 * b c.dce) (* dce runs early and as the final cleanup *)
+  (* [apply] runs DCE once; the double count stays because the vs.bg_*
+     model cycles are computed from it. *)
+  + (2 * b c.dce)
   + b c.bounds_check_elim
   + b c.licm
   + b c.guard_elim

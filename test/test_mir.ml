@@ -141,8 +141,7 @@ let test_natural_loops () =
   Alcotest.(check int) "one loop" 1 (List.length loops);
   let loop = List.hd loops in
   Alcotest.(check int) "single latch" 1 (List.length loop.Cfg.latches);
-  Alcotest.(check bool) "header in body" true (List.mem loop.Cfg.header loop.Cfg.body);
-  Alcotest.(check int) "loop depth inside" 1 (Cfg.loop_depth loops loop.Cfg.header)
+  Alcotest.(check bool) "header in body" true (List.mem loop.Cfg.header loop.Cfg.body)
 
 let test_nested_loops () =
   let src =
@@ -154,9 +153,54 @@ let test_nested_loops () =
   match loops with
   | [ outer; inner ] ->
     Alcotest.(check bool) "outer contains inner header" true
-      (List.mem inner.Cfg.header outer.Cfg.body);
-    Alcotest.(check int) "inner header depth 2" 2 (Cfg.loop_depth loops inner.Cfg.header)
+      (List.mem inner.Cfg.header outer.Cfg.body)
   | _ -> Alcotest.fail "expected ordered loops"
+
+let only_loop f =
+  match Cfg.natural_loops f (Cfg.dominators f) with
+  | [ loop ] -> loop
+  | loops -> Alcotest.failf "expected one loop, got %d" (List.length loops)
+
+let counted_src =
+  "function f(n) { var t = 0; for (var i = 0; i < n; i += 2) t += i; return t; }"
+
+let test_while_shape () =
+  let _, f = build_fn counted_src 1 in
+  let loop = only_loop f in
+  let header = Mir.block f loop.Cfg.header in
+  match Cfg.while_shape f loop with
+  | None -> Alcotest.fail "a for loop is while-shaped"
+  | Some w ->
+    Alcotest.(check bool) "preheader outside" false (Cfg.in_loop loop w.Cfg.pre);
+    Alcotest.(check int) "preheader's pred index" w.Cfg.pre
+      (List.nth header.Mir.preds w.Cfg.i_pre);
+    Alcotest.(check (list int)) "the only latch" loop.Cfg.latches [ w.Cfg.latch ];
+    Alcotest.(check bool) "body entry inside" true (Cfg.in_loop loop w.Cfg.body_entry);
+    Alcotest.(check bool) "exit outside" false (Cfg.in_loop loop w.Cfg.exit);
+    Alcotest.(check bool) "i < n stays on true" true w.Cfg.stays_on_true;
+    Alcotest.(check bool) "header branch" true
+      (header.Mir.term = Mir.Branch (w.Cfg.test, w.Cfg.body_entry, w.Cfg.exit));
+    (match Cfg.inductions f loop ~i_pre:w.Cfg.i_pre with
+    | [ iv ] ->
+      Alcotest.(check (pair int int)) "i = 0, i += 2" (0, 2) (iv.Cfg.init, iv.Cfg.stride);
+      Alcotest.(check bool) "latch operand is i + 2" true
+        (match (Mir.instr f iv.Cfg.next).Mir.kind with
+        | Mir.Binop (Ops.Add, _, _, _) -> true
+        | _ -> false)
+    | ivs -> Alcotest.failf "expected one induction (t is not), got %d" (List.length ivs));
+    (* Inverted, the loop is bottom-tested and no longer matches. *)
+    Alcotest.(check int) "inverted" 1 (Loop_inversion.run f);
+    Alcotest.(check bool) "inverted loop" true (Cfg.while_shape f (only_loop f) = None)
+
+let test_while_shape_two_latches () =
+  let src =
+    "function f(n) { var t = 0, i = 0; while (i < n) { i++; if (i == 3) continue; t++; } \
+     return t; }"
+  in
+  let _, f = build_fn src 1 in
+  let loop = only_loop f in
+  Alcotest.(check int) "two latches" 2 (List.length loop.Cfg.latches);
+  Alcotest.(check bool) "not while-shaped" true (Cfg.while_shape f loop = None)
 
 let test_verifier_catches_bad_phi () =
   let _, f = build_fn map_src 2 in
@@ -260,6 +304,9 @@ let suites =
         Alcotest.test_case "dominators" `Quick test_dominators;
         Alcotest.test_case "natural loops" `Quick test_natural_loops;
         Alcotest.test_case "nested loops" `Quick test_nested_loops;
+        Alcotest.test_case "while shape and inductions" `Quick test_while_shape;
+        Alcotest.test_case "two latches are not while-shaped" `Quick
+          test_while_shape_two_latches;
       ] );
     ( "mir.structural",
       [
