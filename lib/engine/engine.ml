@@ -91,6 +91,8 @@ let with_diag_abort_hook h f = Support.Tls.with_value diag_abort_hook (Some h) f
 
 type compiled = {
   code : Code.t;
+  (* [code] decoded for the executor, once, here at install. *)
+  exec : Exec.prepared;
   (* What calls this version may serve: the burned-in argument tuple (plus
      the selective mask), a widened tag signature, or anything (generic).
      The probe ([Policy.matches]) is the soundness contract every
@@ -846,7 +848,7 @@ let install t fs req a ~sync =
             passes = stats.Pipeline.passes;
           });
   fs.sizes <- (specialized req, Code.size code) :: fs.sizes;
-  let entry = { code; key = req.r_key; strikes = 0; last_use = 0 } in
+  let entry = { code; exec = Exec.prepare code; key = req.r_key; strikes = 0; last_use = 0 } in
   if admit t entry then begin
     touch t entry;
     Some entry
@@ -1509,7 +1511,7 @@ and run_native t fs func act entry ~at_osr =
   let outcome =
     in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
         let o =
-          try Exec.run callbacks entry.code act ~at_osr
+          try Exec.run callbacks entry.exec act ~at_osr
           with Objmodel.Error msg -> raise (Runtime_error msg)
         in
         (match o with

@@ -49,10 +49,27 @@ type callbacks = {
 (** What the engine hands each run: call dispatch, the globals, the cycle
     accumulator and the execution observers it has attached. *)
 
-val run : callbacks -> Code.t -> activation -> at_osr:bool -> outcome
-(** Execute allocated code (no virtual registers). [at_osr] starts at the
-    code's OSR offset. @raise Runtime.Objmodel.Error for genuine JS type
-    errors (same as the interpreter). *)
+type prepared
+(** A {!Code.t} decoded once for execution: the code plus its
+    per-instruction {!Cost.instr} charges, one int each. The engine builds
+    it at install and keeps it on its code-cache entry. *)
+
+val prepare : Code.t -> prepared
+(** Check that every location in the code (instructions and snapshot maps)
+    is an allocated register or spill slot within its frame, and compute
+    the instruction costs. Runs once per install, so the dispatch loop
+    reads operands unchecked. @raise Invalid_argument on unallocated code
+    (virtual registers) or an out-of-range location — code that
+    {!Code_verify} already rejects. *)
+
+val run : callbacks -> prepared -> activation -> at_osr:bool -> outcome
+(** Execute prepared code. [at_osr] starts at the code's OSR offset. Per
+    instruction: its cached charge, the [on_charge] note, [on_instr], then
+    (at the same pc) a call's overhead or a failing guard's bailout
+    penalty. Dispatch allocates nothing per instruction beyond the values
+    the instruction itself creates and one actuals array per call.
+    @raise Runtime.Objmodel.Error for genuine JS type errors (same as the
+    interpreter). *)
 
 val make_activation :
   ?env:Runtime.Value.t ref array ->

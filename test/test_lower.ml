@@ -15,7 +15,7 @@ let compile ?spec_args ?arg_tags ?(config = Pipeline.baseline) src fid =
 let exec code ~func ~args =
   let cb = { Exec.call = (fun _ _ -> Alcotest.fail "unexpected call"); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
   let act = Exec.make_activation ~func ~args () in
-  Exec.run cb code act ~at_osr:false
+  Exec.run cb (Exec.prepare code) act ~at_osr:false
 
 let value = Alcotest.testable Value.pp Value.same_value
 
@@ -109,7 +109,7 @@ let test_entry_offset_is_zero_with_osr () =
         act_osr_locals = [| Value.Int 5; Value.Int 10 |];
       }
     in
-    match Exec.run cb code act ~at_osr with
+    match Exec.run cb (Exec.prepare code) act ~at_osr with
     | Exec.Finished v -> v
     | Exec.Bailed b -> Alcotest.failf "bailed: %s" b.Exec.bo_reason
   in

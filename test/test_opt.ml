@@ -616,7 +616,7 @@ let test_unroll_constant_trip_loop () =
   let code, _ = Regalloc.run (Lower.run f) in
   let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
   let act = Exec.make_activation ~func ~args:[| arr; Value.Int 5 |] () in
-  (match Exec.run cb code act ~at_osr:false with
+  (match Exec.run cb (Exec.prepare code) act ~at_osr:false with
   | Exec.Finished v -> Alcotest.(check bool) "sum" true (Value.same_value v (Value.Int 30))
   | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason)
 
@@ -632,7 +632,7 @@ let test_unroll_zero_trip_loop () =
   let code, _ = Regalloc.run (Lower.run f) in
   let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
   let act = Exec.make_activation ~func ~args:[| Value.Int 0 |] () in
-  match Exec.run cb code act ~at_osr:false with
+  match Exec.run cb (Exec.prepare code) act ~at_osr:false with
   | Exec.Finished v -> Alcotest.(check bool) "initial value" true (Value.same_value v (Value.Int 7))
   | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason
 
@@ -1041,7 +1041,7 @@ print(map(new Array(1, 2, 3, 4, 5), 2, 5, inc));
       globals = [||]; cycles = ref 0; on_charge = None; on_instr = None }
   in
   let act = Exec.make_activation ~func:map_fn ~args:spec_args () in
-  (match Exec.run cb code act ~at_osr:false with
+  (match Exec.run cb (Exec.prepare code) act ~at_osr:false with
   | Exec.Finished (Value.Arr a) ->
     Alcotest.(check (list int)) "array mutated in place" [ 1; 2; 4; 5; 6 ]
       (List.init a.Value.length (fun i ->
