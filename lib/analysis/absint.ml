@@ -31,7 +31,12 @@
        and the symbolic [i < a.length] fact for the canonical loop shape);
      - dominating-guard facts (a passed [Type_barrier]/[Check_array] pins
        the operand's tag; a passed [Bounds_check] establishes the bounds
-       fact for the same index/array pair).
+       fact for the same index/array pair);
+     - induction ranges (the counted loop of §3.6): a counter
+       [i = phi(n0, i + c)] bounded by a constant in a loop-exit
+       comparison anywhere in its loop lies in [n0, bound] wherever that
+       test's in-loop edge dominates, even where no dominating test
+       bounds it (the bottom-tested loops inversion leaves).
 
    Consumers ask [prove]: can this guard, at this program point, ever
    fail? Guard elision ([Opt.Guard_elim]) deletes only [Redundant] guards;
@@ -247,6 +252,7 @@ type result = {
   r_edge_facts : (int * int, edge_fact list) Hashtbl.t;
   r_single_pred : (int, int) Hashtbl.t; (* block -> its unique predecessor *)
   r_addend : (Mir.def, Mir.def * int) Hashtbl.t; (* canon d = canon x + c *)
+  r_inductions : (Mir.def, itv * int) Hashtbl.t; (* canon d in range below block *)
   r_shrinkers : bool; (* some instruction may shrink an array's length *)
 }
 
@@ -332,7 +338,42 @@ let may_shrink ~precise_alias (kind : Mir.instr_kind) =
   | Mir.Call_native (name, _) -> not (Builtins.is_pure name)
   | _ -> false
 
-let analyze ?(precise_alias = false) (f : Mir.func) =
+(* The inclusive constant bound a loop-exit comparison puts on induction
+   [ind], and the block below which it holds: a branch in the loop with
+   exactly one successor outside it, on [Cmp (op, x, k)] with [x] the
+   counter or its step and [k] a constant. The bound holds below the
+   test's in-loop successor [s] when the edge into [s] dominates it ([s]
+   has no other predecessor), and below the header when the test is on
+   the step and loops back to the header: every counter value but the
+   initial one passed the test. The first such test in body order wins. *)
+let exit_bound (f : Mir.func) (loop : Cfg.loop) (ind : Cfg.induction) =
+  let in_loop = Cfg.in_loop loop in
+  List.find_map
+    (fun bid ->
+      match (Mir.block f bid).Mir.term with
+      | Mir.Branch (c, t, e) when in_loop t <> in_loop e -> (
+        let stays_true = in_loop t in
+        let s = if stays_true then t else e in
+        match (Mir.instr f c).Mir.kind with
+        | Mir.Cmp (op, x, k) -> (
+          let x = Mir.strip_to_number f x in
+          let holds_below_s =
+            (Mir.block f s).Mir.preds = [ bid ] || (s = loop.Cfg.header && x = ind.Cfg.next)
+          in
+          match Mir.const_int f k with
+          | Some kv when holds_below_s && (x = ind.Cfg.phi || x = ind.Cfg.next) -> (
+            (* The in-loop edge is taken when [x op k] holds on the true
+               side, or fails on the false side. *)
+            match (op, stays_true) with
+            | Ops.Lt, true | Ops.Ge, false -> Some (kv - 1, s)
+            | Ops.Le, true | Ops.Gt, false -> Some (kv, s)
+            | _ -> None)
+          | _ -> None)
+        | _ -> None)
+      | _ -> None)
+    loop.Cfg.body
+
+let analyze ?(precise_alias = false) ?(induction_ranges = false) (f : Mir.func) =
   let vals_tbl : (Mir.def, aval) Hashtbl.t = Hashtbl.create 64 in
   let lookup d = Option.value (Hashtbl.find_opt vals_tbl d) ~default:Bot in
   let instr_of d = Mir.find_instr f d in
@@ -733,6 +774,32 @@ let analyze ?(precise_alias = false) (f : Mir.func) =
         | _ -> ())
       | _ -> ())
     f.Mir.block_order;
+  (* Induction ranges, computed only where a consumer reads them: a
+     function with a loop and a bounds check, or a caller that asks. The
+     zero-trip rule [hi >= n0] keeps a test that never admits the body
+     (i = 5 while i < 3) from yielding an empty range, which would call
+     the first iteration of a bottom-tested loop unreachable. *)
+  let inductions = Hashtbl.create 8 in
+  let has_bounds_check =
+    List.exists (fun g -> match g.g_fact with F_bounds _ -> true | F_tag _ -> false) !guards
+  in
+  if Hashtbl.length widen_at > 0 && (induction_ranges || has_bounds_check) then
+    List.iter
+      (fun (loop : Cfg.loop) ->
+        match Cfg.entry_edge f loop with
+        | Some (_, i_pre) ->
+          List.iter
+            (fun (ind : Cfg.induction) ->
+              match exit_bound f loop ind with
+              | Some (hi, s) when hi >= ind.Cfg.init ->
+                let c = ind.Cfg.stride in
+                Hashtbl.replace inductions (canon ind.Cfg.phi) ({ lo = ind.Cfg.init; hi }, s);
+                Hashtbl.replace inductions (canon ind.Cfg.next)
+                  ({ lo = ind.Cfg.init + c; hi = hi + c }, s)
+              | _ -> ())
+            (Cfg.inductions f loop ~i_pre)
+        | None -> ())
+      (Cfg.natural_loops f doms);
   let shrinkers = ref false in
   Mir.iter_instrs f (fun i ->
       if may_shrink ~precise_alias i.Mir.kind then shrinkers := true);
@@ -745,6 +812,7 @@ let analyze ?(precise_alias = false) (f : Mir.func) =
     r_edge_facts = edge_facts;
     r_single_pred = single_pred;
     r_addend = addend;
+    r_inductions = inductions;
     r_shrinkers = !shrinkers;
   }
 
@@ -757,19 +825,24 @@ type proof =
   | Unreachable  (* the guard's program point provably never executes *)
   | Unknown
 
+let meet_itv a b =
+  match (a, b) with
+  | Some x, Some y -> Some { lo = max x.lo y.lo; hi = min x.hi y.hi }
+  | x, None | None, x -> x
+
 (* Walk the dominator chain from [bid] collecting refinements applicable to
    canonical def [x]: numeric intersections and below-length facts, with a
-   one-level linear rewrite through [r_addend] (a fact about x+c bounds x). *)
+   one-level linear rewrite through [r_addend] (a fact about x+c bounds x),
+   starting from [x]'s induction range where it holds. *)
 let refinements r x ~at =
-  let range = ref None in
-  let below = ref [] in
-  let apply_range rr =
-    range :=
-      Some
-        (match !range with
-        | None -> rr
-        | Some cur -> { lo = max cur.lo rr.lo; hi = min cur.hi rr.hi })
+  let range =
+    ref
+      (match Hashtbl.find_opt r.r_inductions x with
+      | Some (rr, s) when Cfg.dominates r.r_doms s at -> Some rr
+      | _ -> None)
   in
+  let below = ref [] in
+  let apply_range rr = range := meet_itv !range (Some rr) in
   let apply_fact (ef : edge_fact) target =
     if ef.ef_def = target then begin
       (match ef.ef_range with Some rr -> apply_range rr | None -> ());
@@ -852,15 +925,8 @@ let prove r ~at:(bid, idx) ~exclude (kind : Mir.instr_kind) =
         in
         if dominated_by_same then Redundant
         else
-          let base = int_range av in
           let refined, below = refinements r i_c ~at:bid in
-          let rng =
-            match (base, refined) with
-            | Some a, Some b -> Some { lo = max a.lo b.lo; hi = min a.hi b.hi }
-            | Some a, None -> Some a
-            | None, x -> x
-          in
-          match rng with
+          match meet_itv (int_range av) refined with
           | Some { lo; hi } when lo > hi -> Unreachable (* dead iteration space *)
           | Some { lo; hi } when lo >= 0 ->
             let len_ok =
@@ -875,6 +941,11 @@ let prove r ~at:(bid, idx) ~exclude (kind : Mir.instr_kind) =
     | _ -> Unknown
 
 let never_fails r ~at ~exclude kind = prove r ~at ~exclude kind <> Unknown
+
+let int_range_at r ~at d =
+  let av = value_of r d in
+  if tags_within av t_int then meet_itv (int_range av) (fst (refinements r (canonical r d) ~at))
+  else None
 
 (* Provably-redundant guards still present in [f] (the missed-guard
    report): guards in executable blocks whose own analysis proves them

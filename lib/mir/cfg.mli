@@ -1,7 +1,8 @@
 (** Control-flow-graph analyses over {!Mir.func}: dominators, natural
     loops and the counted while-loop the loop passes share. Used by GVN
     (dominance-based value reuse), LICM, loop inversion, unrolling and
-    bounds-check elimination. *)
+    the abstract interpreter's induction ranges (bounds-check
+    elimination). *)
 
 type dominators
 
@@ -39,7 +40,7 @@ val natural_loops : Mir.func -> dominators -> loop list
     The loop shape the loop passes share (paper §3.4 and §3.6): a
     while-loop entered from one preheader, tested at its header, whose
     counters are [i = phi(i0, i + c)]. Loop inversion, unrolling,
-    bounds-check elimination and LICM ask these functions instead of
+    LICM and the abstract interpreter ask these functions instead of
     re-deriving the shape; each adds only its own extra conditions. *)
 
 val in_loop : loop -> int -> bool

@@ -1,4 +1,5 @@
-(* Guard elision driven by the abstract interpreter (Absint).
+(* Guard elision driven by the abstract interpreter (Absint), the VM's one
+   bounds-check elimination (§3.6).
 
    Runs late in the pipeline, after specialization, constant propagation,
    GVN and the loop passes have exposed whatever the argument cache key
@@ -13,10 +14,17 @@
      - [Bounds_check (i, a)] when the refined interval of [i] fits the
        array: the def is unused by construction (Load/Store_elem take the
        checked array and the raw index), so the guard is simply deleted;
-       if anything does reference the def we leave the guard alone.
+       if anything does reference the def we leave the guard alone. The
+       interval counts the induction range of a counted loop, so a check
+       on [i] in a bottom-tested loop goes too; the array length counts
+       only while nothing may shrink an array (conservatively any call,
+       or none with [precise_alias], the paper's Figure 8 assumption).
 
    Deletion goes through [Mir.elide_guards], which preserves origin
    provenance for telemetry ([Guard_elided] events).
+
+   [eliminate_overflow_checks] applies the same intervals to the implicit
+   guard of checked int32 addition (§6 future work).
 
    The same module hosts the translation-validation side: [snapshot]
    records every guard with its position before a pass runs, and
@@ -103,6 +111,31 @@ let run ?(precise_alias = false) (f : Mir.func) =
           victims := (i.Mir.def, None) :: !victims
         | _ -> ());
   Mir.elide_guards f !victims
+
+(* Overflow-check elimination (Sol et al. style): a checked int32 add
+   whose operands' intervals at its block keep the sum within int32 can
+   never bail, so it becomes unchecked and drops its resume point.
+   Returns the number of adds rewritten. *)
+let eliminate_overflow_checks (f : Mir.func) =
+  let r = Absint.analyze ~induction_ranges:true f in
+  let rewritten = ref 0 in
+  Mir.iter_blocks f (fun b ->
+      let range d = Absint.int_range_at r ~at:b.Mir.bid d in
+      List.iter
+        (fun (i : Mir.instr) ->
+          match i.Mir.kind with
+          | Mir.Binop (Runtime.Ops.Add, x, y, Mir.Mode_int) -> (
+            match (range x, range y) with
+            | Some rx, Some ry
+              when rx.Absint.lo + ry.Absint.lo >= Runtime.Value.int32_min
+                   && rx.Absint.hi + ry.Absint.hi <= Runtime.Value.int32_max ->
+              i.Mir.kind <- Mir.Binop (Runtime.Ops.Add, x, y, Mir.Mode_int_nocheck);
+              i.Mir.rp <- None;
+              incr rewritten
+            | _ -> ())
+          | _ -> ())
+        b.Mir.body);
+  !rewritten
 
 (* ------------------------------------------------------------------ *)
 (* Translation validation                                              *)

@@ -50,8 +50,7 @@ type run_stats = {
   loops_inverted : int;
   branches_folded : int;
   instrs_removed : int;
-  bounds_removed : int;
-  overflow_removed : int;
+  overflow_removed : int;  (** checked adds made unchecked (§6 extension) *)
   unrolled : int;
   guards_elided : int;  (** guards deleted by the {!Guard_elim} pass *)
   elisions : Mir.elision list;
@@ -81,8 +80,10 @@ val apply : ?check:bool -> program:Bytecode.Program.t -> config -> Mir.func -> r
 (** Run the configured passes over a freshly built MIR graph: type
     specialization, GVN and constant propagation; closure inlining (when
     specializing), unrolling and loop inversion, each followed by the
-    clean-up passes it needs when it changed the graph; DCE,
-    bounds-check elimination, LICM and guard elision. One runner executes
+    clean-up passes it needs when it changed the graph; DCE, the
+    bounds-check slot (the overflow-check rewrite, under [overflow_elim]),
+    LICM and guard elision, which removes the provable bounds checks. One
+    runner executes
     every pass: it records the pass in [passes], bills it the graph size
     it enters (so [mir_instrs_processed] is the sum of [pd_before]), and,
     when [check] — defaulting to {!checks} — is on, runs

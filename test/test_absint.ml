@@ -242,19 +242,17 @@ let test_zero_length_array_keeps_guard () =
 
 let test_zero_trip_loop_keeps_guards () =
   (* Regression: a loop whose bound never admits the body (i = 5 while
-     i < 3) must not yield a synthetic range that removes the body's
-     guards — in either elimination mode. *)
+     i < 3) must not yield a synthetic induction range that removes the
+     body's guards. *)
   let src =
     "function z(s) { var t = 0; for (var i = 5; i < 3; i++) t += s[i]; return t; }"
   in
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
   let program, f = build src ~spec_args:[| arr |] () in
-  let s =
-    Pipeline.apply ~program
-      (Pipeline.make ~ps:true ~cp:true ~bce:true ~ge:false "bce")
-      f
-  in
-  Alcotest.(check int) "BCE removes nothing" 0 s.Pipeline.bounds_removed;
+  let s = Pipeline.apply ~program (Pipeline.make ~ps:true ~cp:true ~bce:true "bce") f in
+  Alcotest.(check int) "BCE removes nothing" 0
+    (List.length
+       (List.filter (fun (e : Mir.elision) -> e.Mir.el_kind = "bounds") s.Pipeline.elisions));
   (* Under guard elision the body is proven unreachable, not redundant:
      elision only deletes guards on executable paths. *)
   let program2, f2 = build src ~spec_args:[| arr |] () in
@@ -265,6 +263,38 @@ let test_zero_trip_loop_keeps_guards () =
     Alcotest.(check bool) "body unreachable under entry key" false
       (Absint.block_executable r bid)
   | None -> () (* generic elem ops before the typer: equally safe *)
+
+let test_bottom_test_keeps_last_check () =
+  (* In a bottom-tested loop the body runs before the test. A test on the
+     counter itself (i++ < 7) admits one more body run than its bound
+     says, so s[7] is read and its check must stay. *)
+  let arr n = Value.Arr (Value.arr_of_list (List.init n (fun i -> Value.Int i))) in
+  let checks_left src n =
+    let program, f = build src ~spec_args:[| arr n |] () in
+    ignore (Pipeline.apply ~program Pipeline.all_on f);
+    (f, count f (function Mir.Bounds_check _ -> true | _ -> false))
+  in
+  let _, left =
+    checks_left
+      "function g(s) { var t = 0; var i = 0; do { t = t + s[i]; } while (i++ < 7); return t; }"
+      7
+  in
+  Alcotest.(check int) "check on the counter's last value stays" 1 left;
+  (* A test on the step bounds every later iteration, but the first one
+     runs at i = 5 whatever the bound: the zero-trip rule (bound >= 5)
+     keeps the range from calling it unreachable. *)
+  let f, left =
+    checks_left
+      "function z(s) { var t = 0; var i = 5; do { t = t + s[i]; } while (++i < 3); return t; }"
+      5
+  in
+  Alcotest.(check int) "first iteration's check stays" 1 left;
+  let r = Absint.analyze f in
+  match find_guard f (function Mir.Bounds_check _ -> true | _ -> false) with
+  | Some (bid, idx, i) ->
+    Alcotest.(check bool) "not provable" true
+      (Absint.prove r ~at:(bid, idx) ~exclude:i.Mir.def i.Mir.kind = Absint.Unknown)
+  | None -> Alcotest.fail "bounds check missing"
 
 let test_guard_elim_elides () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
@@ -401,6 +431,8 @@ let suites =
           test_zero_length_array_keeps_guard;
         Alcotest.test_case "zero-trip loop keeps its guards." `Quick
           test_zero_trip_loop_keeps_guards;
+        Alcotest.test_case "bottom test keeps the last check." `Quick
+          test_bottom_test_keeps_last_check;
       ] );
     ( "absint.elide",
       [
