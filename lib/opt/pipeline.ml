@@ -163,7 +163,10 @@ let apply ?check ~program config (f : Mir.func) =
      value-numbering sweep (baseline hygiene) cleans them before lowering
      would materialize them into registers. *)
   let loops_inverted =
-    when_ config.loop_inversion ~off:0 "loop-inversion" (fun () -> Loop_inversion.run f)
+    (* In check mode the dominator tree inversion carries from loop to
+       loop is compared with a recomputed one after every inversion. *)
+    let after = if check then Some (Cfg.check_dominators ~pass:"loop-inversion" f) else None in
+    when_ config.loop_inversion ~off:0 "loop-inversion" (fun () -> Loop_inversion.run ?after f)
   in
   if loops_inverted > 0 then gvn ();
   let dce =

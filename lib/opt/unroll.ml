@@ -197,5 +197,5 @@ let run ?(max_trips = 8) ?(max_copied_instrs = 256) (f : Mir.func) =
       match find_candidate f ~max_trips ~max_copied_instrs loop with
       | Some candidate ->
         unroll_one f candidate;
-        true
-      | None -> false)
+        Cfg.Reshaped
+      | None -> Cfg.Kept)
