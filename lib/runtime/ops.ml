@@ -101,26 +101,45 @@ let rec loose_eq (a : Value.t) (b : Value.t) =
       _ ) ->
     false
 
-let relational lt_string lt_number a b =
-  match ((a : Value.t), (b : Value.t)) with
-  | Value.Str x, Value.Str y -> lt_string x y
-  | _ ->
-    let x = Convert.to_number a and y = Convert.to_number b in
-    if Float.is_nan x || Float.is_nan y then false else lt_number x y
-
-let cmp op a b =
-  let r =
+(* The general relational path: two strings compare by code units,
+   anything else as numbers, and NaN compares false. *)
+let relational op (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Str x, Value.Str y -> (
+    let c = String.compare x y in
     match op with
-    | Lt -> relational (fun x y -> String.compare x y < 0) ( < ) a b
-    | Le -> relational (fun x y -> String.compare x y <= 0) ( <= ) a b
-    | Gt -> relational (fun x y -> String.compare x y > 0) ( > ) a b
-    | Ge -> relational (fun x y -> String.compare x y >= 0) ( >= ) a b
-    | Eq -> loose_eq a b
-    | Neq -> not (loose_eq a b)
-    | Strict_eq -> strict_eq a b
-    | Strict_neq -> not (strict_eq a b)
-  in
-  Value.Bool r
+    | Lt -> c < 0
+    | Le -> c <= 0
+    | Gt -> c > 0
+    | Ge -> c >= 0
+    | Eq | Neq | Strict_eq | Strict_neq -> invalid_arg "Ops.relational")
+  | _ -> (
+    let x = Convert.to_number a and y = Convert.to_number b in
+    (not (Float.is_nan x || Float.is_nan y))
+    &&
+    match op with
+    | Lt -> x < y
+    | Le -> x <= y
+    | Gt -> x > y
+    | Ge -> x >= y
+    | Eq | Neq | Strict_eq | Strict_neq -> invalid_arg "Ops.relational")
+
+(* Results are the two shared constants, and two ints compare as ints
+   (int32 values convert to floats exactly), so comparing two ints
+   allocates nothing. *)
+let of_bool r = if r then Value.Bool true else Value.Bool false
+
+let cmp op (a : Value.t) (b : Value.t) =
+  match (op, a, b) with
+  | Lt, Int x, Int y -> of_bool (x < y)
+  | Le, Int x, Int y -> of_bool (x <= y)
+  | Gt, Int x, Int y -> of_bool (x > y)
+  | Ge, Int x, Int y -> of_bool (x >= y)
+  | (Lt | Le | Gt | Ge), _, _ -> of_bool (relational op a b)
+  | Eq, _, _ -> of_bool (loose_eq a b)
+  | Neq, _, _ -> of_bool (not (loose_eq a b))
+  | Strict_eq, _, _ -> of_bool (strict_eq a b)
+  | Strict_neq, _, _ -> of_bool (not (strict_eq a b))
 
 let unop op (a : Value.t) =
   match op with

@@ -31,8 +31,16 @@ val binop : binop -> Value.t -> Value.t -> Value.t
     through ToInt32/ToUint32. Results are normalized ({!Value.norm_num}). *)
 
 val cmp : cmp -> Value.t -> Value.t -> Value.t
-(** Always returns a [Bool]. Relational operators compare strings
-    lexicographically when both operands are strings, else numerically. *)
+(** Always returns a [Bool], one of two shared values. Relational
+    operators compare strings lexicographically when both operands are
+    strings, else numerically; two [Int]s compare directly, allocating
+    nothing. *)
+
+val relational : cmp -> Value.t -> Value.t -> bool
+(** The general path of the relational operators [Lt], [Le], [Gt] and
+    [Ge], without {!cmp}'s int fast path: both operands converted to
+    numbers (NaN compares false) unless both are strings. Raises
+    [Invalid_argument] on an equality operator. *)
 
 val unop : unop -> Value.t -> Value.t
 

@@ -139,6 +139,46 @@ let test_relational () =
   check_value "nan incomparable" (Value.Bool false)
     (Ops.cmp Ops.Le (Value.Double Float.nan) (Value.Int 1))
 
+let relational_ops = [ Ops.Lt; Ops.Le; Ops.Gt; Ops.Ge ]
+
+(* The int fast path returns what the general path (both operands
+   converted to numbers, or compared as strings) does, over a grid that
+   holds every kind of primitive. *)
+let test_relational_fast_path () =
+  let grid =
+    [
+      Value.Int 0; Value.Int 1; Value.Int (-1); Value.Int 2147483647; Value.Int (-2147483648);
+      Value.Double 0.5; Value.Double 0.0; Value.Double (-0.0); Value.Double Float.nan;
+      Value.Double Float.infinity; Value.Double Float.neg_infinity; Value.Str "";
+      Value.Str "1"; Value.Str "10"; Value.Str "abc"; Value.Undefined; Value.Null;
+      Value.Bool true; Value.Bool false;
+    ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              check_value
+                (Printf.sprintf "%s %s %s" (Value.to_display_string a) (Ops.cmp_to_string op)
+                   (Value.to_display_string b))
+                (Value.Bool (Ops.relational op a b))
+                (Ops.cmp op a b))
+            grid)
+        grid)
+    relational_ops
+
+let test_int_compare_allocates_nothing () =
+  let a = Value.Int 3 and b = Value.Int 7 in
+  let ops = Array.of_list relational_ops in
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    ignore (Ops.cmp ops.(k land 3) a b)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 10,000 int compares" 0. words
+
 let test_unops () =
   check_value "neg" (Value.Int (-5)) (Ops.unop Ops.Neg (Value.Int 5));
   check_value "not" (Value.Bool true) (Ops.unop Ops.Not (Value.Int 0));
@@ -344,6 +384,10 @@ let suites =
         Alcotest.test_case "bitwise ops" `Quick test_bitwise_ops;
         Alcotest.test_case "equality" `Quick test_equality;
         Alcotest.test_case "relational" `Quick test_relational;
+        Alcotest.test_case "int fast path matches general path" `Quick
+          test_relational_fast_path;
+        Alcotest.test_case "int compare allocates nothing" `Quick
+          test_int_compare_allocates_nothing;
         Alcotest.test_case "unary ops" `Quick test_unops;
         QCheck_alcotest.to_alcotest prop_add_commutes_numeric;
         QCheck_alcotest.to_alcotest prop_strict_eq_reflexive;
