@@ -406,6 +406,19 @@ let with_jobs n f =
   Pool.set_default_jobs n;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) f
 
+(* A thunk that raises on a pool domain surfaces at [force], as it does
+   inline, instead of leaving the forcing domain awaiting a job that never
+   completes. *)
+let test_task_raise_reaches_force () =
+  with_jobs 2 (fun () ->
+      let t = Bgcompile.Task.spawn (fun () -> failwith "boom") in
+      Alcotest.check_raises "pool job" (Failure "boom") (fun () ->
+          ignore (Bgcompile.Task.force t));
+      Alcotest.check_raises "forced again" (Failure "boom") (fun () ->
+          ignore (Bgcompile.Task.force t)));
+  let t = Bgcompile.Task.spawn ~inline:true (fun () -> failwith "boom") in
+  Alcotest.check_raises "inline" (Failure "boom") (fun () -> ignore (Bgcompile.Task.force t))
+
 let test_jobs_determinism () =
   let counters_of engine =
     Telemetry.Counters.rows (Telemetry.counters (Engine.telemetry engine))
@@ -617,6 +630,8 @@ let suites =
         Alcotest.test_case "degrade transition drains" `Quick
           test_degrade_transition_drains_in_flight;
         Alcotest.test_case "--jobs byte-identity" `Quick test_jobs_determinism;
+        Alcotest.test_case "a raising task re-raises at force" `Quick
+          test_task_raise_reaches_force;
         Alcotest.test_case "compile-lifecycle golden" `Quick test_lifecycle_golden;
       ] );
   ]

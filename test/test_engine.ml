@@ -397,6 +397,52 @@ let prop_report_invariants =
       && interp_report.Engine.compilations = 0
       && interp_report.Engine.native_cycles = 0)
 
+(* Hot calls that pass fewer or more arguments than the callee's arity.
+   A value key holds the call's own tuple and admits only tuples of that
+   length, so a position past it is [Undefined] at entry; a selective mask
+   recorded from a longer earlier tuple must not index past a shorter one.
+   Every configuration must print the interpreter's output. *)
+let test_arity_edge_calls () =
+  let ps = Pipeline.make ~ps:true "PS" in
+  let configs =
+    [
+      ("PS", Engine.default_config ~opt:ps ());
+      ("PS+selective", Engine.default_config ~opt:ps ~selective:true ());
+      ( "polyvariant c4",
+        Engine.default_config ~opt:ps ~policy:Policy.Polyvariant ~cache_size:4 () );
+      ("PS bg-compile", Engine.default_config ~opt:ps ~bg_compile:true ());
+    ]
+  in
+  let programs =
+    [
+      "function f(a, b) { return a; } var r = 0;\n\
+       for (var k = 0; k < 30; k++) r = r + f(1);\n\
+       print(r);";
+      "function f(a, b) { return a; } var r = 0;\n\
+       for (var k = 0; k < 30; k++) r = r + f(1, 2);\n\
+       for (var k = 0; k < 30; k++) r = r + f(1);\n\
+       print(r);";
+      "function f(a, b) { return b === undefined ? a : a + b; } var r = 0;\n\
+       for (var k = 0; k < 30; k++) r = r + f(k);\n\
+       for (var k = 0; k < 30; k++) r = r + f(k, 1, 2);\n\
+       print(r);";
+    ]
+  in
+  let saved = Pool.default_jobs () in
+  Pool.set_default_jobs 1;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_jobs saved)
+    (fun () ->
+      List.iter
+        (fun src ->
+          let _, expected = run ~cfg:Engine.interp_only src in
+          List.iter
+            (fun (name, cfg) ->
+              let _, out = run ~cfg src in
+              Alcotest.(check string) name expected out)
+            configs)
+        programs)
+
 let suites =
   [
     ( "engine.policy",
@@ -409,6 +455,7 @@ let suites =
         Alcotest.test_case "argument cache hit" `Quick test_cache_hit_on_same_args;
         Alcotest.test_case "identity-keyed cache" `Quick test_object_identity_cache;
         Alcotest.test_case "interp-only mode" `Quick test_interp_only_never_compiles;
+        Alcotest.test_case "hot calls off the callee's arity" `Quick test_arity_edge_calls;
       ] );
     ( "engine.osr",
       [
