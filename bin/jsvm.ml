@@ -150,7 +150,9 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
            (fun f ->
              Printf.printf "-- optimized MIR (%s%s) --\n"
                f.Mir.source.Bytecode.Program.name
-               (if f.Mir.specialized_args <> None then ", specialized" else "");
+               (match f.Mir.key with
+               | Spec_key.Key_values _ -> ", specialized"
+               | Spec_key.Key_tags _ | Spec_key.Key_generic -> "");
              print_string (Mir.to_string f)));
     (* The cycle-attribution recorder (--profile tables, --profile-folded). *)
     let recorder =

@@ -54,11 +54,11 @@ let () =
       Builder.osr_pc = 2;
       osr_args = spec_args;
       osr_locals = [| Value.Int 2 |];
-      osr_specialize = true;
       osr_bake_locals = true;
     }
   in
-  let f = Builder.build ~program ~func:map_fn ~spec_args ~osr () in
+  let key = Spec_key.Key_values (spec_args, None) in
+  let f = Builder.build ~program ~func:map_fn ~key ~osr () in
   Typer.run f;
   print_string (Mir.to_string f);
 

@@ -195,37 +195,18 @@ let to_string av =
 (* Specialization-key entry state                                      *)
 (* ------------------------------------------------------------------ *)
 
-let spec_value (f : Mir.func) i =
-  match f.Mir.specialized_args with
-  | None -> None
-  | Some args ->
-    let masked =
-      match f.Mir.specialized_mask with
-      | None -> true
-      | Some m -> i < Array.length m && m.(i)
-    in
-    if masked && i < Array.length args then Some args.(i) else None
+(* The abstract value of argument [i] the argument cache key implies:
+   burned-in arguments are precise constants, tag-keyed arguments are
+   tag-constrained unknowns (no value, no range), everything else is
+   unknown. *)
+let entry_arg (f : Mir.func) i =
+  match Spec_key.at_entry f.Mir.key i with
+  | Spec_key.Known_value v -> Const v
+  | Spec_key.Known_tag tag -> vals (tag_bit tag) None
+  | Spec_key.Unknown -> top
 
-(* Tag-keyed (widened polyvariant) version: the cache probe compares the
-   runtime tag of every argument against the key, so position [i] is known
-   to carry [specialized_tags.(i)] — no value, no range. *)
-let spec_tag (f : Mir.func) i =
-  match f.Mir.specialized_tags with
-  | Some tags when i < Array.length tags -> Some tags.(i)
-  | _ -> None
-
-(* The abstract entry state the argument cache key implies: burned-in
-   arguments are precise constants, tag-keyed arguments are tag-constrained
-   unknowns, everything else is unknown. *)
 let entry_state (f : Mir.func) =
-  let arity = f.Mir.source.Bytecode.Program.arity in
-  Array.init arity (fun i ->
-      match spec_value f i with
-      | Some v -> Const v
-      | None -> (
-        match spec_tag f i with
-        | Some tag -> vals (tag_bit tag) None
-        | None -> top))
+  Array.init f.Mir.source.Bytecode.Program.arity (entry_arg f)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis result                                                     *)
@@ -427,13 +408,7 @@ let analyze ?(precise_alias = false) ?(induction_ranges = false) (f : Mir.func) 
   let transfer (i : Mir.instr) =
     match i.Mir.kind with
     | Mir.Constant v -> Const v
-    | Mir.Parameter idx -> (
-      match spec_value f idx with
-      | Some v -> Const v
-      | None -> (
-        match spec_tag f idx with
-        | Some tag -> vals (tag_bit tag) None
-        | None -> top))
+    | Mir.Parameter idx -> entry_arg f idx
     | Mir.Osr_value _ -> top
     | Mir.Phi _ -> assert false (* handled per-edge in eval_block *)
     | Mir.Box a -> lookup a

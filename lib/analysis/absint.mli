@@ -34,8 +34,9 @@ val to_string : aval -> string
 
 (* ---- entry state from the specialization key ---- *)
 
-(* Abstract value of parameter [i] implied by the argument cache key:
-   [Const v] when burned in (respecting the selective mask), top otherwise. *)
+(* Abstract value of each parameter implied by the argument cache key
+   ([Spec_key.at_entry]): [Const v] when burned in, the key tag's values
+   when tag-keyed, top otherwise. *)
 val entry_state : Mir.func -> aval array
 
 (* ---- whole-function analysis ---- *)

@@ -6,11 +6,14 @@
    the argument tuple matches what was burned in. This checker verifies the
    compiled graph against that protocol:
 
-   - stage [`Built] (fresh from [Builder.build]): every constant baked from
-     an actual parameter agrees with the cached argument tuple, in both the
-     function-entry block and the OSR block, and positions the cache mask
-     leaves free are materialized as runtime [Parameter]s — a baked value
-     the probe does not compare is a silent wrong-answer generator;
+   - stage [`Built] (fresh from [Builder.build]): every argument slot is
+     what the function's cache key says the probe establishes
+     ([Spec_key.at_entry]) — a baked constant agrees with the cached
+     argument tuple, in both the function-entry block and the OSR block;
+     positions the key leaves free are runtime [Parameter]s (a baked value
+     the probe does not compare is a silent wrong-answer generator);
+     tag-keyed positions carry an entry barrier for their tag; and the
+     abstract interpreter's entry state assumes exactly the same facts;
    - both stages: no runtime [Parameter] load for a burned-in position, and
      parameter indices in range;
    - stage [`Optimized] (after the pipeline): every guard still carries a
@@ -43,14 +46,7 @@ let check ~stage (f : Mir.func) =
       fmt
   in
   let arity = f.Mir.source.Bytecode.Program.arity in
-  let burned i =
-    match f.Mir.specialized_args with
-    | None -> false
-    | Some _ -> (
-      match f.Mir.specialized_mask with
-      | None -> true
-      | Some m -> i < Array.length m && m.(i))
-  in
+  let known = Spec_key.at_entry f.Mir.key in
   let pp_value v = Format.asprintf "%a" Value.pp v in
   (* Parameter sanity, at every stage: indices in range, and no runtime
      parameter load for a position the cache protocol burns in (the probe
@@ -65,178 +61,140 @@ let check ~stage (f : Mir.func) =
             if k < 0 || k >= arity then
               emit ~block:bid ~value:i.Mir.def
                 "parameter index %d out of range (arity %d)" k arity
-            else if burned k then
-              emit ~block:bid ~value:i.Mir.def
-                "argument %d is burned into the cache tuple but loaded as a \
-                 runtime parameter"
-                k
+            else (
+              match known k with
+              | Spec_key.Known_value _ ->
+                emit ~block:bid ~value:i.Mir.def
+                  "argument %d is burned into the cache tuple but loaded as a \
+                   runtime parameter"
+                  k
+              | Spec_key.Known_tag _ | Spec_key.Unknown -> ())
           | _ -> ())
         b.Mir.body)
     f.Mir.block_order;
-  (match stage with
-  | `Built -> (
+  (match (stage, f.Mir.key) with
+  | `Built, Spec_key.Key_generic -> ()
+  | `Built, key -> (
     (* The builder materializes the raw arguments as the first [arity]
        instructions of the entry block, in order; on freshly built MIR this
-       prefix is the specialization record to audit. *)
-    (match f.Mir.specialized_args with
-    | None -> ()
-    | Some args ->
-      let entry = f.Mir.entry in
-      let body = Array.of_list (Mir.block f entry).Mir.body in
-      if Array.length body < arity then
-        emit ~block:entry
-          "entry block materializes %d slots but arity is %d" (Array.length body)
-          arity
-      else
-        for i = 0 to arity - 1 do
-          let instr = body.(i) in
-          match instr.Mir.kind with
-          | Mir.Constant v ->
-            if not (burned i) then
-              emit ~block:entry ~value:instr.Mir.def
-                "argument %d baked to %s but the cache mask leaves it free: a \
-                 cache probe never compares it"
-                i (pp_value v)
-            else if i < Array.length args && not (Value.same_value v args.(i))
-            then
-              emit ~block:entry ~value:instr.Mir.def
-                "baked constant %s for argument %d disagrees with the cached \
-                 tuple entry %s"
-                (pp_value v) i
-                (pp_value args.(i))
-          | Mir.Parameter k ->
-            if k <> i then
-              emit ~block:entry ~value:instr.Mir.def
-                "entry slot %d materializes parameter %d" i k
-          | _ ->
+       prefix is the specialization record to audit: a burned-in position
+       must be exactly the cached constant, a free one a runtime
+       [Parameter] — a baked value the probe does not compare is a silent
+       wrong-answer generator — and a tag-keyed one a [Parameter] covered by
+       an entry type barrier for exactly its key tag (the barrier is what
+       guard elision removes once the probe is trusted, so it must exist on
+       the fresh graph). *)
+    (match key with
+    | Spec_key.Key_tags tags when Array.length tags <> arity ->
+      emit "tag key has %d entries but arity is %d" (Array.length tags) arity
+    | _ -> ());
+    let entry = f.Mir.entry in
+    let entry_body = (Mir.block f entry).Mir.body in
+    let body = Array.of_list entry_body in
+    if Array.length body < arity then
+      emit ~block:entry
+        "entry block materializes %d slots but arity is %d" (Array.length body)
+        arity
+    else
+      for i = 0 to arity - 1 do
+        let instr = body.(i) in
+        match (instr.Mir.kind, known i) with
+        | Mir.Constant v, Spec_key.Known_value c ->
+          if not (Value.same_value v c) then
             emit ~block:entry ~value:instr.Mir.def
-              "entry slot %d is '%s', expected a parameter materialization" i
-              (Mir.kind_to_string instr.Mir.kind)
-        done);
-    (* The abstract interpreter seeds its fixpoint from the same cache key
-       ([Absint.entry_state]). Audit the seeding against the tuple the
-       probe actually compares: a burned position must seed as exactly the
-       cached constant and a free position must seed unconstrained — drift
-       here would let the analysis (and so guard elision and translation
-       validation) assume facts no cache probe established. *)
-    (match f.Mir.specialized_args with
-    | None -> ()
-    | Some args ->
-      let st = Absint.entry_state f in
-      Array.iteri
-        (fun i av ->
-          match av with
-          | Absint.Const v ->
-            if not (burned i) then
-              emit
-                "abstract entry state pins argument %d to %s but the cache \
-                 mask leaves it free"
-                i (pp_value v)
-            else if i < Array.length args && not (Value.same_value v args.(i))
-            then
-              emit
-                "abstract entry state pins argument %d to %s but the cached \
-                 tuple entry is %s"
-                i (pp_value v)
-                (pp_value args.(i))
-          | _ ->
-            if burned i && i < Array.length args then
-              emit
-                "argument %d is burned into the cache tuple (%s) but the \
-                 abstract entry state is %s"
-                i
-                (pp_value args.(i))
-                (Absint.to_string av))
-        st);
-    (* Tag-keyed (widened polyvariant) versions. Values and tags are
-       mutually exclusive keys — the cache probe compares one or the other.
-       Every argument must stay a runtime [Parameter] (no baked values),
-       each must be covered by an entry type barrier for exactly its key
-       tag (the barrier is what guard elision removes once the probe is
-       trusted, so it must exist on the fresh graph), and the abstract
-       entry state must assume the key's tag and nothing tighter. *)
-    (match f.Mir.specialized_tags with
-    | None -> ()
-    | Some tags ->
-      if f.Mir.specialized_args <> None then
-        emit "version keyed by both values and tags: the cache probe compares only one";
-      if Array.length tags <> arity then
-        emit "tag key has %d entries but arity is %d" (Array.length tags) arity;
-      let entry = f.Mir.entry in
-      let body = Array.of_list (Mir.block f entry).Mir.body in
-      if Array.length body < arity then
-        emit ~block:entry "entry block materializes %d slots but arity is %d"
-          (Array.length body) arity
-      else
-        for i = 0 to arity - 1 do
-          let instr = body.(i) in
-          match instr.Mir.kind with
-          | Mir.Parameter k ->
-            if k <> i then
-              emit ~block:entry ~value:instr.Mir.def
-                "entry slot %d materializes parameter %d" i k;
-            if
-              i < Array.length tags
-              && not
+              "baked constant %s for argument %d disagrees with the cached \
+               tuple entry %s"
+              (pp_value v) i (pp_value c)
+        | Mir.Constant v, Spec_key.Unknown ->
+          emit ~block:entry ~value:instr.Mir.def
+            "argument %d baked to %s but the cache mask leaves it free: a \
+             cache probe never compares it"
+            i (pp_value v)
+        | Mir.Parameter k, kn -> (
+          if k <> i then
+            emit ~block:entry ~value:instr.Mir.def
+              "entry slot %d materializes parameter %d" i k;
+          match kn with
+          | Spec_key.Known_tag tag
+            when not
                    (List.exists
                       (fun (j : Mir.instr) ->
                         match j.Mir.kind with
-                        | Mir.Type_barrier (a, tag) ->
-                          a = instr.Mir.def && tag = tags.(i)
+                        | Mir.Type_barrier (a, t) -> a = instr.Mir.def && t = tag
                         | _ -> false)
-                      (Mir.block f entry).Mir.body)
-            then
-              emit ~block:entry ~value:instr.Mir.def
-                "argument %d is tag-keyed (%s) but the entry block carries no \
-                 matching type barrier"
-                i
-                (Value.tag_to_string tags.(i))
-          | _ ->
+                      entry_body) ->
             emit ~block:entry ~value:instr.Mir.def
-              "entry slot %d is '%s' in a tag-keyed version, expected a runtime \
-               parameter"
-              i
-              (Mir.kind_to_string instr.Mir.kind)
-        done;
-      let st = Absint.entry_state f in
-      Array.iteri
-        (fun i av ->
-          if i < Array.length tags then
-            match av with
-            | Absint.Const v ->
-              emit
-                "abstract entry state pins argument %d to %s but only its tag is \
-                 in the cache key"
-                i (pp_value v)
-            | av ->
-              if Absint.tags_of av <> Absint.tag_bit tags.(i) then
-                emit
-                  "abstract entry state assumes %s for argument %d but the cache \
-                   key guarantees exactly tag %s"
-                  (Absint.to_string av) i
-                  (Value.tag_to_string tags.(i)))
-        st);
+              "argument %d is tag-keyed (%s) but the entry block carries no \
+               matching type barrier"
+              i (Value.tag_to_string tag)
+          | _ -> ())
+        | _, Spec_key.Known_tag _ ->
+          emit ~block:entry ~value:instr.Mir.def
+            "entry slot %d is '%s' in a tag-keyed version, expected a runtime \
+             parameter"
+            i
+            (Mir.kind_to_string instr.Mir.kind)
+        | _ ->
+          emit ~block:entry ~value:instr.Mir.def
+            "entry slot %d is '%s', expected a parameter materialization" i
+            (Mir.kind_to_string instr.Mir.kind)
+      done;
+    (* The abstract interpreter seeds its fixpoint from the same cache key
+       ([Absint.entry_state]). Audit the seeding against what the probe
+       actually compares: a burned position must seed as exactly the cached
+       constant, a tag-keyed one as exactly its key tag and nothing
+       tighter, and a free position unconstrained — drift here would let
+       the analysis (and so guard elision and translation validation)
+       assume facts no cache probe established. *)
+    Array.iteri
+      (fun i av ->
+        match (av, known i) with
+        | Absint.Const v, Spec_key.Known_value c ->
+          if not (Value.same_value v c) then
+            emit
+              "abstract entry state pins argument %d to %s but the cached \
+               tuple entry is %s"
+              i (pp_value v) (pp_value c)
+        | Absint.Const v, Spec_key.Unknown ->
+          emit
+            "abstract entry state pins argument %d to %s but the cache mask \
+             leaves it free"
+            i (pp_value v)
+        | Absint.Const v, Spec_key.Known_tag _ ->
+          emit
+            "abstract entry state pins argument %d to %s but only its tag is \
+             in the cache key"
+            i (pp_value v)
+        | av, Spec_key.Known_value c ->
+          emit
+            "argument %d is burned into the cache tuple (%s) but the abstract \
+             entry state is %s"
+            i (pp_value c) (Absint.to_string av)
+        | av, Spec_key.Known_tag tag ->
+          if Absint.tags_of av <> Absint.tag_bit tag then
+            emit
+              "abstract entry state assumes %s for argument %d but the cache \
+               key guarantees exactly tag %s"
+              (Absint.to_string av) i (Value.tag_to_string tag)
+        | _, Spec_key.Unknown -> ())
+      (Absint.entry_state f);
     (* The OSR entry bakes the same cached tuple (plus the frame's locals,
        which have no cache to disagree with). *)
-    match (f.Mir.specialized_args, f.Mir.osr_entry) with
-    | Some args, Some ob ->
+    match f.Mir.osr_entry with
+    | None -> ()
+    | Some ob ->
       let body = Array.of_list (Mir.block f ob).Mir.body in
       for i = 0 to min arity (Array.length body) - 1 do
         let instr = body.(i) in
-        match instr.Mir.kind with
-        | Mir.Constant v
-          when burned i
-               && i < Array.length args
-               && not (Value.same_value v args.(i)) ->
+        match (instr.Mir.kind, known i) with
+        | Mir.Constant v, Spec_key.Known_value c when not (Value.same_value v c) ->
           emit ~block:ob ~value:instr.Mir.def
             "OSR-baked constant %s for argument %d disagrees with the cached \
              tuple entry %s"
-            (pp_value v) i
-            (pp_value args.(i))
+            (pp_value v) i (pp_value c)
         | _ -> ()
-      done
-    | _ -> ())
-  | `Optimized ->
+      done)
+  | `Optimized, _ ->
     List.iter
       (fun bid ->
         let b = Mir.block f bid in

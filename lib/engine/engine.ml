@@ -95,9 +95,9 @@ type compiled = {
   exec : Exec.prepared;
   (* What calls this version may serve: the burned-in argument tuple (plus
      the selective mask), a widened tag signature, or anything (generic).
-     The probe ([Policy.matches]) is the soundness contract every
+     The probe ([Spec_key.matches]) is the soundness contract every
      specialized binary relies on. *)
-  key : Policy.vkey;
+  key : Spec_key.t;
   (* In-body guard failures charged against this binary. Strikes are
      per-binary — a multi-entry cache must not let one binary's failures
      condemn its neighbours — and a binary is discarded at its
@@ -152,7 +152,7 @@ type func_state = {
    cache key the binary will serve — which also says what the builder
    burns in (argument values, under an optional selective mask, or a tag
    signature) — plus the loop-head snapshot of an OSR compile. *)
-type request = { r_key : Policy.vkey; r_osr : Builder.osr_request option }
+type request = { r_key : Spec_key.t; r_osr : Builder.osr_request option }
 
 (* What one build produced, with its charge split the way the model bills
    it: the optimizer's per-MIR-instruction work, then lowering and
@@ -496,16 +496,16 @@ let policy_view t fs =
 
 (* What a request burns in, read off its key: argument values (the
    selective extension masks some out) or a tag signature. *)
-let specialized req = match req.r_key with Policy.Key_values _ -> true | _ -> false
-let selective req = match req.r_key with Policy.Key_values (_, Some _) -> true | _ -> false
-let widened req = match req.r_key with Policy.Key_tags _ -> true | _ -> false
+let specialized req = match req.r_key with Spec_key.Key_values _ -> true | _ -> false
+let selective req = match req.r_key with Spec_key.Key_values (_, Some _) -> true | _ -> false
+let widened req = match req.r_key with Spec_key.Key_tags _ -> true | _ -> false
 
 let req_kind req =
   match req.r_key with
-  | Policy.Key_values (_, None) -> "values"
-  | Policy.Key_values (_, Some _) -> "selective"
-  | Policy.Key_tags _ -> "tags"
-  | Policy.Key_generic -> "generic"
+  | Spec_key.Key_values (_, None) -> "values"
+  | Spec_key.Key_values (_, Some _) -> "selective"
+  | Spec_key.Key_tags _ -> "tags"
+  | Spec_key.Key_generic -> "generic"
 
 (* Where one build's side effects go. A synchronous compile runs on the
    requesting isolate and delivers each effect as it happens; a background
@@ -534,17 +534,11 @@ let build_code ~program ~(func : Bytecode.Program.func) ~arg_tags ~no_checked_in
     ~known_globals ~opt ~check hooks req =
   let name = func.Bytecode.Program.name in
   let fid = func.Bytecode.Program.fid in
-  let spec_args, spec_mask, spec_tags =
-    match req.r_key with
-    | Policy.Key_values (args, mask) -> (Some args, mask, None)
-    | Policy.Key_tags tags -> (None, None, Some tags)
-    | Policy.Key_generic -> (None, None, None)
-  in
   let charged = ref 0 in
   try
     let mir =
-      Builder.build ~program ~func ?spec_args ?spec_mask ?spec_tags ~arg_tags ?osr:req.r_osr
-        ~no_checked_int ~known_globals ()
+      Builder.build ~program ~func ~key:req.r_key ~arg_tags ?osr:req.r_osr ~no_checked_int
+        ~known_globals ()
     in
     (* Baked constants are audited against the cached tuple on the fresh
        graph, where the builder's argument-materialization layout still
@@ -611,16 +605,16 @@ let compile t fs req =
   let func = t.program.Bytecode.Program.funcs.(fs.fid) in
   let name = func.Bytecode.Program.name in
   (match req.r_key with
-  | Policy.Key_values (args, mask) ->
+  | Spec_key.Key_values (args, mask) ->
     emit t (fun () ->
         Telemetry.Specialize { fid = fs.fid; fname = name; args = display_args args; mask })
-  | Policy.Key_tags _ as key ->
+  | Spec_key.Key_tags _ as key ->
     (* Only the polyvariant policy keys on tags, so the paper policy's
        event stream is untouched. *)
     emit t (fun () ->
         Telemetry.Specialize
-          { fid = fs.fid; fname = name; args = Policy.key_to_string key; mask = None })
-  | Policy.Key_generic -> ());
+          { fid = fs.fid; fname = name; args = Spec_key.to_string key; mask = None })
+  | Spec_key.Key_generic -> ());
   emit t (fun () ->
       Telemetry.Compile_start
         {
@@ -908,8 +902,8 @@ let retire t fs w wider =
           fid = fs.fid;
           fname = fname t fs.fid;
           index = w.w_index;
-          from_key = Policy.key_to_string w.w_victim.key;
-          to_key = Policy.key_to_string wider;
+          from_key = Spec_key.to_string w.w_victim.key;
+          to_key = Spec_key.to_string wider;
           entries = w.w_entries;
         });
   detach t fs w.w_victim
@@ -1004,7 +998,7 @@ let enqueue t fs ?widen req =
       in
       let inline =
         (match req.r_key with
-        | Policy.Key_values (args, _) -> Array.exists bg_mutable_value args
+        | Spec_key.Key_values (args, _) -> Array.exists bg_mutable_value args
         | _ -> false)
         ||
         match req.r_osr with
@@ -1183,7 +1177,7 @@ let bg_harvest t fs =
    expected case, not staleness. A refused entry is not a failure: the
    binary still installed and serves later calls through its guarded
    normal entry. *)
-let bg_osr_frame_matches (o : Builder.osr_request) (frame : Interp.frame) =
+let bg_osr_frame_matches req (o : Builder.osr_request) (frame : Interp.frame) =
   let same_values snap live =
     Array.length snap = Array.length live
     && Array.for_all2 (fun a b -> Value.same_value a b) snap live
@@ -1192,9 +1186,9 @@ let bg_osr_frame_matches (o : Builder.osr_request) (frame : Interp.frame) =
     Array.length snap = Array.length live
     && Array.for_all2 (fun a b -> Value.tag_of a = Value.tag_of b) snap live
   in
-  let args_agree = if o.Builder.osr_specialize then same_values else same_tags in
+  let args_agree = if specialized req then same_values else same_tags in
   let locals_agree =
-    if o.Builder.osr_specialize && o.Builder.osr_bake_locals then same_values else same_tags
+    if specialized req && o.Builder.osr_bake_locals then same_values else same_tags
   in
   args_agree o.Builder.osr_args frame.Interp.args
   && locals_agree o.Builder.osr_locals frame.Interp.locals
@@ -1274,20 +1268,21 @@ let submit t fs ?widen req =
 let compile_choice t fs args choice =
   let key =
     match choice with
-    | Policy.Spec_generic -> Policy.Key_generic
+    | Policy.Spec_generic -> Spec_key.Key_generic
     | Policy.Spec_values ->
       if Policy.anticipated_match (policy_view t fs) args && not (in_flight t fs) then
         bump t fs Telemetry.Key.interpro_seeded;
-      Policy.Key_values (args, None)
-    | Policy.Spec_tags -> Policy.Key_tags (Array.map Value.tag_of (as_entry t fs args))
+      Spec_key.Key_values (args, None)
+    | Policy.Spec_tags -> Spec_key.Key_tags (Array.map Value.tag_of (as_entry t fs args))
     | Policy.Spec_selective ->
       let mask = stability_mask fs in
       (* Zero-arity functions are vacuously stable (specialization then
          only affects OSR locals baking). *)
-      if Array.length mask = 0 || Array.exists Fun.id mask then Policy.Key_values (args, Some mask)
+      if Array.length mask = 0 || Array.exists Fun.id mask then
+        Spec_key.Key_values (args, Some mask)
       else begin
         blacklist t fs;
-        Policy.Key_generic
+        Spec_key.Key_generic
       end
   in
   submit t fs { r_key = key; r_osr = None }
@@ -1364,7 +1359,7 @@ and cache_find t fs args =
   let found = ref None in
   List.iteri
     (fun i entry ->
-      if Policy.matches entry.key args then
+      if Spec_key.matches entry.key args then
         match !found with
         | Some (_, b) when Policy.key_rank b.key <= Policy.key_rank entry.key -> ()
         | _ -> found := Some (i, entry))
@@ -1416,7 +1411,7 @@ and call_closure_at_depth t (c : Value.closure) args =
        queued request is still in flight waits for it, uncounted. *)
     let promoted =
       match entry.key with
-      | Policy.Key_generic when t.cfg.jit && can_compile t fs && not (in_flight t fs) -> (
+      | Spec_key.Key_generic when t.cfg.jit && can_compile t fs && not (in_flight t fs) -> (
         match
           Policy.promote t.cfg.policy (policy_view t fs) ~args
             ~hot_calls:t.cfg.hot_calls
@@ -1470,7 +1465,7 @@ and call_closure_at_depth t (c : Value.closure) args =
           clear_compiled t fs;
           deopt t fs Telemetry.Arg_mismatch;
           blacklist t fs;
-          run_or_interp (submit t fs { r_key = Policy.Key_generic; r_osr = None })
+          run_or_interp (submit t fs { r_key = Spec_key.Key_generic; r_osr = None })
     end
     else if
       t.cfg.jit && can_compile t fs
@@ -1565,8 +1560,8 @@ and run_native t fs func act entry ~at_osr =
          kind decides — never compare keys structurally, cached values can
          be cyclic. *)
       (match entry.key with
-      | Policy.Key_generic -> ()
-      | Policy.Key_values _ | Policy.Key_tags _ ->
+      | Spec_key.Key_generic -> ()
+      | Spec_key.Key_values _ | Spec_key.Key_tags _ ->
         deopt t fs Telemetry.Entry_guard;
         if not t.cfg.selective then blacklist t fs);
       note_discard t fs
@@ -1651,31 +1646,31 @@ and maybe_osr t (frame : Interp.frame) =
         ~fname:(fname t fs.fid) ~start:(now t) ~dur:0
         ~args:[ ("pc", string_of_int frame.Interp.pc);
                 ("loop_edges", string_of_int edges) ];
-      let spec_mask =
-        if want_specialize t fs && t.cfg.selective then begin
+      let key =
+        if not (want_specialize t fs) then Spec_key.Key_generic
+        else if not t.cfg.selective then Spec_key.Key_values (args_now, None)
+        else begin
           let mask = stability_mask fs in
           (* All-varying arguments: give up on specializing this function,
              as the call path would. *)
-          if Array.length mask > 0 && not (Array.exists Fun.id mask) then
+          if Array.length mask > 0 && not (Array.exists Fun.id mask) then begin
             blacklist t fs;
-          Some mask
+            Spec_key.Key_generic
+          end
+          else Spec_key.Key_values (args_now, Some mask)
         end
-        else None
       in
-      let spec = want_specialize t fs in
       let osr =
         {
           Builder.osr_pc = frame.Interp.pc;
           osr_args = args_now;
           osr_locals = locals_now;
-          osr_specialize = spec;
           (* Synchronous OSR enters right now with exactly this frame, so
              baked locals are exact; a queued compile is entered later,
              after the loop advanced, so its locals must stay live. *)
           osr_bake_locals = not (bg_active t);
         }
       in
-      let key = if spec then Policy.Key_values (args_now, spec_mask) else Policy.Key_generic in
       (* Queued, this activation keeps interpreting: the poll above enters
          the artifact once its ready cycle passes — or it serves later
          calls from its normal entry if the loop finishes first. *)
@@ -1708,13 +1703,13 @@ and bg_osr_poll t fs (frame : Interp.frame) =
     List.find_map
       (fun ((j : bg_job), entry) ->
         match j.j_req.r_osr with
-        | Some o when o.Builder.osr_pc = frame.Interp.pc -> Some (o, entry)
+        | Some o when o.Builder.osr_pc = frame.Interp.pc -> Some (j.j_req, o, entry)
         | _ -> None)
       (bg_harvest t fs)
   with
   | None -> None
-  | Some (o, entry) ->
-    if bg_osr_frame_matches o frame then begin
+  | Some (req, o, entry) ->
+    if bg_osr_frame_matches req o frame then begin
       bump t fs Telemetry.Key.bg_osr_entries;
       emit t (fun () ->
           Telemetry.Osr_entry { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc });

@@ -11,48 +11,10 @@ let kind_of_string = function
 
 let all_kinds = [ Paper; Polyvariant ]
 
-type vkey =
-  | Key_values of Value.t array * bool array option
-  | Key_tags of Value.tag array
-  | Key_generic
-
-(* The probe. [Key_values] with a mask is the selective extension: only the
-   burned-in positions must match. [Key_tags] compares runtime tags only —
-   exactly the facts a widened version's entry state assumes. *)
-let matches key args =
-  match key with
-  | Key_generic -> true
-  | Key_values (cached, None) -> Value.same_args args cached
-  | Key_values (cached, Some mask) ->
-    Array.length cached = Array.length args
-    && (let ok = ref true in
-        Array.iteri
-          (fun i m -> if m && not (Value.same_value args.(i) cached.(i)) then ok := false)
-          mask;
-        !ok)
-  | Key_tags tags ->
-    (* A tag key always has the function's arity; compare the tuple as the
-       callee will see it — missing arguments padded with [Undefined],
-       extra arguments dropped at entry. *)
-    let n = Array.length args in
-    let ok = ref true in
-    Array.iteri
-      (fun i tag ->
-        let got = if i < n then Value.tag_of args.(i) else Value.Tag_undefined in
-        if got <> tag then ok := false)
-      tags;
-    !ok
-
-let key_to_string = function
-  | Key_generic -> "generic"
-  | Key_values (args, _) ->
-    "("
-    ^ String.concat ", " (Array.to_list (Array.map Value.to_display_string args))
-    ^ ")"
-  | Key_tags tags ->
-    "[" ^ String.concat ", " (Array.to_list (Array.map Value.tag_to_string tags)) ^ "]"
-
-let key_rank = function Key_values _ -> 0 | Key_tags _ -> 1 | Key_generic -> 2
+let key_rank = function
+  | Spec_key.Key_values _ -> 0
+  | Spec_key.Key_tags _ -> 1
+  | Spec_key.Key_generic -> 2
 
 (* One ladder step, keyed to serve [args]. A full-cache miss repurposes the
    LRU slot: the replacement serves the arguments that just missed, one
@@ -61,9 +23,9 @@ let key_rank = function Key_values _ -> 0 | Key_tags _ -> 1 | Key_generic -> 2
    widenings (a generic version matches everything). *)
 let widen key args =
   match key with
-  | Key_values _ -> Some (Key_tags (Array.map Value.tag_of args))
-  | Key_tags _ -> Some Key_generic
-  | Key_generic -> None
+  | Spec_key.Key_values _ -> Some (Spec_key.Key_tags (Array.map Value.tag_of args))
+  | Spec_key.Key_tags _ -> Some Spec_key.Key_generic
+  | Spec_key.Key_generic -> None
 
 type view = {
   pv_cache_size : int;
@@ -71,7 +33,7 @@ type view = {
   pv_want_specialize : bool;
   pv_calls : int;
   pv_arg_set_changes : int;
-  pv_keys : vkey list;
+  pv_keys : Spec_key.t list;
   pv_anticipated : Value.t array list;
 }
 
@@ -181,7 +143,7 @@ let on_miss kind view ~args =
         List.mapi (fun i k -> (i, k)) view.pv_keys
         |> List.find_opt (fun (_, k) ->
                match k with
-               | Key_values (cached, _) ->
+               | Spec_key.Key_values (cached, _) ->
                  Array.length cached = Array.length args
                  && (let ok = ref true in
                      Array.iteri

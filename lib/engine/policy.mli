@@ -40,25 +40,10 @@ val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 val all_kinds : kind list
 
-(** A cache entry's key: which calls the compiled version may serve. *)
-type vkey =
-  | Key_values of Runtime.Value.t array * bool array option
-      (** burned-in argument tuple (+ selective mask: which positions a
-          probe must compare; [None] = all) *)
-  | Key_tags of Runtime.Value.tag array
-      (** widened version: only the runtime type tags are burned in *)
-  | Key_generic  (** serves any arguments *)
-
-val matches : vkey -> Runtime.Value.t array -> bool
-(** May a version with this key serve these arguments? *)
-
-val key_to_string : vkey -> string
-(** Display form: [(1, "x")], [[int, string]] or [generic]. *)
-
-val key_rank : vkey -> int
+val key_rank : Spec_key.t -> int
 (** Position on the widening ladder: values 0, tags 1, generic 2. *)
 
-val widen : vkey -> Runtime.Value.t array -> vkey option
+val widen : Spec_key.t -> Runtime.Value.t array -> Spec_key.t option
 (** One step up the widening ladder, keyed to serve [args]:
     values → the tag signature of [args], tags → generic, generic → [None]
     (nothing wider exists). *)
@@ -72,7 +57,7 @@ type view = {
       (** specialization enabled and the function not blacklisted *)
   pv_calls : int;
   pv_arg_set_changes : int;  (** §2 statistic: observed argument-set changes *)
-  pv_keys : vkey list;  (** installed versions, most recently used first *)
+  pv_keys : Spec_key.t list;  (** installed versions, most recently used first *)
   pv_anticipated : Runtime.Value.t array list;
       (** constant argument signatures observed at monomorphic call sites
           inside already-compiled callers (interprocedural facts) *)

@@ -33,7 +33,7 @@ let make ~seed spec =
     prng = Support.Prng.create seed;
   }
 
-let spec_of p = List.map (fun r -> (r.r_point, r.r_mode)) p.rules
+let plan_spec p = List.map (fun r -> (r.r_point, r.r_mode)) p.rules
 
 let point_to_string = function
   | Compile_diag -> "compile_diag"
@@ -126,5 +126,5 @@ let fire point =
 
 let with_plan plan f =
   let previous = installed () in
-  install (Some (make ~seed:plan.seed (spec_of plan)));
+  install (Some (make ~seed:plan.seed (plan_spec plan)));
   Fun.protect ~finally:(fun () -> install previous) f

@@ -82,7 +82,8 @@ type plan
     a fresh copy) or rebuild with {!make} to replay one. *)
 
 val make : seed:int -> spec -> plan
-val spec_of : plan -> spec
+val plan_spec : plan -> spec
+(** The spec [plan] was made from. *)
 
 val sample : int -> plan
 (** [sample seed] draws a random plan — each point independently gets

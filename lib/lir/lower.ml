@@ -275,7 +275,7 @@ let run (f : Mir.func) =
     snapshots = Array.of_list (List.rev !snapshots);
     nslots = 0;
     osr_offset = Option.map target f.Mir.osr_entry;
-    specialized = f.Mir.specialized_args <> None;
-    widened = f.Mir.specialized_tags <> None;
+    specialized = (match f.Mir.key with Spec_key.Key_values _ -> true | _ -> false);
+    widened = (match f.Mir.key with Spec_key.Key_tags _ -> true | _ -> false);
     version = 0;
   }

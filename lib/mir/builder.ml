@@ -4,7 +4,6 @@ type osr_request = {
   osr_pc : int;
   osr_args : Value.t array;
   osr_locals : Value.t array;
-  osr_specialize : bool;
   osr_bake_locals : bool;
 }
 
@@ -51,8 +50,6 @@ let leaders_of (func : Bytecode.Program.func) =
 type ctx = {
   f : Mir.func;
   func : Bytecode.Program.func;
-  spec_args : Value.t array option;
-  arg_tags : Value.tag option array;
   emit_guards : bool;
   known_globals : int option array;
       (* global slot -> fid when the slot provably holds one fixed function
@@ -438,43 +435,22 @@ let patch_loop_headers ctx =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_tags
+let build ~program ~(func : Bytecode.Program.func) ?(key = Spec_key.Key_generic)
     ?arg_tags ?osr ?(emit_guards = true) ?(no_checked_int = false)
     ?(known_globals = [||]) () =
   ignore program;
   let f = Mir.create_func func in
-  f.Mir.specialized_args <- spec_args;
-  f.Mir.specialized_mask <- spec_mask;
-  f.Mir.specialized_tags <- (if spec_args = None then spec_tags else None);
-  (* Selective specialization: [spec_of i] is the constant to burn in for
-     argument [i], or [None] when that argument stays a runtime parameter
-     (either no specialization at all, or the mask excludes it). *)
-  let spec_of i =
-    match (spec_args, spec_mask) with
-    | Some values, None -> Some values.(i)
-    | Some values, Some mask when mask.(i) -> Some values.(i)
-    | _ -> None
-  in
+  f.Mir.key <- key;
+  let known = Spec_key.at_entry key in
   f.Mir.no_checked_int <- no_checked_int;
   let arg_tags =
     match arg_tags with Some t -> t | None -> Array.make func.arity None
-  in
-  (* A tag-keyed (widened polyvariant) version burns in exactly the tags of
-     its key: every position gets an entry type barrier, which the abstract
-     interpreter may then elide because the cache probe compares the same
-     tags ([Absint.entry_state]). *)
-  let arg_tags =
-    match f.Mir.specialized_tags with
-    | Some tags -> Array.map Option.some tags
-    | None -> arg_tags
   in
   let leaders = leaders_of func in
   let ctx =
     {
       f;
       func;
-      spec_args;
-      arg_tags;
       emit_guards;
       known_globals;
       block_of_pc = Hashtbl.create 16;
@@ -501,34 +477,37 @@ let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_t
       let b = Mir.new_block f in
       Hashtbl.replace ctx.block_of_pc pc b.Mir.bid)
     leaders;
-  (* Entry block: parameters (specialized to constants when requested, with
-     observed-type barriers otherwise) and undefined-initialized locals. *)
+  (* Entry block: parameters (burned in as constants where the key knows
+     the value, with type barriers otherwise) and undefined-initialized
+     locals. *)
   let entry_state =
     (* All parameter loads come before the first type barrier: a failing
        barrier's snapshot reads every argument, so each must have been
        materialized by the time any barrier can bail. *)
     let raw_args =
       Array.init func.arity (fun i ->
-          match spec_of i with
-          | Some v -> Mir.append f entry (Mir.Constant v)
-          | None ->
-            let d = Mir.append f entry (Mir.Parameter i) in
+          match known i with
+          | Spec_key.Known_value v -> Mir.append f entry (Mir.Constant v)
+          | Spec_key.Known_tag tag ->
             (* Tag-keyed version: the cache probe compared this position's
                tag before dispatch, so the parameter's declared type may
                carry it — the typed analogue of a burned-in [Constant].
                The entry barrier's operand is then typed, which is what
                lets guard elision remove the barrier. *)
-            (match f.Mir.specialized_tags with
-            | Some tags when i < Array.length tags ->
-              (Mir.instr f d).Mir.ty <- Mir.ty_of_tag tags.(i)
-            | _ -> ());
-            d)
+            let d = Mir.append f entry (Mir.Parameter i) in
+            (Mir.instr f d).Mir.ty <- Mir.ty_of_tag tag;
+            d
+          | Spec_key.Unknown -> Mir.append f entry (Mir.Parameter i))
     in
+    (* A tag-keyed position gets an entry type barrier for its key tag,
+       which the abstract interpreter may then elide because the probe
+       compares the same tag ([Absint.entry_state]); an unknown one gets a
+       barrier for its stable observed tag, if any. *)
     let s_args =
       Array.mapi
         (fun i p ->
-          match (spec_of i, arg_tags.(i)) with
-          | None, Some tag ->
+          match (known i, arg_tags.(i)) with
+          | Spec_key.Known_tag tag, _ | Spec_key.Unknown, Some tag ->
             (* Placeholder resume point; replaced below once every
                parameter def exists. *)
             Mir.append f entry
@@ -574,7 +553,7 @@ let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_t
   (* OSR entry. *)
   (match osr with
   | None -> ()
-  | Some { osr_pc; osr_args; osr_locals; osr_specialize; osr_bake_locals } ->
+  | Some { osr_pc; osr_args; osr_locals; osr_bake_locals } ->
     f.Mir.cur_pc <- osr_pc;
     let ob = Mir.new_block f in
     f.Mir.osr_entry <- Some ob.Mir.bid;
@@ -590,19 +569,22 @@ let build ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_t
         d
       end
     in
-    (* Arguments obey the selective mask. Locals are baked only when the
-       requester says the snapshot is exact at entry time (synchronous
-       OSR, entered immediately): a deferred entry arrives after the
-       loop has advanced, so its locals stay live loads. *)
+    (* An argument is baked where the key burns it in. Locals are baked
+       only under a value key, and only when the requester says the
+       snapshot is exact at entry time (synchronous OSR, entered
+       immediately): a deferred entry arrives after the loop has advanced,
+       so its locals stay live loads. *)
     let s_args =
       Array.init func.arity (fun i ->
-          osr_slot
-            ~spec:(osr_specialize && spec_of i <> None)
-            (Mir.Osr_arg i) osr_args.(i))
+          let spec = match known i with Spec_key.Known_value _ -> true | _ -> false in
+          osr_slot ~spec (Mir.Osr_arg i) osr_args.(i))
+    in
+    let bake_locals =
+      osr_bake_locals && match key with Spec_key.Key_values _ -> true | _ -> false
     in
     let s_locals =
       Array.init func.nlocals (fun i ->
-          osr_slot ~spec:(osr_specialize && osr_bake_locals) (Mir.Osr_local i) osr_locals.(i))
+          osr_slot ~spec:bake_locals (Mir.Osr_local i) osr_locals.(i))
     in
     ob.Mir.term <- Mir.Goto (target_block ctx osr_pc);
     record_edge ctx osr_pc ob.Mir.bid { s_args; s_locals; s_stack = [] });

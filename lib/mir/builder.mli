@@ -1,12 +1,13 @@
 (** Translation of stack bytecode into MIR SSA graphs.
 
     This is where parameter-based value specialization happens (paper §3.2):
-    when [spec_args] is supplied, every [Parameter] (and, on the OSR path,
-    every live argument and local) is created directly as a [Constant]
+    under a value key ({!Spec_key.Key_values}), every [Parameter] the key
+    burns in (and, on the OSR path, every such live argument, plus the
+    locals when the snapshot is exact) is created directly as a [Constant]
     carrying the runtime value — imposing zero additional compile time, as
     the constants are made while the graph is built.
 
-    Without [spec_args], the builder emulates IonMonkey's baseline type
+    Positions the key leaves free follow IonMonkey's baseline type
     specialization: arguments whose observed runtime tag has been stable get
     a [Type_barrier] guard and are treated as that type downstream. *)
 
@@ -14,29 +15,27 @@ type osr_request = {
   osr_pc : int;  (** bytecode pc of the [Loop_head] being entered *)
   osr_args : Runtime.Value.t array;  (** interpreter frame at OSR time *)
   osr_locals : Runtime.Value.t array;
-  osr_specialize : bool;
-      (** true: bake the frame values as constants (parameter
-          specialization extended to the OSR block, paper Figure 7a).
-          false: emit [Osr_value] loads, statically typed to the observed
-          tags — sound because an OSR path is entered exactly once, with
-          exactly these values, right after compilation. *)
   osr_bake_locals : bool;
-      (** Whether [osr_specialize] extends to the locals. Synchronous OSR
-          enters immediately with exactly the snapshot, so baking locals
-          is free constant-propagation fodder. A deferred (background)
-          entry happens after the loop has kept running — a baked loop
-          counter would be stale by construction — so the engine passes
-          [false] and the locals become live [Osr_value] loads, typed to
-          the observed tags. Args are unaffected: their burned values
-          must match the specialized body on either path. *)
+      (** Under a value key the OSR block bakes the frame's burned-in
+          arguments as constants (parameter specialization extended to the
+          OSR block, paper Figure 7a); every other slot is an [Osr_value]
+          load, statically typed to the observed tag — sound because an
+          OSR path is entered exactly once, with exactly these values,
+          right after compilation. This field says whether the baking
+          extends to the locals. Synchronous OSR enters immediately with
+          exactly the snapshot, so baking locals is free
+          constant-propagation fodder. A deferred (background) entry
+          happens after the loop has kept running — a baked loop counter
+          would be stale by construction — so the engine passes [false]
+          and the locals become live [Osr_value] loads, typed to the
+          observed tags. Args are unaffected: their burned values must
+          match the specialized body on either path. *)
 }
 
 val build :
   program:Bytecode.Program.t ->
   func:Bytecode.Program.func ->
-  ?spec_args:Runtime.Value.t array ->
-  ?spec_mask:bool array ->
-  ?spec_tags:Runtime.Value.tag array ->
+  ?key:Spec_key.t ->
   ?arg_tags:Runtime.Value.tag option array ->
   ?osr:osr_request ->
   ?emit_guards:bool ->
@@ -44,18 +43,17 @@ val build :
   ?known_globals:int option array ->
   unit ->
   Mir.func
-(** Build the MIR graph for [func]. [arg_tags] gives, per argument, the
-    stable observed tag if any (ignored for specialized arguments).
-    [spec_tags] builds a widened (polyvariant) version: no values burn in,
-    but every argument gets an entry type barrier for its key tag, and
-    [Mir.specialized_tags] records the signature so the abstract
-    interpreter may assume (and elide) exactly what the tag-keyed cache
-    probe establishes. Ignored when [spec_args] is present.
-    [spec_mask] enables selective specialization: arguments whose mask
-    entry is [false] stay runtime [Parameter]s (with their type barrier,
-    if a stable tag is known) even when [spec_args] is present — the
-    engine uses this to specialize only arguments that were observed
-    value-stable. Omitted mask = specialize everything.
+(** Build the MIR graph for [func] under the cache [key] (default
+    {!Spec_key.Key_generic}) and record it in [Mir.key]. Argument [i]
+    becomes what [Spec_key.at_entry key i] says every admitted call
+    passes: a [Constant] for a known value; a runtime [Parameter] typed to
+    the key tag behind an entry type barrier for that tag, for a known tag
+    (a widened polyvariant version — the abstract interpreter may assume,
+    and elide, exactly what the tag probe establishes); otherwise a
+    runtime [Parameter], behind a type barrier when [arg_tags] gives a
+    stable observed tag for that position. A selective mask thus leaves
+    its [false] positions as runtime parameters, and a position past a
+    short value tuple burns in [Undefined].
     [known_globals] (from {!Bytecode.Program.known_global_funcs}) lets the
     builder lower a call through a write-once function global as
     [Call_known] — the callee value is still loaded and invoked, but the

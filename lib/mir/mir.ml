@@ -131,14 +131,10 @@ type func = {
   mutable next_block : int;
   mutable defs : instr option array;
       (* indexed by def; a deleted instruction keeps its record *)
-  mutable specialized_args : Value.t array option;
-  mutable specialized_mask : bool array option;
-      (* selective specialization: which positions of [specialized_args] are
-         burned in (None = all of them) *)
-  mutable specialized_tags : Value.tag array option;
-      (* widened (polyvariant) version: only the runtime type tags of the
-         arguments are burned in; the cache probe compares tags, so the
-         entry state may assume them (and elide the entry barriers) *)
+  mutable key : Spec_key.t;
+      (* the argument-cache key this graph was built for: what the probe
+         admits is exactly what the entry may assume
+         ([Spec_key.at_entry]) *)
   mutable no_checked_int : bool;
       (* overflow feedback: a previous binary of this function bailed on an
          int32 overflow guard, so arithmetic compiles on the double path *)
@@ -166,9 +162,7 @@ let create_func source =
     next_def = 0;
     next_block = 0;
     defs = Array.make 64 None;
-    specialized_args = None;
-    specialized_mask = None;
-    specialized_tags = None;
+    key = Spec_key.Key_generic;
     no_checked_int = false;
     cur_pc = 0;
     cur_pass = "build";

@@ -10,6 +10,8 @@
 
 open Runtime
 
+let values args = Spec_key.Key_values (args, None)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -80,10 +82,10 @@ function sumto(s, n) {
 }
 |}
 
-let build src ?spec_args ?spec_mask () =
+let build src ?key () =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
-  (program, Builder.build ~program ~func ?spec_args ?spec_mask ())
+  (program, Builder.build ~program ~func ?key ())
 
 (* Typer only: guards are materialized but nothing has deleted any. *)
 let bare = Pipeline.make ~licm:false ~gvn:false ~ge:false "bare"
@@ -125,7 +127,7 @@ let test_entry_state () =
       Alcotest.(check bool) "unspecialized entry is top" true
         (Absint.equal av Absint.top))
     (Absint.entry_state gen);
-  let _, spec = build sumto_src ~spec_args:[| arr; Value.Int 2 |] () in
+  let _, spec = build sumto_src ~key:(values [| arr; Value.Int 2 |]) () in
   (match Absint.entry_state spec with
   | [| Absint.Const a; Absint.Const (Value.Int 2) |] ->
     Alcotest.(check bool) "array burned by identity" true (Value.same_value a arr)
@@ -133,8 +135,7 @@ let test_entry_state () =
     Alcotest.failf "expected two constants, got %s"
       (String.concat " " (Array.to_list (Array.map Absint.to_string st))));
   let _, masked =
-    build sumto_src ~spec_args:[| arr; Value.Int 2 |]
-      ~spec_mask:[| true; false |] ()
+    build sumto_src ~key:(Spec_key.Key_values ([| arr; Value.Int 2 |], Some [| true; false |])) ()
   in
   match Absint.entry_state masked with
   | [| Absint.Const _; free |] ->
@@ -148,7 +149,7 @@ let test_entry_state () =
 
 let test_induction_variable_state () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 8 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 8 |]) () in
   ignore (Pipeline.apply ~program bare f);
   let r = Absint.analyze f in
   (* The induction phi: int-tagged with a non-negative lower bound (the
@@ -175,7 +176,7 @@ let test_induction_variable_state () =
 
 let test_constant_branch_prunes () =
   let src = "function f(n) { if (n < 0) { return 7; } return 9; }" in
-  let _, f = build src ~spec_args:[| Value.Int 5 |] () in
+  let _, f = build src ~key:(values [| Value.Int 5 |]) () in
   let r = Absint.analyze f in
   let block_of c =
     let found = ref None in
@@ -200,7 +201,7 @@ let test_constant_branch_prunes () =
 
 let test_prove_bounds_redundant () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 8 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 8 |]) () in
   ignore (Pipeline.apply ~program bare f);
   let r = Absint.analyze f in
   match find_guard f (function Mir.Bounds_check _ -> true | _ -> false) with
@@ -214,7 +215,7 @@ let test_prove_unprovable_bound () =
   (* Bound 9 exceeds the array length: the loop-exit refinement gives
      i <= 8, which does not fit. *)
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 9 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 9 |]) () in
   ignore (Pipeline.apply ~program bare f);
   let r = Absint.analyze f in
   match find_guard f (function Mir.Bounds_check _ -> true | _ -> false) with
@@ -227,7 +228,7 @@ let test_prove_unprovable_bound () =
 let test_negative_index_keeps_guard () =
   let src = "function g(s) { return s[-1]; }" in
   let arr = Value.Arr (Value.arr_of_list [ Value.Int 1; Value.Int 2 ]) in
-  let program, f = build src ~spec_args:[| arr |] () in
+  let program, f = build src ~key:(values [| arr |]) () in
   let stats = Pipeline.apply ~program full f in
   Alcotest.(check int) "nothing elided" 0 stats.Pipeline.guards_elided;
   Alcotest.(check bool) "bounds check survives" true
@@ -235,7 +236,7 @@ let test_negative_index_keeps_guard () =
 
 let test_zero_length_array_keeps_guard () =
   let src = "function g(s) { return s[0]; }" in
-  let program, f = build src ~spec_args:[| Value.Arr (Value.new_arr 0) |] () in
+  let program, f = build src ~key:(values [| Value.Arr (Value.new_arr 0) |]) () in
   ignore (Pipeline.apply ~program full f);
   Alcotest.(check bool) "bounds check survives" true
     (count f (function Mir.Bounds_check _ -> true | _ -> false) > 0)
@@ -248,14 +249,14 @@ let test_zero_trip_loop_keeps_guards () =
     "function z(s) { var t = 0; for (var i = 5; i < 3; i++) t += s[i]; return t; }"
   in
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build src ~spec_args:[| arr |] () in
+  let program, f = build src ~key:(values [| arr |]) () in
   let s = Pipeline.apply ~program (Pipeline.make ~ps:true ~cp:true ~bce:true "bce") f in
   Alcotest.(check int) "BCE removes nothing" 0
     (List.length
        (List.filter (fun (e : Mir.elision) -> e.Mir.el_kind = "bounds") s.Pipeline.elisions));
   (* Under guard elision the body is proven unreachable, not redundant:
      elision only deletes guards on executable paths. *)
-  let program2, f2 = build src ~spec_args:[| arr |] () in
+  let program2, f2 = build src ~key:(values [| arr |]) () in
   ignore program2;
   let r = Absint.analyze f2 in
   match find_guard f2 (function Mir.Bounds_check _ -> true | _ -> false) with
@@ -270,7 +271,7 @@ let test_bottom_test_keeps_last_check () =
      says, so s[7] is read and its check must stay. *)
   let arr n = Value.Arr (Value.arr_of_list (List.init n (fun i -> Value.Int i))) in
   let checks_left src n =
-    let program, f = build src ~spec_args:[| arr n |] () in
+    let program, f = build src ~key:(values [| arr n |]) () in
     ignore (Pipeline.apply ~program Pipeline.all_on f);
     (f, count f (function Mir.Bounds_check _ -> true | _ -> false))
   in
@@ -298,7 +299,7 @@ let test_bottom_test_keeps_last_check () =
 
 let test_guard_elim_elides () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 8 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 8 |]) () in
   let stats = Pipeline.apply ~program full f in
   Alcotest.(check bool) "guards elided" true (stats.Pipeline.guards_elided > 0);
   Alcotest.(check int) "stats match the elision list"
@@ -315,7 +316,7 @@ let test_guard_elim_elides () =
 
 let test_survivors_report () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 8 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 8 |]) () in
   ignore (Pipeline.apply ~program bare f);
   (* Nothing has elided yet: every provably redundant guard is a missed
      elision. *)
@@ -323,7 +324,7 @@ let test_survivors_report () =
   Alcotest.(check bool) "bare pipeline leaves provable guards" true
     (List.length (Absint.survivors r f) > 0);
   (* The elision pass clears the report. *)
-  let program2, f2 = build sumto_src ~spec_args:[| arr; Value.Int 8 |] () in
+  let program2, f2 = build sumto_src ~key:(values [| arr; Value.Int 8 |]) () in
   ignore (Pipeline.apply ~program:program2 full f2);
   let r2 = Absint.analyze f2 in
   Alcotest.(check int) "full pipeline leaves none" 0
@@ -334,7 +335,7 @@ let test_survivors_report () =
 let test_validate_flags_unsound_deletion () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
   (* n = 9: the bounds check is NOT redundant (i reaches 8). *)
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 9 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 9 |]) () in
   ignore (Pipeline.apply ~program bare f);
   let snap = Guard_elim.snapshot f in
   let pre = Absint.analyze f in
@@ -352,7 +353,7 @@ let test_validate_flags_unsound_deletion () =
 let test_validate_accepts_sound_deletion () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
   (* n = 8: the same deletion is provable, so the sandwich stays quiet. *)
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 8 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 8 |]) () in
   ignore (Pipeline.apply ~program bare f);
   let snap = Guard_elim.snapshot f in
   let pre = Absint.analyze f in
@@ -363,7 +364,7 @@ let test_validate_accepts_sound_deletion () =
 
 let test_validate_accepts_untouched_graph () =
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let program, f = build sumto_src ~spec_args:[| arr; Value.Int 9 |] () in
+  let program, f = build sumto_src ~key:(values [| arr; Value.Int 9 |]) () in
   ignore (Pipeline.apply ~program bare f);
   let snap = Guard_elim.snapshot f in
   let pre = Absint.analyze f in
@@ -390,7 +391,7 @@ let test_elision_differential () =
 
 let test_spec_check_entry_audit () =
   let arr = Value.Arr (Value.arr_of_list (List.init 4 (fun i -> Value.Int i))) in
-  let _, f = build sumto_src ~spec_args:[| arr; Value.Int 4 |] () in
+  let _, f = build sumto_src ~key:(values [| arr; Value.Int 4 |]) () in
   Alcotest.(check int) "clean specialized build" 0
     (List.length (Diag.errors (Spec_check.check ~stage:`Built f)));
   (* Drift fixture: the baked constant in the entry block stops matching

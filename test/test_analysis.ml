@@ -123,10 +123,10 @@ function map(s, b, n, f) {
 print(map(new Array(1, 2, 3, 4, 5), 2, 5, inc));
 |}
 
-let build_fn ?spec_args ?arg_tags src fid =
+let build_fn ?key ?arg_tags src fid =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(fid) in
-  let f = Builder.build ~program ~func ?spec_args ?arg_tags () in
+  let f = Builder.build ~program ~func ?key ?arg_tags () in
   Typer.run f;
   Verify.run f;
   Verify.check_types f;
@@ -244,12 +244,12 @@ let spec_args_for_map () =
 let test_spec_baked_constant_disagrees () =
   let program = Bytecode.Compile.program_of_source map_src in
   let func = program.Bytecode.Program.funcs.(2) in
-  let f = Builder.build ~program ~func ~spec_args:(spec_args_for_map ()) () in
+  let f = Builder.build ~program ~func ~key:(Spec_key.Key_values (spec_args_for_map (), None)) () in
   (* Corrupt the cache tuple after the build: the baked constants in the
      entry block now disagree with what a cache probe would compare. *)
   let args = spec_args_for_map () in
   args.(1) <- Value.Int 99;
-  f.Mir.specialized_args <- Some args;
+  f.Mir.key <- Spec_key.Key_values (args, None);
   let errs = Diag.errors (Spec_check.check ~stage:`Built f) in
   Alcotest.(check bool) "rejected" true (errs <> []);
   check_contains "disagreement" (List.hd errs).Diag.message "disagrees"
@@ -260,7 +260,7 @@ let test_spec_parameter_at_burned_position () =
   (* A generic build loads every argument as a runtime Parameter; claiming
      afterwards that the args were burned in must be flagged. *)
   let f = Builder.build ~program ~func () in
-  f.Mir.specialized_args <- Some (spec_args_for_map ());
+  f.Mir.key <- Spec_key.Key_values (spec_args_for_map (), None);
   let errs = Diag.errors (Spec_check.check ~stage:`Built f) in
   Alcotest.(check bool) "rejected" true (errs <> []);
   check_contains "burned parameter" (List.hd errs).Diag.message
@@ -269,7 +269,7 @@ let test_spec_parameter_at_burned_position () =
 let test_spec_clean_on_specialized_build () =
   let program = Bytecode.Compile.program_of_source map_src in
   let func = program.Bytecode.Program.funcs.(2) in
-  let f = Builder.build ~program ~func ~spec_args:(spec_args_for_map ()) () in
+  let f = Builder.build ~program ~func ~key:(Spec_key.Key_values (spec_args_for_map (), None)) () in
   Alcotest.(check int) "no errors on a faithful build" 0
     (List.length (Diag.errors (Spec_check.check ~stage:`Built f)))
 
@@ -319,7 +319,7 @@ let test_spec_redundant_guard_warning () =
 let test_pipeline_sandwich_clean_on_all_on () =
   let program = Bytecode.Compile.program_of_source map_src in
   let func = program.Bytecode.Program.funcs.(2) in
-  let f = Builder.build ~program ~func ~spec_args:(spec_args_for_map ()) () in
+  let f = Builder.build ~program ~func ~key:(Spec_key.Key_values (spec_args_for_map (), None)) () in
   ignore (Pipeline.apply ~check:true ~program Pipeline.all_on f)
 
 (* One member per suite under the kitchen-sink config with every per-pass

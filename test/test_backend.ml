@@ -2,10 +2,10 @@
 
 open Runtime
 
-let compile_fn ?spec_args ?arg_tags ?(config = Pipeline.baseline) src fid =
+let compile_fn ?key ?arg_tags ?(config = Pipeline.baseline) src fid =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(fid) in
-  let f = Builder.build ~program ~func ?spec_args ?arg_tags () in
+  let f = Builder.build ~program ~func ?key ?arg_tags () in
   ignore (Pipeline.apply ~program config f);
   let vcode = Lower.run f in
   let code, intervals = Regalloc.run vcode in
@@ -52,7 +52,7 @@ let test_lowered_code_is_allocated () =
 let test_constants_become_immediates () =
   let _, _, code, _ =
     compile_fn "function f() { return 2 + 3; }" 1 ~config:Pipeline.best
-      ~spec_args:[||]
+      ~key:(Spec_key.Key_values ([||], None))
   in
   (* The whole body folds; only a return of an immediate remains. *)
   Alcotest.(check bool) "tiny code" true (Code.size code <= 2);
@@ -249,7 +249,9 @@ let test_specialized_code_smaller_and_faster () =
   let tags = Value.[| Some Tag_int; Some Tag_int; Some Tag_int |] in
   let _, func, generic, _ = compile_fn src 1 ~arg_tags:tags ~config:Pipeline.baseline in
   let args = [| Value.Int 3; Value.Int 4; Value.Int 50 |] in
-  let _, _, spec, _ = compile_fn src 1 ~spec_args:args ~config:Pipeline.best in
+  let _, _, spec, _ =
+    compile_fn src 1 ~key:(Spec_key.Key_values (args, None)) ~config:Pipeline.best
+  in
   Alcotest.(check bool) "specialized code is smaller" true
     (Code.size spec < Code.size generic);
   let out_g, cyc_g = exec generic ~func ~args in

@@ -4,10 +4,10 @@
 
 open Runtime
 
-let build ?spec_args ?arg_tags ?(config = Pipeline.baseline) src fid =
+let build ?key ?arg_tags ?(config = Pipeline.baseline) src fid =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(fid) in
-  let f = Builder.build ~program ~func ?spec_args ?arg_tags () in
+  let f = Builder.build ~program ~func ?key ?arg_tags () in
   ignore (Pipeline.apply ~program config f);
   (program, func, f)
 
@@ -55,7 +55,7 @@ let test_eval_calls_through_engine_callback () =
   let calls = ref [] in
   let _, func, f =
     build "function f(g) { return g(2) + g(3); }" 1
-      ~spec_args:[| Value.Native_fun "Math.sqrt" |]
+      ~key:(Spec_key.Key_values ([| Value.Native_fun "Math.sqrt" |], None))
       ~config:(Pipeline.make ~ps:true "ps")
   in
   let call v args =
@@ -116,7 +116,9 @@ let test_pass_idempotence () =
   let func = program.Bytecode.Program.funcs.(1) in
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
   let f =
-    Builder.build ~program ~func ~spec_args:[| arr; Value.Int 8; Value.Int 3 |] ()
+    Builder.build ~program ~func
+      ~key:(Spec_key.Key_values ([| arr; Value.Int 8; Value.Int 3 |], None))
+      ()
   in
   Typer.run f;
   ignore (Gvn.run f);

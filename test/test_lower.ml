@@ -4,10 +4,10 @@
 
 open Runtime
 
-let compile ?spec_args ?arg_tags ?(config = Pipeline.baseline) src fid =
+let compile ?key ?arg_tags ?(config = Pipeline.baseline) src fid =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(fid) in
-  let f = Builder.build ~program ~func ?spec_args ?arg_tags () in
+  let f = Builder.build ~program ~func ?key ?arg_tags () in
   ignore (Pipeline.apply ~program config f);
   let code, _ = Regalloc.run (Lower.run f) in
   (func, code)
@@ -87,11 +87,11 @@ let test_entry_offset_is_zero_with_osr () =
       osr_args = [| Value.Int 100 |];
       (* locals are allocated alphabetically: slot 0 = i, slot 1 = t *)
       osr_locals = [| Value.Int 5; Value.Int 10 |];
-      osr_specialize = true;
       osr_bake_locals = true;
     }
   in
-  let f = Builder.build ~program ~func ~spec_args:[| Value.Int 100 |] ~osr () in
+  let key = Spec_key.Key_values ([| Value.Int 100 |], None) in
+  let f = Builder.build ~program ~func ~key ~osr () in
   ignore (Pipeline.apply ~program Pipeline.best f);
   let code, _ = Regalloc.run (Lower.run f) in
   (match code.Code.osr_offset with
@@ -140,7 +140,9 @@ let test_verifier_accepts_compiled_code () =
   in
   let _, code = compile src 1 ~arg_tags:Value.[| Some Tag_int |] in
   Code_verify.run code;
-  let _, code2 = compile src 1 ~spec_args:Value.[| Int 9 |] ~config:Pipeline.all_on in
+  let _, code2 =
+    compile src 1 ~key:(Spec_key.Key_values (Value.[| Int 9 |], None)) ~config:Pipeline.all_on
+  in
   Code_verify.run code2
 
 let test_verifier_rejects_virtual_register () =

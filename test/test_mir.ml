@@ -2,10 +2,10 @@
 
 open Runtime
 
-let build_fn ?spec_args ?arg_tags ?osr src fid =
+let build_fn ?key ?arg_tags ?osr src fid =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(fid) in
-  let f = Builder.build ~program ~func ?spec_args ?arg_tags ?osr () in
+  let f = Builder.build ~program ~func ?key ?arg_tags ?osr () in
   Typer.run f;
   Verify.run f;
   (program, f)
@@ -56,7 +56,7 @@ let test_tagged_build_uses_guards () =
     (count_kind f (function Mir.Bounds_check _ -> true | _ -> false) > 0)
 
 let test_specialized_build_constants () =
-  let _, f = build_fn ~spec_args:(spec_args_for_map ()) map_src 2 in
+  let _, f = build_fn ~key:(Spec_key.Key_values (spec_args_for_map (), None)) map_src 2 in
   Alcotest.(check int) "no parameters remain" 0
     (count_kind f (function Mir.Parameter _ -> true | _ -> false));
   Alcotest.(check int) "no type barriers" 0
@@ -79,9 +79,9 @@ let test_specialized_build_constants () =
 let test_osr_block_shape () =
   let spec = spec_args_for_map () in
   let osr =
-    { Builder.osr_pc = 2; osr_args = spec; osr_locals = [| Value.Int 2 |]; osr_specialize = true; osr_bake_locals = true }
+    { Builder.osr_pc = 2; osr_args = spec; osr_locals = [| Value.Int 2 |]; osr_bake_locals = true }
   in
-  let _, f = build_fn ~spec_args:spec ~osr map_src 2 in
+  let _, f = build_fn ~key:(Spec_key.Key_values (spec, None)) ~osr map_src 2 in
   match f.Mir.osr_entry with
   | None -> Alcotest.fail "expected an OSR entry"
   | Some ob ->
@@ -99,7 +99,6 @@ let test_osr_generic_is_typed () =
       Builder.osr_pc = 2;
       osr_args = spec_args_for_map ();
       osr_locals = [| Value.Int 2 |];
-      osr_specialize = false;
       osr_bake_locals = true;
     }
   in
@@ -116,7 +115,7 @@ let test_typer_types_loop_counter () =
   let src = "function f(n) { var t = 0; for (var i = 0; i < n; i++) t += i; return t; }" in
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
-  let f = Builder.build ~program ~func ~spec_args:[| Value.Int 100 |] () in
+  let f = Builder.build ~program ~func ~key:(Spec_key.Key_values ([| Value.Int 100 |], None)) () in
   Typer.run f;
   Verify.run f;
   let checked_int_adds =
@@ -274,7 +273,6 @@ let test_build_all_suite_functions_all_modes () =
                           Array.make func.Bytecode.Program.arity (Value.Int 1);
                         osr_locals =
                           Array.make func.Bytecode.Program.nlocals Value.Undefined;
-                        osr_specialize = false;
                         osr_bake_locals = true;
                       }
                     in

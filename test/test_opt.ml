@@ -5,6 +5,8 @@
 
 open Runtime
 
+let values args = Spec_key.Key_values (args, None)
+
 let map_src =
   {|
 function inc(x) { return x + 1; }
@@ -34,12 +36,11 @@ let build_map ?osr () =
           Builder.osr_pc = 2;
           osr_args = spec_args;
           osr_locals = [| Value.Int 2 |];
-          osr_specialize = true;
           osr_bake_locals = true;
         }
     | _ -> None
   in
-  let f = Builder.build ~program ~func ~spec_args ?osr () in
+  let f = Builder.build ~program ~func ~key:(values spec_args) ?osr () in
   (program, f)
 
 let count f pred =
@@ -68,7 +69,7 @@ let test_constprop_folds_comparison () =
   let src = "function f(a, b) { return a < b ? typeof a : \"no\"; }" in
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
-  let f = Builder.build ~program ~func ~spec_args:[| Value.Int 1; Value.Int 2 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| Value.Int 1; Value.Int 2 |]) () in
   let _ = apply program (Pipeline.make ~ps:true ~cp:true ~dce:true "cpdce") f in
   (* a < b and typeof a are compile-time constants; with DCE the function
      collapses to returning the constant string. *)
@@ -89,7 +90,7 @@ let test_constprop_folds_pure_natives () =
   let func = program.Bytecode.Program.funcs.(1) in
   let f =
     Builder.build ~program ~func
-      ~spec_args:[| Value.Native_fun "Math.pow"; Value.Int 2 |] ()
+      ~key:(values [| Value.Native_fun "Math.pow"; Value.Int 2 |]) ()
   in
   let _ = apply program (Pipeline.make ~ps:true ~cp:true "cp") f in
   let folded_pow = ref false in
@@ -605,7 +606,7 @@ let build_sumto () =
   let program = Bytecode.Compile.program_of_source read_only_loop in
   let func = program.Bytecode.Program.funcs.(1) in
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
-  let f = Builder.build ~program ~func ~spec_args:[| arr; Value.Int 8 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| arr; Value.Int 8 |]) () in
   (program, f)
 
 (* Bounds checks are removed by guard elision, the one bounds proof; the
@@ -627,7 +628,7 @@ let test_bce_keeps_unprovable_checks () =
   let func = program.Bytecode.Program.funcs.(1) in
   let arr = Value.Arr (Value.arr_of_list (List.init 8 (fun i -> Value.Int i))) in
   (* Bound 9 exceeds the array length: the check must stay. *)
-  let f = Builder.build ~program ~func ~spec_args:[| arr; Value.Int 9 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| arr; Value.Int 9 |]) () in
   let stats = apply program (Pipeline.make ~ps:true ~cp:true ~bce:true "bce") f in
   Alcotest.(check int) "nothing removed" 0 (bounds_removed stats)
 
@@ -640,7 +641,7 @@ let test_bce_store_conservatism () =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
   let arr = Value.Arr (Value.new_arr 8) in
-  let build () = Builder.build ~program ~func ~spec_args:[| arr; Value.Int 8 |] () in
+  let build () = Builder.build ~program ~func ~key:(values [| arr; Value.Int 8 |]) () in
   let s1 = apply program (Pipeline.make ~ps:true ~cp:true ~bce:true "bce") (build ()) in
   Alcotest.(check bool) "growth-only stores do not block" true (bounds_removed s1 > 0);
   (* ...but an opaque call might reach a pop on an alias, so it blocks the
@@ -654,7 +655,7 @@ let test_bce_store_conservatism () =
   let clo = Value.Closure { Value.fid = 1; env = [||]; cid = Value.fresh_id () } in
   let buildc () =
     Builder.build ~program:programc ~func:funcc
-      ~spec_args:[| Value.Arr (Value.new_arr 8); Value.Int 8; clo |] ()
+      ~key:(values [| Value.Arr (Value.new_arr 8); Value.Int 8; clo |]) ()
   in
   let s2 = apply programc (Pipeline.make ~ps:true ~cp:true ~bce:true "bce") (buildc ()) in
   Alcotest.(check int) "call blocks conservative mode" 0 (bounds_removed s2);
@@ -674,7 +675,7 @@ let test_bce_store_conservatism () =
   let funcp = programp.Bytecode.Program.funcs.(1) in
   let fp =
     Builder.build ~program:programp ~func:funcp
-      ~spec_args:[| Value.Arr (Value.new_arr 8); Value.Int 4 |] ()
+      ~key:(values [| Value.Arr (Value.new_arr 8); Value.Int 4 |]) ()
   in
   let s4 =
     apply programp (Pipeline.make ~ps:true ~cp:true ~bce:true ~precise_alias:true "bce+") fp
@@ -710,7 +711,8 @@ let engine_checks_left ?(precise_alias = false) member fname =
   let left = ref 0 in
   Engine.with_mir_hook
     (fun f ->
-      if f.Mir.source.Bytecode.Program.name = fname && f.Mir.specialized_args <> None
+      if f.Mir.source.Bytecode.Program.name = fname
+         && (match f.Mir.key with Spec_key.Key_values _ -> true | _ -> false)
       then
         left := !left + count f (function Mir.Bounds_check _ -> true | _ -> false))
     (fun () -> ignore (Runner.run_member (Engine.default_config ~opt ()) m));
@@ -731,7 +733,7 @@ let test_unroll_constant_trip_loop () =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
   let arr = Value.Arr (Value.arr_of_list (List.init 5 (fun i -> Value.Int (i * i)))) in
-  let f = Builder.build ~program ~func ~spec_args:[| arr; Value.Int 5 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| arr; Value.Int 5 |]) () in
   let stats =
     apply program (Pipeline.make ~ps:true ~cp:true ~dce:true ~loop_unroll:true "u") f
   in
@@ -750,7 +752,7 @@ let test_unroll_zero_trip_loop () =
   let src = "function f(n) { var t = 7; for (var i = 0; i < n; i++) t = 0; return t; }" in
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
-  let f = Builder.build ~program ~func ~spec_args:[| Value.Int 0 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| Value.Int 0 |]) () in
   let stats =
     apply program (Pipeline.make ~ps:true ~cp:true ~loop_unroll:true "u") f
   in
@@ -776,7 +778,7 @@ let test_unroll_respects_budget () =
   let src = "function f(n) { var t = 0; for (var i = 0; i < n; i++) t += i; return t; }" in
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
-  let f = Builder.build ~program ~func ~spec_args:[| Value.Int 5000 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| Value.Int 5000 |]) () in
   let stats =
     apply program (Pipeline.make ~ps:true ~cp:true ~loop_unroll:true "u") f
   in
@@ -837,7 +839,7 @@ function drive(f) { var t = 0; for (var i = 0; i < 5; i++) t += f(i); return t; 
   in
   let cell = ref (Value.Int 0) in
   let clo = Value.Closure { Value.fid = closure_fid; env = [| cell |]; cid = 1 } in
-  let f = Builder.build ~program ~func:drive ~spec_args:[| clo |] () in
+  let f = Builder.build ~program ~func:drive ~key:(values [| clo |]) () in
   let stats = apply program (Pipeline.make ~ps:true ~cp:true "ps") f in
   Alcotest.(check int) "capturing closure CAN inline (cells live behind refs)" 1
     stats.Pipeline.inlined;
@@ -850,7 +852,7 @@ let test_inline_budget () =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
   let clo = Value.Closure { Value.fid = 1; env = [||]; cid = Value.fresh_id () } in
-  let f = Builder.build ~program ~func ~spec_args:[| clo; Value.Int 100 |] () in
+  let f = Builder.build ~program ~func ~key:(values [| clo; Value.Int 100 |]) () in
   let stats = apply program (Pipeline.make ~ps:true ~cp:true "ps") f in
   Alcotest.(check bool) "bounded" true (stats.Pipeline.inlined <= 8)
 
@@ -912,7 +914,7 @@ let test_gvn_constant_keys_are_type_aware () =
   let src = "function f(x) { var s = \"4\"; return s + (x & 7); }" in
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
-  let f = Builder.build ~program ~func ~spec_args:Value.[| Int 4 |] () in
+  let f = Builder.build ~program ~func ~key:(values Value.[| Int 4 |]) () in
   Typer.run f;
   ignore (Gvn.run f);
   Verify.run f;
@@ -960,7 +962,7 @@ let sccp_example () =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
   let build () =
-    Builder.build ~program ~func ~spec_args:Value.[| Int 1; Int 0 |] ()
+    Builder.build ~program ~func ~key:(values Value.[| Int 1; Int 0 |]) ()
   in
   (program, build)
 
@@ -1009,7 +1011,7 @@ let test_sccp_matches_constprop_on_straight_line () =
   let program = Bytecode.Compile.program_of_source src in
   let func = program.Bytecode.Program.funcs.(1) in
   let with_pass pass =
-    let f = Builder.build ~program ~func ~spec_args:Value.[| Int 7 |] () in
+    let f = Builder.build ~program ~func ~key:(values Value.[| Int 7 |]) () in
     Typer.run f;
     ignore (Gvn.run f);
     let n = pass f in
@@ -1126,9 +1128,9 @@ print(map(new Array(1, 2, 3, 4, 5), 2, 5, inc));
      in the entry block and the OSR block alike. *)
   let osr =
     { Builder.osr_pc = 2; osr_args = spec_args; osr_locals = [| Value.Int 2 |];
-      osr_specialize = true; osr_bake_locals = true }
+      osr_bake_locals = true }
   in
-  let f = Builder.build ~program ~func:map_fn ~spec_args ~osr () in
+  let f = Builder.build ~program ~func:map_fn ~key:(values spec_args) ~osr () in
   Typer.run f;
   Alcotest.(check int) "fig7a: no parameters left" 0
     (count f (function Mir.Parameter _ | Mir.Osr_value _ -> true | _ -> false));

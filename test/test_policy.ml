@@ -57,45 +57,65 @@ let ints xs = Array.of_list (List.map (fun i -> Value.Int i) xs)
 (* ------------------------------------------------------------------ *)
 
 let test_matches () =
-  let v52 = Policy.Key_values (ints [ 5; 2 ], None) in
-  Alcotest.(check bool) "values: exact tuple" true (Policy.matches v52 (ints [ 5; 2 ]));
-  Alcotest.(check bool) "values: wrong value" false (Policy.matches v52 (ints [ 5; 3 ]));
-  Alcotest.(check bool) "values: wrong arity" false (Policy.matches v52 (ints [ 5 ]));
-  let masked = Policy.Key_values (ints [ 5; 2 ], Some [| true; false |]) in
+  let v52 = Spec_key.Key_values (ints [ 5; 2 ], None) in
+  Alcotest.(check bool) "values: exact tuple" true (Spec_key.matches v52 (ints [ 5; 2 ]));
+  Alcotest.(check bool) "values: wrong value" false (Spec_key.matches v52 (ints [ 5; 3 ]));
+  Alcotest.(check bool) "values: wrong arity" false (Spec_key.matches v52 (ints [ 5 ]));
+  let masked = Spec_key.Key_values (ints [ 5; 2 ], Some [| true; false |]) in
   Alcotest.(check bool) "mask: unburned position free" true
-    (Policy.matches masked (ints [ 5; 99 ]));
+    (Spec_key.matches masked (ints [ 5; 99 ]));
   Alcotest.(check bool) "mask: burned position compared" false
-    (Policy.matches masked (ints [ 6; 2 ]));
-  let tags = Policy.Key_tags [| Value.Tag_int; Value.Tag_string |] in
+    (Spec_key.matches masked (ints [ 6; 2 ]));
+  let tags = Spec_key.Key_tags [| Value.Tag_int; Value.Tag_string |] in
   Alcotest.(check bool) "tags: same tags, any values" true
-    (Policy.matches tags [| Value.Int 9; Value.Str "x" |]);
+    (Spec_key.matches tags [| Value.Int 9; Value.Str "x" |]);
   Alcotest.(check bool) "tags: tag mismatch" false
-    (Policy.matches tags [| Value.Str "x"; Value.Str "x" |]);
+    (Spec_key.matches tags [| Value.Str "x"; Value.Str "x" |]);
   Alcotest.(check bool) "generic: anything" true
-    (Policy.matches Policy.Key_generic [| Value.Undefined |])
+    (Spec_key.matches Spec_key.Key_generic [| Value.Undefined |]);
+  (* A mask recorded from a longer tuple than the key's own: the probe
+     compares only positions the tuple has, and what the entry may assume
+     past it is [Undefined] (the probe admitted only this length). *)
+  let short = Spec_key.Key_values (ints [ 5 ], Some [| true; true; false |]) in
+  Alcotest.(check bool) "short tuple, long mask: same tuple" true
+    (Spec_key.matches short (ints [ 5 ]));
+  Alcotest.(check bool) "short tuple, long mask: other value" false
+    (Spec_key.matches short (ints [ 6 ]));
+  let known key i =
+    match Spec_key.at_entry key i with
+    | Spec_key.Known_value v -> Value.to_display_string v
+    | Spec_key.Known_tag t -> Value.tag_to_string t
+    | Spec_key.Unknown -> "?"
+  in
+  Alcotest.(check (list string)) "entry facts: value key with mask"
+    [ "5"; "undefined"; "?"; "?" ]
+    (List.map (known short) [ 0; 1; 2; 3 ]);
+  Alcotest.(check (list string)) "entry facts: tag key"
+    [ "Int32"; "String"; "?" ]
+    (List.map (known tags) [ 0; 1; 2 ])
 
 let test_widen_ladder () =
   (* One step per rung, keyed to serve the arguments that missed; nothing
      is wider than generic. Never compare keys structurally (values can be
      cyclic) — pattern-match the shape. *)
-  (match Policy.widen (Policy.Key_values (ints [ 5 ], None)) (ints [ 9 ]) with
-  | Some (Policy.Key_tags [| Value.Tag_int |]) -> ()
+  (match Policy.widen (Spec_key.Key_values (ints [ 5 ], None)) (ints [ 9 ]) with
+  | Some (Spec_key.Key_tags [| Value.Tag_int |]) -> ()
   | _ -> Alcotest.fail "values must widen to the missing args' tags");
-  (match Policy.widen (Policy.Key_tags [| Value.Tag_int |]) [| Value.Str "s" |] with
-  | Some Policy.Key_generic -> ()
+  (match Policy.widen (Spec_key.Key_tags [| Value.Tag_int |]) [| Value.Str "s" |] with
+  | Some Spec_key.Key_generic -> ()
   | _ -> Alcotest.fail "tags must widen to generic");
-  (match Policy.widen Policy.Key_generic (ints [ 1 ]) with
+  (match Policy.widen Spec_key.Key_generic (ints [ 1 ]) with
   | None -> ()
   | Some _ -> Alcotest.fail "generic must not widen");
-  Alcotest.(check int) "rank: values" 0 (Policy.key_rank (Policy.Key_values (ints [ 5 ], None)));
-  Alcotest.(check int) "rank: tags" 1 (Policy.key_rank (Policy.Key_tags [| Value.Tag_int |]));
-  Alcotest.(check int) "rank: generic" 2 (Policy.key_rank Policy.Key_generic);
+  Alcotest.(check int) "rank: values" 0 (Policy.key_rank (Spec_key.Key_values (ints [ 5 ], None)));
+  Alcotest.(check int) "rank: tags" 1 (Policy.key_rank (Spec_key.Key_tags [| Value.Tag_int |]));
+  Alcotest.(check int) "rank: generic" 2 (Policy.key_rank Spec_key.Key_generic);
   Alcotest.(check string) "display: values" "(5)"
-    (Policy.key_to_string (Policy.Key_values (ints [ 5 ], None)));
+    (Spec_key.to_string (Spec_key.Key_values (ints [ 5 ], None)));
   Alcotest.(check string) "display: tags" "[Int32]"
-    (Policy.key_to_string (Policy.Key_tags [| Value.Tag_int |]));
+    (Spec_key.to_string (Spec_key.Key_tags [| Value.Tag_int |]));
   Alcotest.(check string) "display: generic" "generic"
-    (Policy.key_to_string Policy.Key_generic)
+    (Spec_key.to_string Spec_key.Key_generic)
 
 let choice = function
   | Policy.Spec_values -> "values"
@@ -140,8 +160,9 @@ let test_promote () =
   let hot_calls = 10 in
   let promoted v = Policy.promote Policy.Polyvariant v ~args ~hot_calls in
   Alcotest.(check (option string)) "paper never promotes" None
-    (Option.map choice (Policy.promote Policy.Paper (view ~keys:[ Policy.Key_generic ] ()) ~args ~hot_calls));
-  let generic_one = [ Policy.Key_generic ] in
+    (Option.map choice
+       (Policy.promote Policy.Paper (view ~keys:[ Spec_key.Key_generic ] ()) ~args ~hot_calls));
+  let generic_one = [ Spec_key.Key_generic ] in
   Alcotest.(check (option string)) "needs promote_factor × hot_calls calls" None
     (Option.map choice
        (promoted (view ~keys:generic_one ~calls:((Policy.promote_factor * hot_calls) - 1) ())));
@@ -168,7 +189,7 @@ let miss = function
 
 let test_on_miss_paper () =
   let args = ints [ 9 ] in
-  let v5 = Policy.Key_values (ints [ 5 ], None) in
+  let v5 = Spec_key.Key_values (ints [ 5 ], None) in
   Alcotest.(check string) "§6 fill while there is room" "fill:values"
     (miss (Policy.on_miss Policy.Paper (view ~cache_size:2 ~keys:[ v5 ] ()) ~args));
   Alcotest.(check string) "§4 deopt on a full cache" "deopt"
@@ -179,9 +200,9 @@ let test_on_miss_paper () =
     (miss (Policy.on_miss Policy.Paper (view ~want:false ~keys:[ v5 ] ()) ~args))
 
 let test_on_miss_polyvariant () =
-  let v5 = Policy.Key_values (ints [ 5 ], None) in
-  let vstr = Policy.Key_values ([| Value.Str "a" |], None) in
-  let tags = Policy.Key_tags [| Value.Tag_int |] in
+  let v5 = Spec_key.Key_values (ints [ 5 ], None) in
+  let vstr = Spec_key.Key_values ([| Value.Str "a" |], None) in
+  let tags = Spec_key.Key_tags [| Value.Tag_int |] in
   let on keys args = miss (Policy.on_miss Policy.Polyvariant (view ~keys ()) ~args) in
   (* Second mismatching tuple for a value signature: widen that version
      (by MRU index), even when the cache still has room. *)

@@ -315,7 +315,7 @@ let test_fired_hook () =
 let test_sample_covers_service_points () =
   let covered p =
     List.exists
-      (fun seed -> List.mem_assoc p (Faults.spec_of (Faults.sample seed)))
+      (fun seed -> List.mem_assoc p (Faults.plan_spec (Faults.sample seed)))
       (List.init 64 (fun i -> i))
   in
   List.iter
