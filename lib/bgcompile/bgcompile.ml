@@ -6,7 +6,12 @@
 module Task = struct
   type 'a state =
     | Thunk of (unit -> 'a)  (* deferred: forced on the harvesting domain *)
-    | Submitted of { ticket : Pool.ticket; cell : 'a option ref }
+    | Submitted of {
+        ticket : Pool.ticket;
+        cell : ('a, exn * Printexc.raw_backtrace) result option ref;
+      }
+        (* a pool job never raises: the thunk's outcome, value or
+           exception, lands in [cell] and [force] re-raises the latter *)
     | Done of 'a
     | Dead  (* pool job cancelled before it ran *)
 
@@ -17,7 +22,10 @@ module Task = struct
     else begin
       let cell = ref None in
       let pool = Pool.default () in
-      let ticket = Pool.submit pool ~priority:Pool.Low (fun () -> cell := Some (f ())) in
+      let run () =
+        cell := Some (try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ()))
+      in
+      let ticket = Pool.submit pool ~priority:Pool.Low run in
       { st = Submitted { ticket; cell } }
     end
 
@@ -32,9 +40,10 @@ module Task = struct
     | Submitted { ticket; cell } -> (
       Pool.await (Pool.default ()) ticket;
       match !cell with
-      | Some v ->
+      | Some (Ok v) ->
         t.st <- Done v;
         v
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
       | None ->
         (* await returned without a result: the job was cancelled. *)
         t.st <- Dead;

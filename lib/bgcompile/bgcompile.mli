@@ -40,13 +40,14 @@ module Task : sig
       closure captures mutable runtime values, so both [--jobs] settings
       read them at the same (harvest-time) point. Otherwise the thunk is
       submitted to the default pool at {!Pool.Low} priority and runs
-      concurrently with the submitter. The thunk must not raise: wrap
-      failures in the result value. *)
+      concurrently with the submitter. *)
 
   val force : 'a t -> 'a
   (** The result, memoized; awaits (helping) if the pool job is still in
-      flight. Raises [Invalid_argument] on a task whose pool job was
-      successfully cancelled. *)
+      flight. An exception the thunk raised is re-raised here, on the
+      forcing domain, with its backtrace — on either path. Raises
+      [Invalid_argument] on a task whose pool job was successfully
+      cancelled. *)
 
   val cancel : 'a t -> unit
   (** Best-effort: drops a pool job that has not started and marks the
