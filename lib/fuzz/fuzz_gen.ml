@@ -67,19 +67,37 @@ let program st =
   let x0 = int_range 0 50 st in
   (* The y argument is a closure when the body applies it, else an int. *)
   let arg2 kind fallback = if kind = 1 then "kernel" else fallback in
+  (* Arity edge: half the programs call fn2 with one argument fewer or one
+     more than its arity — throughout, or after twelve calls at full arity
+     — so the argument tuple the cache keys on is shorter or longer than
+     the callee's parameter list. A closure y is never dropped (the body
+     applies it); one extra argument is passed instead. *)
+  let edge = int_range 0 5 st in
+  let fn2 x y =
+    let full = Printf.sprintf "fn2(%s, %s)" x y in
+    let edge_call =
+      if k2 = 1 || edge = 5 then Printf.sprintf "fn2(%s, %s, k)" x y
+      else Printf.sprintf "fn2(%s)" x
+    in
+    match edge with
+    | 3 | 5 -> edge_call
+    | 4 -> Printf.sprintf "(k < 12 ? %s : %s)" full edge_call
+    | _ -> full
+  in
   let driver =
     if stable then
       Printf.sprintf
         "var r = 0;\n\
-         for (var k = 0; k < 25; k++) r = (r + fn1(%d, %s) + fn2(%d, %s)) | 0;\n\
+         for (var k = 0; k < 25; k++) r = (r + fn1(%d, %s) + %s) | 0;\n\
          print(r);\n"
-        x0 (arg2 k1 "3") (x0 + 1) (arg2 k2 "4")
+        x0 (arg2 k1 "3")
+        (fn2 (string_of_int (x0 + 1)) (arg2 k2 "4"))
     else
       Printf.sprintf
         "var r = 0;\n\
-         for (var k = 0; k < 25; k++) r = (r + fn1(k, %s) + fn2(k, %s)) | 0;\n\
+         for (var k = 0; k < 25; k++) r = (r + fn1(k, %s) + %s) | 0;\n\
          print(r);\n"
-        (arg2 k1 "3") (arg2 k2 "k")
+        (arg2 k1 "3") (fn2 "k" (arg2 k2 "k"))
   in
   Printf.sprintf
     "function kernel(a, b) { return (a * 2 + b) | 0; }\n\

@@ -16,7 +16,8 @@ val program : string gen
 (** Helper functions with loops plus array / string / closure traffic, and
     a driver that calls them with mixed argument stability — the paper's
     core pattern, triggering specialization hits, misses, deopts and
-    closure inlining. *)
+    closure inlining. Half the drivers call one helper with one argument
+    fewer or one more than its arity. *)
 
 val loop_program : string gen
 (** Irregular loop shapes: nesting, [break] / [continue], [while (true)]
