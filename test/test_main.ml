@@ -9,4 +9,5 @@ let () =
    @ Test_lower.suites @ Test_eval.suites @ Test_engine.suites @ Test_workloads.suites
    @ Test_fuzz.suites @ Test_harness.suites @ Test_analysis.suites @ Test_absint.suites
    @ Test_telemetry.suites @ Test_policy.suites @ Test_faults.suites @ Test_parallel.suites
-   @ Test_profile.suites @ Test_serve.suites @ Test_bg.suites @ Test_metrics.suites)
+   @ Test_profile.suites @ Test_serve.suites @ Test_bg.suites @ Test_metrics.suites
+   @ Test_frontend.suites)
