@@ -526,10 +526,12 @@ type build_hooks = {
    through here, so the verification below covers all code the executor
    can ever run. Keep it that way: a path that lowered MIR elsewhere would
    bypass the lint layer. Every input is an explicit argument, so a
-   background build can run on any domain. Raises nothing: a diagnostic (a
-   real one or an injected fault) comes back with the cycles charged before
-   it, which an abort still pays — compile failures are costly, not free
-   retries. *)
+   background build can run on any domain. Raises nothing but
+   [Out_of_memory]: a diagnostic (a real one or an injected fault) comes
+   back with the cycles charged before it, which an abort still pays —
+   compile failures are costly, not free retries — and any other exception
+   comes back as an [internal] diagnostic, so a compiler bug quarantines
+   its function instead of ending the run. *)
 let build_code ~program ~(func : Bytecode.Program.func) ~arg_tags ~no_checked_int
     ~known_globals ~opt ~check hooks req =
   let name = func.Bytecode.Program.name in
@@ -579,7 +581,10 @@ let build_code ~program ~(func : Bytecode.Program.func) ~arg_tags ~no_checked_in
         a_mir_charge = mir_charge;
         a_backend_charge = backend_charge;
       }
-  with Diag.Failed d -> Error (d, !charged)
+  with
+  | Diag.Failed d -> Error (d, !charged)
+  | Out_of_memory -> raise Out_of_memory
+  | e -> Error (Diag.make ~layer:"internal" ~func:name ~fid (Printexc.to_string e), !charged)
 
 (* The pipeline a compile runs. Tiered pipelines: the polyvariant policy
    compiles generic versions with the quick baseline schedule (the paper

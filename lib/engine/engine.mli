@@ -271,9 +271,10 @@ val flush_flows : t -> unit
 
 val run : t -> report
 (** Execute the program's main function to completion. Compilation is a
-    contained failure domain: a verifier diagnostic or injected fault mid-
-    run aborts that compilation (quarantining the function) instead of
-    escaping — the exceptions [run] raises for a MiniJS-level problem are
+    contained failure domain: a verifier diagnostic, an injected fault or
+    any other exception but [Out_of_memory] raised mid-compile aborts that
+    compilation (quarantining the function) instead of escaping — the
+    exceptions [run] raises for a MiniJS-level problem are
     {!Runtime_error} and (with a deadline configured)
     {!Deadline_exceeded}. *)
 

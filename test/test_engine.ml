@@ -443,6 +443,35 @@ let test_arity_edge_calls () =
             configs)
         programs)
 
+(* The compile barrier: an exception a build raises that is not a
+   diagnostic (here a failing MIR hook) aborts that compile like a
+   diagnostic does, so the function is quarantined and the run interprets
+   on with the interpreter's output. *)
+let test_compile_exception_contained () =
+  let src =
+    "function f(x) { return x + 1; } var t = 0; for (var i = 0; i < 40; i++) t += f(7); print(t);"
+  in
+  let _, expected = run ~cfg:Engine.interp_only src in
+  let cfg = Engine.default_config ~opt:(Pipeline.make ~ps:true "PS") () in
+  let buf = Buffer.create 64 in
+  let engine, report =
+    Engine.with_mir_hook
+      (fun _ -> failwith "boom")
+      (fun () ->
+        Builtins.with_print_hook
+          (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
+          (fun () ->
+            let engine = Engine.make cfg (Bytecode.Compile.program_of_source src) in
+            (engine, Engine.run engine)))
+  in
+  Alcotest.(check string) "interpreter's output" expected (Buffer.contents buf);
+  let aborted =
+    Telemetry.Counters.total (Telemetry.counters (Engine.telemetry engine))
+      Telemetry.Key.compiles_aborted
+  in
+  Alcotest.(check bool) "compiles aborted" true (aborted >= 1);
+  Alcotest.(check int) "nothing installed" 0 (fn report "f").Engine.fr_compiles
+
 let suites =
   [
     ( "engine.policy",
@@ -476,6 +505,8 @@ let suites =
       [
         Alcotest.test_case "report accounting" `Quick test_report_accounting;
         Alcotest.test_case "runtime errors surface" `Quick test_runtime_error_surfaces;
+        Alcotest.test_case "a raising compile is contained" `Quick
+          test_compile_exception_contained;
         Alcotest.test_case "closure environments" `Quick
           test_closure_specialization_per_instance;
         Alcotest.test_case "cache-size extension (§6)" `Quick test_cache_size_extension;
