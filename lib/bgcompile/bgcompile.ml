@@ -25,7 +25,7 @@ module Task = struct
       let run () =
         cell := Some (try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ()))
       in
-      let ticket = Pool.submit pool ~priority:Pool.Low run in
+      let ticket = Pool.submit pool run in
       { st = Submitted { ticket; cell } }
     end
 

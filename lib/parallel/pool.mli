@@ -42,28 +42,20 @@ val shutdown : t -> unit
 (** {1 Fire-and-forget submissions}
 
     The background-compile queue ([lib/bgcompile]) runs on these: one job
-    per compile request, submitted at {!Low} priority so harness [map]
-    batches are never starved by speculative compiles. Unlike [map] there
-    is no implicit join — the submitter keeps going and later polls,
-    awaits or cancels through the ticket. *)
-
-type priority = High | Normal | Low
-(** Pop order: [High] before [map] tasks (which run at [Normal]) before
-    [Low]. Priorities order the queues only — a running job is never
-    preempted. *)
+    per compile request, queued behind every [map] task so harness [map]
+    batches are never starved by speculative compiles (a running job is
+    never preempted). Unlike [map] there is no implicit join — the
+    submitter keeps going and later awaits or cancels through the
+    ticket. *)
 
 type ticket
 (** Handle to one submitted job. *)
 
-type jstate = Pending | Running | Done | Cancelled
-
-val submit : t -> ?priority:priority -> (unit -> unit) -> ticket
-(** Enqueue one job without joining on it. The closure must capture its
-    own result and must not raise. On a 1-job pool the job runs inline
-    before [submit] returns (the serial escape hatch, keeping 1-job runs
-    free of queue traffic). Default priority: [Normal]. *)
-
-val poll : t -> ticket -> jstate
+val submit : t -> (unit -> unit) -> ticket
+(** Enqueue one job without joining on it, behind every queued [map]
+    task. The closure must capture its own result and must not raise. On
+    a 1-job pool the job runs inline before [submit] returns (the serial
+    escape hatch, keeping 1-job runs free of queue traffic). *)
 
 val cancel : t -> ticket -> bool
 (** Try to cancel: succeeds (returns [true]) only while the job is still
