@@ -6,25 +6,6 @@
    operator set including JavaScript's ==/=== split, typeof, and
    structured control flow. *)
 
-type binop =
-  | Add
-  | Sub
-  | Mul
-  | Div
-  | Mod
-  | Bit_and
-  | Bit_or
-  | Bit_xor
-  | Shl
-  | Shr
-  | Ushr
-
-type cmp = Lt | Le | Gt | Ge | Eq | Neq | Strict_eq | Strict_neq
-
-type unop = Neg | Not | Bit_not | Typeof | To_number
-
-type update_op = Incr | Decr
-
 type expr =
   | Int of int
   | Float of float
@@ -33,15 +14,15 @@ type expr =
   | Null
   | Undefined
   | Var of string
-  | Binop of binop * expr * expr
-  | Cmp of cmp * expr * expr
-  | Unop of unop * expr
+  | Binop of Runtime.Ops.binop * expr * expr
+  | Cmp of Runtime.Ops.cmp * expr * expr
+  | Unop of Runtime.Ops.unop * expr
   | And of expr * expr
   | Or of expr * expr
   | Cond of expr * expr * expr
   | Assign of lhs * expr
-  | Op_assign of binop * lhs * expr
-  | Update of update_op * bool * lhs  (* op, prefix?, target *)
+  | Op_assign of Runtime.Ops.binop * lhs * expr
+  | Update of Runtime.Ops.binop * bool * lhs  (* [Add] for ++, [Sub] for --; prefix?; target *)
   | Call of expr * expr list
   | Method_call of expr * string * expr list
   | Index of expr * expr
@@ -75,35 +56,9 @@ and func = { name : string option; params : string list; body : stmt list; fpos 
 
 type program = stmt list
 
-let binop_to_string = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | Mod -> "%"
-  | Bit_and -> "&"
-  | Bit_or -> "|"
-  | Bit_xor -> "^"
-  | Shl -> "<<"
-  | Shr -> ">>"
-  | Ushr -> ">>>"
-
-let cmp_to_string = function
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Eq -> "=="
-  | Neq -> "!="
-  | Strict_eq -> "==="
-  | Strict_neq -> "!=="
-
-let unop_to_string = function
-  | Neg -> "-"
-  | Not -> "!"
-  | Bit_not -> "~"
-  | Typeof -> "typeof "
-  | To_number -> "+"
+(* Operators and keywords print with their {!Token.spellings}. *)
+let spell tok = Token.to_string tok
+let spell_op table op = spell (fst (List.find (fun (_, o) -> o = op) table))
 
 let rec pp_expr fmt expr =
   let open Format in
@@ -112,21 +67,22 @@ let rec pp_expr fmt expr =
   | Float f -> fprintf fmt "%g" f
   | Str s -> fprintf fmt "%S" s
   | Bool b -> fprintf fmt "%b" b
-  | Null -> pp_print_string fmt "null"
-  | Undefined -> pp_print_string fmt "undefined"
+  | Null -> pp_print_string fmt (spell Token.Kw_null)
+  | Undefined -> pp_print_string fmt (spell Token.Kw_undefined)
   | Var x -> pp_print_string fmt x
-  | Binop (op, a, b) -> fprintf fmt "(%a %s %a)" pp_expr a (binop_to_string op) pp_expr b
-  | Cmp (op, a, b) -> fprintf fmt "(%a %s %a)" pp_expr a (cmp_to_string op) pp_expr b
-  | Unop (op, a) -> fprintf fmt "(%s%a)" (unop_to_string op) pp_expr a
-  | And (a, b) -> fprintf fmt "(%a && %a)" pp_expr a pp_expr b
-  | Or (a, b) -> fprintf fmt "(%a || %a)" pp_expr a pp_expr b
-  | Cond (c, t, e) -> fprintf fmt "(%a ? %a : %a)" pp_expr c pp_expr t pp_expr e
-  | Assign (l, e) -> fprintf fmt "%a = %a" pp_lhs l pp_expr e
-  | Op_assign (op, l, e) -> fprintf fmt "%a %s= %a" pp_lhs l (binop_to_string op) pp_expr e
-  | Update (Incr, true, l) -> fprintf fmt "++%a" pp_lhs l
-  | Update (Incr, false, l) -> fprintf fmt "%a++" pp_lhs l
-  | Update (Decr, true, l) -> fprintf fmt "--%a" pp_lhs l
-  | Update (Decr, false, l) -> fprintf fmt "%a--" pp_lhs l
+  | Binop (op, a, b) -> fprintf fmt "(%a %s %a)" pp_expr a (spell_op Token.binops op) pp_expr b
+  | Cmp (op, a, b) -> fprintf fmt "(%a %s %a)" pp_expr a (spell_op Token.cmps op) pp_expr b
+  | Unop (Runtime.Ops.Typeof, a) -> fprintf fmt "(%s %a)" (spell Token.Kw_typeof) pp_expr a
+  | Unop (op, a) -> fprintf fmt "(%s%a)" (spell_op Token.unops op) pp_expr a
+  | And (a, b) -> fprintf fmt "(%a %s %a)" pp_expr a (spell Token.Amp_amp) pp_expr b
+  | Or (a, b) -> fprintf fmt "(%a %s %a)" pp_expr a (spell Token.Pipe_pipe) pp_expr b
+  | Cond (c, t, e) ->
+    fprintf fmt "(%a %s %a %s %a)" pp_expr c (spell Token.Question) pp_expr t (spell Token.Colon)
+      pp_expr e
+  | Assign (l, e) -> fprintf fmt "%a %s %a" pp_lhs l (spell Token.Assign) pp_expr e
+  | Op_assign (op, l, e) -> fprintf fmt "%a %s %a" pp_lhs l (spell (Token.Op_assign op)) pp_expr e
+  | Update (op, true, l) -> fprintf fmt "%s%a" (spell_op Token.updates op) pp_lhs l
+  | Update (op, false, l) -> fprintf fmt "%a%s" pp_lhs l (spell_op Token.updates op)
   | Call (f, args) -> fprintf fmt "%a(%a)" pp_expr f pp_args args
   | Method_call (o, m, args) -> fprintf fmt "%a.%s(%a)" pp_expr o m pp_args args
   | Index (a, i) -> fprintf fmt "%a[%a]" pp_expr a pp_expr i
@@ -139,10 +95,10 @@ let rec pp_expr fmt expr =
          (fun fmt (k, v) -> fprintf fmt "%s: %a" k pp_expr v))
       fields
   | Func f ->
-    fprintf fmt "function %s(%s) {...}"
+    fprintf fmt "%s %s(%s) {...}" (spell Token.Kw_function)
       (Option.value f.name ~default:"")
       (String.concat ", " f.params)
-  | New (ctor, args) -> fprintf fmt "new %s(%a)" ctor pp_args args
+  | New (ctor, args) -> fprintf fmt "%s %s(%a)" (spell Token.Kw_new) ctor pp_args args
 
 and pp_args fmt args =
   Format.pp_print_list

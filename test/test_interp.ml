@@ -181,22 +181,7 @@ let rec eval_ast (e : Jsfront.Ast.expr) : Value.t =
   match e with
   | Jsfront.Ast.Int n -> Value.of_int n
   | Jsfront.Ast.Float f -> Value.norm_num f
-  | Jsfront.Ast.Binop (op, a, b) ->
-    let o =
-      match op with
-      | Jsfront.Ast.Add -> Ops.Add
-      | Jsfront.Ast.Sub -> Ops.Sub
-      | Jsfront.Ast.Mul -> Ops.Mul
-      | Jsfront.Ast.Div -> Ops.Div
-      | Jsfront.Ast.Mod -> Ops.Mod
-      | Jsfront.Ast.Bit_and -> Ops.Bit_and
-      | Jsfront.Ast.Bit_or -> Ops.Bit_or
-      | Jsfront.Ast.Bit_xor -> Ops.Bit_xor
-      | Jsfront.Ast.Shl -> Ops.Shl
-      | Jsfront.Ast.Shr -> Ops.Shr
-      | Jsfront.Ast.Ushr -> Ops.Ushr
-    in
-    Ops.binop o (eval_ast a) (eval_ast b)
+  | Jsfront.Ast.Binop (op, a, b) -> Ops.binop op (eval_ast a) (eval_ast b)
   | _ -> Alcotest.fail "generator produced unsupported node"
 
 let gen_numeric_expr =
@@ -217,8 +202,7 @@ let gen_numeric_expr =
           else
             map3
               (fun op a b -> Jsfront.Ast.Binop (op, a, b))
-              (oneofl
-                 Jsfront.Ast.[ Add; Sub; Mul; Div; Mod; Bit_and; Bit_or; Bit_xor; Shl; Shr ])
+              (oneofl Ops.[ Add; Sub; Mul; Div; Mod; Bit_and; Bit_or; Bit_xor; Shl; Shr ])
               (self (n / 2)) (self (n / 2)))
         n)
 
