@@ -472,6 +472,63 @@ let test_compile_exception_contained () =
   Alcotest.(check bool) "compiles aborted" true (aborted >= 1);
   Alcotest.(check int) "nothing installed" 0 (fn report "f").Engine.fr_compiles
 
+(* Two engines interleaved run by run on one domain must each behave as
+   they do alone: output, counters and events. Each program prints three
+   [Math.random] draws, so the stream's state must not carry over from
+   whatever ran on the domain before. *)
+let interleave_src fn =
+  Printf.sprintf
+    "function %s(x) { return (x * 3 + 1) | 0; }\n\
+     var t = 0;\n\
+     for (var k = 0; k < 30; k++) t = (t + %s(5)) | 0;\n\
+     print(t);\n\
+     print((Math.random() * 1000) | 0, (Math.random() * 1000) | 0, (Math.random() * 1000) | 0);"
+    fn fn
+
+(* An engine with its own print buffer and event list. [step] runs it
+   once; [observed] is what it printed, its counter rows and its events. *)
+let observed_engine make =
+  let engine = make () in
+  let buf = Buffer.create 64 in
+  let evs = ref [] in
+  Telemetry.attach (Engine.telemetry engine) (fun ev -> evs := Telemetry.to_json ev :: !evs);
+  let step () =
+    Builtins.with_print_hook
+      (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
+      (fun () -> ignore (Engine.run engine))
+  in
+  let observed () =
+    ( Buffer.contents buf,
+      Telemetry.Counters.rows (Telemetry.counters (Engine.telemetry engine)),
+      List.rev !evs )
+  in
+  (step, observed)
+
+let test_engines_interleave () =
+  let cfg = Engine.default_config ~opt:Pipeline.all_on () in
+  let make_a () = Engine.make cfg (Bytecode.Compile.program_of_source (interleave_src "f")) in
+  let make_b () = Engine.make cfg (Bytecode.Compile.program_of_source (interleave_src "g")) in
+  let solo make =
+    let step, observed = observed_engine make in
+    step ();
+    step ();
+    observed ()
+  in
+  let solo_a = solo make_a and solo_b = solo make_b in
+  let step_a, observed_a = observed_engine make_a in
+  let step_b, observed_b = observed_engine make_b in
+  step_b ();
+  step_a ();
+  step_b ();
+  step_a ();
+  let same name (out, rows, evs) (out', rows', evs') =
+    Alcotest.(check string) (name ^ " output") out out';
+    Alcotest.(check (list (pair string int))) (name ^ " counters") rows rows';
+    Alcotest.(check (list string)) (name ^ " events") evs evs'
+  in
+  same "A" solo_a (observed_a ());
+  same "B" solo_b (observed_b ())
+
 let suites =
   [
     ( "engine.policy",
@@ -521,4 +578,6 @@ let suites =
         QCheck_alcotest.to_alcotest ~long:false prop_report_invariants;
         Alcotest.test_case "deterministic accounting" `Quick test_engine_determinism;
       ] );
+    ( "engine.isolation",
+      [ Alcotest.test_case "two engines interleaved on one domain" `Quick test_engines_interleave ] );
   ]
