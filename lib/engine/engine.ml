@@ -1824,8 +1824,11 @@ let with_deadline t f =
     Fun.protect ~finally:(fun () -> t.deadline_trip := outer) f
   end
 
+(* Every run starts [Math.random] from the one seed, so what a program
+   draws never depends on what ran on the domain before it. *)
 let run t =
   let main = t.program.Bytecode.Program.funcs.(t.program.Bytecode.Program.main) in
+  Builtins.reset_random 20130223;  (* CGO'13 *)
   let result =
     (* Backstop for the depth limit: should MiniJS recursion exhaust the
        OCaml stack before [max_depth] trips (a misconfigured limit), it

@@ -270,7 +270,9 @@ val flush_flows : t -> unit
     while no span sink is attached, or without [bg_compile]. *)
 
 val run : t -> report
-(** Execute the program's main function to completion. Compilation is a
+(** Execute the program's main function to completion, with [Math.random]
+    reseeded to one fixed seed first, so a run draws the same numbers
+    whatever ran on the domain before it. Compilation is a
     contained failure domain: a verifier diagnostic, an injected fault or
     any other exception but [Out_of_memory] raised mid-compile aborts that
     compilation (quarantining the function) instead of escaping — the

@@ -9,18 +9,17 @@ type failure =
   | Mismatch of mismatch
   | Verifier_diag of { vd_config : string; vd_diag : Diag.t }
 
-(* Print redirection and the PRNG are domain-local, so a [capture] is a
-   self-contained pool task: configurations of one check can run on
-   different domains without sharing a buffer. *)
+(* Print redirection is domain-local (and [Engine.run] reseeds
+   [Math.random]), so a [capture] is a self-contained pool task:
+   configurations of one check can run on different domains without
+   sharing a buffer. *)
 let capture k =
   let buf = Buffer.create 64 in
   Runtime.Builtins.with_print_hook
     (fun s ->
       Buffer.add_string buf s;
       Buffer.add_char buf '\n')
-    (fun () ->
-      Runtime.Builtins.reset_random 20130223;
-      k buf)
+    (fun () -> k buf)
 
 let run config src =
   capture (fun buf ->

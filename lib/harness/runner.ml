@@ -1,12 +1,8 @@
-(* [quiet] is what makes suite members valid pool tasks: it installs the
-   domain-local print sink and reseeds the domain-local PRNG, so a member
+(* [quiet] installs the domain-local print sink, which (with [Engine.run]
+   reseeding [Math.random]) makes suite members valid pool tasks: a member
    run is self-contained wherever it executes and cycle results cannot
    depend on scheduling. *)
-let quiet f =
-  Runtime.Builtins.with_print_hook ignore
-    (fun () ->
-      Runtime.Builtins.reset_random 20130223;  (* CGO'13 *)
-      f ())
+let quiet f = Runtime.Builtins.with_print_hook ignore f
 
 let run_member config (m : Suite.member) =
   quiet (fun () -> Engine.run_source config m.Suite.m_source)

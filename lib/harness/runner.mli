@@ -2,9 +2,10 @@
     configuration with [print] silenced, deterministically. *)
 
 val quiet : (unit -> 'a) -> 'a
-(** Evaluate with the [print] builtin suppressed and [Math.random]
-    reseeded, restoring the hooks afterwards. Both are domain-local, which
-    makes a [quiet] thunk a self-contained pool task. *)
+(** Evaluate with the [print] builtin suppressed, restoring the sink
+    afterwards. The sink is domain-local and {!Engine.run} reseeds
+    [Math.random], which makes a [quiet] thunk a self-contained pool
+    task. *)
 
 val run_member : Engine.config -> Suite.member -> Engine.report
 (** Run one suite member quietly. *)

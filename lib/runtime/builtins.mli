@@ -14,8 +14,9 @@ val with_print_hook : (string -> unit) -> (unit -> 'a) -> 'a
     race. *)
 
 val reset_random : int -> unit
-(** Reseed [Math.random]'s deterministic generator (domain-local: each
-    pool task reseeds its own stream). *)
+(** Reseed [Math.random]'s deterministic generator (domain-local).
+    [Engine.run] reseeds it with one fixed seed at the start of every
+    run. *)
 
 val call : string -> Value.t array -> Value.t
 (** Invoke a native function by name.

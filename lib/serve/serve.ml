@@ -282,7 +282,6 @@ let run_attempts iso rq ~degraded =
         let _, _, k1 = Engine.cycle_split eng in
         compile := !compile + (k1 - k0)
       in
-      Runtime.Builtins.reset_random 20130223;
       match Engine.run eng with
       | _report ->
         charge ();
