@@ -71,14 +71,13 @@ let run_cell ~missed_guards cfg src =
   in
   let with_hook body = if missed_guards then Engine.with_mir_hook missed_hook body else body () in
   (match
-     Pipeline.with_checks true (fun () ->
-       Engine.with_diag_warn_hook report (fun () ->
-         (* The engine contains mid-run compile diagnostics (quarantine +
-            interpreter fallback) instead of letting [Diag.Failed] escape;
-            the abort hook is how those findings still reach the report. *)
-         Engine.with_diag_abort_hook report (fun () ->
-           with_hook (fun () ->
-             Runner.quiet (fun () -> Engine.run_source cfg src)))))
+     (* The engine contains mid-run compile diagnostics (quarantine +
+        interpreter fallback) instead of letting [Diag.Failed] escape; its
+        diagnostic sink is how those findings, and the check-mode
+        warnings, still reach the report. *)
+     with_hook (fun () ->
+         Runner.quiet (fun () ->
+             Engine.run_source ~diag:report { cfg with Engine.check = true } src))
    with
   | exception Diag.Failed d -> report d
   | exception e ->

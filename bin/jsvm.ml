@@ -144,16 +144,13 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
     exit 1
   | program -> (
     if dump_bytecode then print_endline (Bytecode.Program.disassemble program);
-    if dump_mir then
-      Engine.set_mir_hook
-        (Some
-           (fun f ->
-             Printf.printf "-- optimized MIR (%s%s) --\n"
-               f.Mir.source.Bytecode.Program.name
-               (match f.Mir.key with
-               | Spec_key.Key_values _ -> ", specialized"
-               | Spec_key.Key_tags _ | Spec_key.Key_generic -> "");
-             print_string (Mir.to_string f)));
+    let dump_mir_of f =
+      Printf.printf "-- optimized MIR (%s%s) --\n" f.Mir.source.Bytecode.Program.name
+        (match f.Mir.key with
+        | Spec_key.Key_values _ -> ", specialized"
+        | Spec_key.Key_tags _ | Spec_key.Key_generic -> "");
+      print_string (Mir.to_string f)
+    in
     (* The cycle-attribution recorder (--profile tables, --profile-folded). *)
     let recorder =
       if profile || profile_folded <> None then Some (Profile.Recorder.create ~program)
@@ -171,8 +168,7 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
       Option.map
         (fun _ ->
           let fl = Flight.create () in
-          Telemetry.attach (Engine.telemetry engine)
-            (Flight.sink fl ~clock:(fun () -> Engine.clock engine));
+          Flight.attach fl (Engine.telemetry engine) ~clock:(fun () -> Engine.clock engine);
           fl)
         flight_file
     in
@@ -193,7 +189,8 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
           oc)
         trace_json
     in
-    match Engine.run engine with
+    let run () = Engine.run engine in
+    match if dump_mir then Engine.with_mir_hook dump_mir_of run else run () with
     | exception Engine.Runtime_error msg ->
       Option.iter close_out json_oc;
       dump_flight ~trigger:"fault" ~detail:msg;

@@ -22,11 +22,12 @@ type config = {
   deadline : int;
   bg_compile : bool;
   bg_queue_depth : int;
+  check : bool;
 }
 
 let default_config ?(opt = Pipeline.baseline) ?(policy = Policy.Paper) ?(cache_size = 1)
     ?(selective = false) ?(code_cache_bytes = 0) ?(max_depth = Interp.default_max_depth)
-    ?(deadline = 0) ?(bg_compile = false) ?(bg_queue_depth = 8) () =
+    ?(deadline = 0) ?(bg_compile = false) ?(bg_queue_depth = 8) ?(check = false) () =
   {
     opt;
     jit = true;
@@ -41,6 +42,7 @@ let default_config ?(opt = Pipeline.baseline) ?(policy = Policy.Paper) ?(cache_s
     deadline;
     bg_compile;
     bg_queue_depth;
+    check;
   }
 
 let interp_only = { (default_config ()) with jit = false }
@@ -56,38 +58,13 @@ let compile_retries = 3
    ([note_discard]). *)
 let storm_threshold = 8
 
-(* Compile observation hooks, all domain-local so a lint task collecting
-   findings on a pool worker never leaks its closures into unrelated
-   engine runs. Installers that need scoping use the [with_...]
-   combinators. *)
-
-(* Called with every optimized MIR graph right before lowering
-   (jsvm --dump-mir; tests inspect pass output in situ). *)
+(* Called with every optimized MIR graph right before lowering (jsvm
+   --dump-mir; tests inspect pass output in situ). Domain-local, unlike
+   the rest of an engine's settings, because the benchmark harness wraps
+   runs of engines it has already made in [with_mir_hook]. *)
 let mir_hook : (Mir.func -> unit) option Support.Tls.t = Support.Tls.make (fun () -> None)
 
-let set_mir_hook h = Support.Tls.set mir_hook h
 let with_mir_hook h f = Support.Tls.with_value mir_hook (Some h) f
-
-(* Warning sink for the lint layer: when pipeline checks are on, the
-   specialization-soundness checker's warnings (redundant guards, dead
-   resume points) are delivered here instead of aborting compilation.
-   Errors always raise [Diag.Failed]. *)
-let diag_warn_hook : (Diag.t -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let with_diag_warn_hook h f = Support.Tls.with_value diag_warn_hook (Some h) f
-
-(* Abort sink for the containment barrier: every diagnostic that aborts a
-   compilation (a real verifier error or an injected fault) is delivered
-   here before the engine recovers by quarantining the function. This is
-   how the lint tooling observes mid-run IR corruption now that
-   [Diag.Failed] no longer escapes [run]. *)
-let diag_abort_hook : (Diag.t -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let set_diag_abort_hook h = Support.Tls.set diag_abort_hook h
-
-let with_diag_abort_hook h f = Support.Tls.with_value diag_abort_hook (Some h) f
 
 type compiled = {
   code : Code.t;
@@ -213,6 +190,10 @@ type t = {
   profile : Profile.Recorder.t option ref;  (* see [attach_profile] *)
   deadline_trip : (int -> int -> unit) option ref;
       (* the running [with_deadline]'s budget check, fired with (fid, pc) *)
+  diag : Diag.t -> unit;
+      (* the lint layer's sink: spec-check warnings (with [cfg.check]) and
+         every diagnostic that aborts a compile *)
+  faults : Faults.plan ref;  (* drawn at every injection point; see [set_faults] *)
 }
 
 type func_report = {
@@ -244,7 +225,7 @@ type report = {
   deoptimized_funcs : int;
 }
 
-let make engine_config program =
+let make ?(diag = ignore) ?(faults = Faults.none) engine_config program =
   (* Admission check: the interpreter and the MIR builder both trust the
      compiler's output, so reject malformed bytecode before running any of
      it. Raises [Diag.Failed]. *)
@@ -293,9 +274,13 @@ let make engine_config program =
     flow_seq = ref 0;
     profile = ref None;
     deadline_trip = ref None;
+    diag;
+    faults = ref faults;
   }
 
 let telemetry t = t.tel
+let set_faults t plan = t.faults := plan
+let fire t point = Faults.fire !(t.faults) point
 let attach_profile t r = t.profile := Some r
 let degraded t = !(t.degrade)
 
@@ -335,7 +320,7 @@ let new_flow_id t =
   if not (Telemetry.spans_active t.tel) then 0
   else begin
     incr t.flow_seq;
-    match Telemetry.current_trace () with
+    match Telemetry.trace t.tel with
     | Some c -> ((c.Telemetry.tc_trace + 1) * 1_000_000) + !(t.flow_seq)
     | None -> !(t.flow_seq)
   end
@@ -637,8 +622,8 @@ let compile t fs req =
   in
   let hooks =
     {
-      warn = (fun d -> match Support.Tls.get diag_warn_hook with Some h -> h d | None -> ());
-      fire = Faults.fire;
+      warn = t.diag;
+      fire = fire t;
       optimized =
         (fun stats c ->
           let start = now t in
@@ -672,7 +657,7 @@ let compile t fs req =
   in
   build_code ~program:t.program ~func ~arg_tags:(stable_tags fs)
     ~no_checked_int:fs.overflow_bailed ~known_globals:t.known_globals
-    ~opt:(compile_opt t func req) ~check:(Pipeline.checks ()) hooks req
+    ~opt:(compile_opt t func req) ~check:t.cfg.check hooks req
 
 (* ------------------------------------------------------------------ *)
 (* Failure containment: quarantine, code-cache budget, the barrier      *)
@@ -782,7 +767,7 @@ let evict_for t need =
    byte budget (0 = unbounded) can accommodate it after LRU eviction —
    a single binary larger than the whole budget is refused outright. *)
 let admit t entry =
-  if Faults.fire Faults.Cache_oom then false
+  if fire t Faults.Cache_oom then false
   else if t.cfg.code_cache_bytes <= 0 then true
   else begin
     let need = entry_bytes entry in
@@ -859,11 +844,11 @@ let install t fs req a ~sync =
 
 (* The abort arm, whichever timing built the artifact: a compilation that
    failed — a verifier/lint diagnostic or an injected fault — is reported
-   ([Compile_abort] with the cycles it wasted, [diag_abort_hook]) and
+   ([Compile_abort] with the cycles it wasted, the diagnostic sink) and
    answered with a quarantine; the caller falls back to the interpreter. *)
 let abort t fs req (d : Diag.t) ~cycles =
   bump t fs Telemetry.Key.compiles_aborted;
-  (match Support.Tls.get diag_abort_hook with Some h -> h d | None -> ());
+  t.diag d;
   emit t (fun () ->
       Telemetry.Compile_abort
         {
@@ -961,7 +946,7 @@ let enqueue t fs ?widen req =
          the interpreter tier and a later hot call retries. No fault
          draws happen for refused requests. *)
       bg_cancel t fs ~reason:"overflow" Telemetry.Key.bg_overflow
-    else if Faults.fire Faults.Bg_enqueue then
+    else if fire t Faults.Bg_enqueue then
       bg_cancel t fs ~reason:"enqueue-fault" Telemetry.Key.bg_cancelled
     else begin
       let func = t.program.Bytecode.Program.funcs.(fs.fid) in
@@ -977,12 +962,12 @@ let enqueue t fs ?widen req =
          fault aborts before the verifier barrier, so the verify draw
          only happens when the compile would reach it — mirroring the
          synchronous factory's conditional draw order. *)
-      let fire_diag = Faults.fire Faults.Compile_diag in
-      let fire_verify = (not fire_diag) && Faults.fire Faults.Code_verify in
+      let fire_diag = fire t Faults.Compile_diag in
+      let fire_verify = (not fire_diag) && fire t Faults.Code_verify in
       let build =
         build_code ~program:t.program ~func ~arg_tags:(stable_tags fs)
           ~no_checked_int:fs.overflow_bailed ~known_globals:t.known_globals ~opt
-          ~check:(Pipeline.checks ())
+          ~check:t.cfg.check
       in
       let thunk () =
         let warnings = ref [] in
@@ -1021,7 +1006,7 @@ let enqueue t fs ?widen req =
           j_req = req;
           j_widen = widen;
           j_flow = flow_id;
-          j_trace = Telemetry.current_trace ();
+          j_trace = Telemetry.trace t.tel;
         }
       in
       match Bgcompile.enqueue q ~fid:fs.fid ~now:(now t) ~cost job with
@@ -1080,10 +1065,8 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
   | Ok (a, warnings) ->
     let charge = a.a_mir_charge + a.a_backend_charge in
     t.bg_cycles := !(t.bg_cycles) + charge;
-    List.iter
-      (fun d -> match Support.Tls.get diag_warn_hook with Some h -> h d | None -> ())
-      warnings;
-    if Faults.fire Faults.Bg_install then begin
+    List.iter t.diag warnings;
+    if fire t Faults.Bg_install then begin
       (* Dropped artifact: the finished binary is discarded and the
          request re-enqueued with doubled modeled cost (backoff) — the
          redo is charged again at its own install — until the retry cap
@@ -1149,13 +1132,18 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
     end
 
 (* Installs run at the harvesting call's model-clock instant but belong to
-   the request that enqueued them: re-assert that request's trace context
-   so the install's spans, events and flight-recorder entries are
-   attributed back to the requesting tenant. *)
+   the request that enqueued them: the hub takes that request's trace
+   context for the install, so its spans, events and flight-recorder
+   entries are attributed back to the requesting tenant. *)
 let bg_install t fs (e : bg_job Bgcompile.entry) =
   match e.Bgcompile.e_payload.j_trace with
   | None -> bg_install_under t fs e
-  | Some _ as trace -> Telemetry.with_trace trace (fun () -> bg_install_under t fs e)
+  | Some _ as trace ->
+    let harvester = Telemetry.trace t.tel in
+    Telemetry.set_trace t.tel trace;
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_trace t.tel harvester)
+      (fun () -> bg_install_under t fs e)
 
 (* Harvest every ready artifact for [fs], at a call boundary or a loop
    edge. OSR-flavored artifacts install too (their entry guards make them
@@ -1315,7 +1303,7 @@ let widen_version t fs index args =
            [Version_widen] event — so the call interprets and the next
            miss after the backoff retries the ladder step. Fired before
            any mutation, exactly like an aborted compile. *)
-        if Faults.fire Faults.Version_widen then begin
+        if fire t Faults.Version_widen then begin
           quarantine t fs Telemetry.Compile_fault;
           None
         end
@@ -1506,7 +1494,8 @@ and run_native t fs func act entry ~at_osr =
       on_instr =
         both
           (Option.map (fun trip (code : Code.t) pc -> trip code.Code.fid pc) !(t.deadline_trip))
-          (Option.map Profile.Recorder.instr_hook !(t.profile)) }
+          (Option.map Profile.Recorder.instr_hook !(t.profile));
+      faults = !(t.faults) }
   in
   let outcome =
     in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
@@ -1838,6 +1827,7 @@ let run t =
   in
   report_of t result
 
-let run_program cfg program = run (make cfg program)
+let run_program ?diag ?faults cfg program = run (make ?diag ?faults cfg program)
 
-let run_source cfg src = run_program cfg (Bytecode.Compile.program_of_source src)
+let run_source ?diag ?faults cfg src =
+  run_program ?diag ?faults cfg (Bytecode.Compile.program_of_source src)

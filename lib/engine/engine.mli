@@ -90,6 +90,14 @@ type config = {
   bg_queue_depth : int;
       (** in-flight background compile requests admitted before further
           requests are dropped ([bg.overflow]); clamped to at least 1 *)
+  check : bool;
+      (** per-pass verification ("sandwich" mode) for every compile this
+          engine makes, synchronous or queued: {!Pipeline.apply}'s
+          [check], plus the specialization-soundness checker before and
+          after the pipeline, whose warnings go to the engine's
+          diagnostic sink ({!make}). Tests, the fuzzer and [bin/irlint]
+          turn it on; benchmarks leave it off. Never charged model
+          cycles. *)
 }
 
 val default_config :
@@ -102,6 +110,7 @@ val default_config :
   ?deadline:int ->
   ?bg_compile:bool ->
   ?bg_queue_depth:int ->
+  ?check:bool ->
   unit ->
   config
 (** Defaults: [jit = true], [hot_calls = 10], [hot_loop_edges = 40],
@@ -109,7 +118,7 @@ val default_config :
     [selective = false], baseline pipeline, [code_cache_bytes = 0]
     (unbounded), [max_depth = Interp.default_max_depth], [deadline = 0]
     (no deadline), [bg_compile = false] (synchronous compilation),
-    [bg_queue_depth = 8].
+    [bg_queue_depth = 8], [check = false].
 
     Two failure-domain limits are engine constants, not config: a
     function may accumulate 3 compile failures (aborted compilations,
@@ -156,38 +165,18 @@ type report = {
   deoptimized_funcs : int;
 }
 
-(** {2 Compile observation hooks}
-
-    These compile-side hooks are domain-local ({!Support.Tls}): a lint or
-    trace closure installed by one pool task is invisible to engine runs
-    on other domains, so hooks never race and never leak across harness
-    cells. Execution observers (profile attribution, the deadline) are
-    per-engine instead: see {!attach_profile} and [config.deadline]. *)
-
-val set_mir_hook : (Mir.func -> unit) option -> unit
-(** Called with every optimized MIR graph just before lowering
-    ([jsvm --dump-mir]); [None] (the default) in normal operation. *)
+(** {2 The MIR hook} *)
 
 val with_mir_hook : (Mir.func -> unit) -> (unit -> 'a) -> 'a
-(** Run with the MIR hook temporarily installed on this domain. *)
-
-val with_diag_warn_hook : (Diag.t -> unit) -> (unit -> 'a) -> 'a
-(** Run with a warning sink for the lint layer temporarily installed on
-    this domain: when {!Pipeline.checks} is on, the
-    specialization-soundness checker's warnings are delivered to it
-    (dropped when none is installed). *)
-
-val set_diag_abort_hook : (Diag.t -> unit) option -> unit
-(** Called with every diagnostic that aborts a mid-run compilation — a
-    verifier/lint error or an injected {!Faults} failure — just before the
-    engine recovers (charges the wasted cycles, emits
-    [Telemetry.Compile_abort], quarantines the function and falls back to
-    the interpreter). {!Diag.Failed} never escapes {!run}: this hook is how
-    the lint tooling still observes mid-run IR corruption. [None] drops
-    them. *)
-
-val with_diag_abort_hook : (Diag.t -> unit) -> (unit -> 'a) -> 'a
-(** Run with the abort sink temporarily installed on this domain. *)
+(** Run with a hook installed on this domain that is called with every
+    optimized MIR graph just before lowering ([jsvm --dump-mir]; a
+    background build's graph is handed over at its harvest). The one
+    compile observer that is domain-local rather than an engine setting:
+    the benchmark harness wraps runs of engines it has already made in
+    it. Everything else an engine run depends on — check mode, the
+    diagnostic sink, the fault plan, the execution observers, the
+    request trace — is given to the engine itself, so two engines on
+    one domain never see each other's. *)
 
 exception Runtime_error of string
 
@@ -207,9 +196,29 @@ type t
 (** A live engine instance: program, per-function JIT state, cycle
     accumulators and the telemetry hub. *)
 
-val make : config -> Bytecode.Program.t -> t
+val make :
+  ?diag:(Diag.t -> unit) -> ?faults:Faults.plan -> config -> Bytecode.Program.t -> t
 (** Verify the bytecode ({!Bc_verify}) and set up a fresh engine. Its
-    telemetry hub starts with no sinks. *)
+    telemetry hub starts with no sinks.
+
+    [diag] (default: drop) is the engine's one diagnostic sink. With
+    [config.check] on, the specialization-soundness checker's warnings
+    arrive there ([Diag.Warning]); so does every diagnostic that aborts
+    a mid-run compilation — a verifier/lint error or an injected
+    {!Faults} failure ([Diag.Error]) — just before the engine recovers
+    (charges the wasted cycles, emits [Telemetry.Compile_abort],
+    quarantines the function and falls back to the interpreter).
+    {!Diag.Failed} never escapes {!run}: the sink is how the lint tooling
+    still observes mid-run IR corruption. A background build's warnings
+    arrive at its harvest.
+
+    [faults] (default {!Faults.none}) is the plan every injection point
+    of this engine draws from, the executor's guards included. *)
+
+val set_faults : t -> Faults.plan -> unit
+(** Replace the engine's fault plan (the service layer arms a warm
+    engine with each request's plan). Queued compiles keep the draws
+    they made at enqueue. *)
 
 val telemetry : t -> Telemetry.t
 (** The engine's telemetry hub — attach event and span sinks to it (before
@@ -280,7 +289,9 @@ val run : t -> report
     {!Runtime_error} and (with a deadline configured)
     {!Deadline_exceeded}. *)
 
-val run_program : config -> Bytecode.Program.t -> report
-val run_source : config -> string -> report
-(** Parse, compile to bytecode and run under the engine.
+val run_program :
+  ?diag:(Diag.t -> unit) -> ?faults:Faults.plan -> config -> Bytecode.Program.t -> report
+
+val run_source : ?diag:(Diag.t -> unit) -> ?faults:Faults.plan -> config -> string -> report
+(** Parse, compile to bytecode and run under a fresh engine ({!make}).
     @raise Runtime_error on JS-level errors. *)

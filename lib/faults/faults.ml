@@ -22,14 +22,14 @@ type mode = Nth of int | Every of int | Prob of float
 
 type spec = (point * mode) list
 
-type rule = { r_point : point; r_mode : mode; mutable r_hits : int }
+type rule = { r_point : point; r_mode : mode; mutable r_hits : int; mutable r_fired : int }
 
 type plan = { seed : int; rules : rule list; prng : Support.Prng.t }
 
 let make ~seed spec =
   {
     seed;
-    rules = List.map (fun (p, m) -> { r_point = p; r_mode = m; r_hits = 0 }) spec;
+    rules = List.map (fun (p, m) -> { r_point = p; r_mode = m; r_hits = 0; r_fired = 0 }) spec;
     prng = Support.Prng.create seed;
   }
 
@@ -86,45 +86,36 @@ let sample seed =
   let spec = match draw () with [] -> draw () | s -> s in
   make ~seed spec
 
-(* Domain-local: plans carry mutable occurrence counters, and the chaos
-   fuzzer arms a fresh plan per (seed, configuration) task — a shared ref
-   would make concurrent tasks consume each other's occurrences. *)
-let current : plan option Support.Tls.t = Support.Tls.make (fun () -> None)
+(* The plan nothing fires from. It has no rules, so [fire] never touches
+   its counters or its PRNG, and one value serves every engine. *)
+let none = make ~seed:0 []
 
-let install p = Support.Tls.set current p
-let installed () = Support.Tls.get current
-let active () = Support.Tls.get current <> None
+let hit plan r =
+  r.r_hits <- r.r_hits + 1;
+  let fired =
+    match r.r_mode with
+    | Nth n -> r.r_hits = n
+    | Every n -> n > 0 && r.r_hits mod n = 0
+    | Prob p -> Support.Prng.float plan.prng 1.0 < p
+  in
+  if fired then r.r_fired <- r.r_fired + 1;
+  fired
 
-(* Observation hook for injected faults that actually fired. Consulted
-   only on the (plan-installed, rule-matched, decided-to-fire) path, so
-   the disabled-layer cost — one TLS read in [fire] — is unchanged. The
-   serve layer points a counter-bumping hook here so chaos runs can
-   assert a plan did more than install itself. *)
-let fired_hook : (point -> unit) option Support.Tls.t = Support.Tls.make (fun () -> None)
+(* A plain recursive walk rather than [List.find_opt]: the executor calls
+   [fire] at every passing guard, and this allocates nothing. *)
+let rec fire_in plan point = function
+  | [] -> false
+  | r :: rest -> if r.r_point = point then hit plan r else fire_in plan point rest
 
-let with_fired_hook h f = Support.Tls.with_value fired_hook (Some h) f
+let fire plan point = fire_in plan point plan.rules
 
-let fire point =
-  match Support.Tls.get current with
-  | None -> false
-  | Some plan -> (
-      match List.find_opt (fun r -> r.r_point = point) plan.rules with
-      | None -> false
-      | Some r ->
-          r.r_hits <- r.r_hits + 1;
-          let fired =
-            match r.r_mode with
-            | Nth n -> r.r_hits = n
-            | Every n -> n > 0 && r.r_hits mod n = 0
-            | Prob p -> Support.Prng.float plan.prng 1.0 < p
-          in
-          (if fired then
-             match Support.Tls.get fired_hook with
-             | Some hook -> hook point
-             | None -> ());
-          fired)
-
-let with_plan plan f =
-  let previous = installed () in
-  install (Some (make ~seed:plan.seed (plan_spec plan)));
-  Fun.protect ~finally:(fun () -> install previous) f
+let take_fired plan =
+  List.filter_map
+    (fun r ->
+      if r.r_fired = 0 then None
+      else begin
+        let n = r.r_fired in
+        r.r_fired <- 0;
+        Some (r.r_point, n)
+      end)
+    plan.rules

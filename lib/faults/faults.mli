@@ -3,13 +3,16 @@
     A {!plan} is a seeded schedule of mechanism failures over named
     injection {!point}s: the compile-pipeline diagnostics barrier, the
     LIR code verifier, the native executor's guards, and code-cache
-    admission. The engine and the executor consult {!fire} at each
-    point; the installed plan decides — deterministically, from its
-    seed and per-point occurrence counts — whether that occurrence
-    fails. With no plan installed, {!fire} is a single [ref] read that
-    returns [false]: the layer costs zero model cycles and allocates
-    nothing, so the paper's measurements cannot be perturbed (asserted
-    by the cycle-invariance test in [test/test_faults.ml]).
+    admission. A plan is a value: an engine holds one ([Engine.make
+    ~faults]), passes it to the executor in its callback record, and
+    consults {!fire} at each point; the plan decides — deterministically,
+    from its seed and per-point occurrence counts — whether that
+    occurrence fails. An engine made without one holds {!none}, whose
+    {!fire} is one empty-list match that returns [false]: the layer costs
+    zero model cycles and allocates nothing, so the paper's measurements
+    cannot be perturbed (asserted by the cycle-invariance test in
+    [test/test_faults.ml]). Nothing is domain-local: a plan fires only
+    for the engines (and the service request) it was given to.
 
     The module sits at the bottom of the dependency stack (it depends
     only on [support]) so both the engine and the native executor can
@@ -23,7 +26,7 @@
 
 (** The named injection points.
 
-    Occurrence counting is per point, within one installed plan:
+    Occurrence counting is per point, within one plan:
     - [Compile_diag]: one occurrence per compilation reaching the
       post-pipeline diagnostics barrier; firing raises a synthetic
       [Diag.Failed] there (as if a lint check had rejected the graph).
@@ -77,9 +80,9 @@ type spec = (point * mode) list
 (** At most one rule per point is consulted (the first match wins). *)
 
 type plan
-(** A spec armed with mutable occurrence counters and a seeded PRNG.
-    Plans are single-use state: re-arm with {!with_plan} (which installs
-    a fresh copy) or rebuild with {!make} to replay one. *)
+(** A spec armed with mutable occurrence counters, fire counters and a
+    seeded PRNG. Plans are single-use state: rebuild one with {!make} (or
+    {!sample}) to replay it. *)
 
 val make : seed:int -> spec -> plan
 val plan_spec : plan -> spec
@@ -96,32 +99,20 @@ val point_to_string : point -> string
 val describe : plan -> string
 (** E.g. ["seed=7 compile_diag:nth(2) exec_guard:prob(0.25)"]. *)
 
-(** {1 The installed plan} *)
+(** {1 Firing} *)
 
-val install : plan option -> unit
-(** Replace the (global) installed plan; [None] disables injection. *)
+val none : plan
+(** The empty plan: nothing ever fires, and {!fire} changes nothing in
+    it, so one value is shared by every engine made without a plan. *)
 
-val installed : unit -> plan option
-val active : unit -> bool
+val fire : plan -> point -> bool
+(** Count one occurrence of [point] against [plan] and report whether it
+    must fail. [false] — without counting — when no rule names
+    [point]. *)
 
-val fire : point -> bool
-(** Count one occurrence of [point] against the installed plan and
-    report whether it must fail. [false] — without counting — when no
-    plan is installed. *)
-
-val with_plan : plan -> (unit -> 'a) -> 'a
-(** Run with a {e fresh copy} of the plan installed (occurrence
-    counters and PRNG reset), restoring the previous installation on
-    exit — exception-safe, so one chaotic run cannot leak faults into
-    the next. *)
-
-(** {1 Fired-fault observation}
-
-    A plan that never triggers passes a chaos run silently; the hook
-    lets the harness assert injected faults actually fired. It is
-    domain-local and consulted only when {!fire} decides to fail an
-    occurrence, so the disabled-layer cost is unchanged. *)
-
-val with_fired_hook : (point -> unit) -> (unit -> 'a) -> 'a
-(** Install a hook for the extent of the callback, restoring the
-    previous one on exit (exception-safe). *)
+val take_fired : plan -> (point * int) list
+(** The occurrences of each point that {!fire} failed since the last
+    call (in rule order, points that fired at least once), then reset
+    those counts. A plan that never triggers passes a chaos run
+    silently; this lets the harness assert injected faults fired, and
+    the service layer folds the counts into [faults.fired.*]. *)

@@ -21,41 +21,36 @@ let capture k =
       Buffer.add_char buf '\n')
     (fun () -> k buf)
 
-let run config src =
+let run ?faults config src =
   capture (fun buf ->
-      (try ignore (Engine.run_source config src)
+      (try ignore (Engine.run_source ?faults config src)
        with e -> Buffer.add_string buf ("EXN " ^ Printexc.to_string e ^ "\n"));
       Buffer.contents buf)
 
-(* Like [run], but with per-pass pipeline checks enabled for the duration;
-   a verifier rejection comes back as [Error diag] instead of being folded
-   into the captured output as an EXN line. The engine contains mid-run
-   compile diagnostics (quarantining the function and interpreting on), so
-   they are collected through [Engine.set_diag_abort_hook]; [Diag.Failed]
-   can now only escape from bytecode admission in [Engine.make]. Either way
-   the first diagnostic of the run is the [Error]. *)
+(* Like [run], but with per-pass pipeline checks on; a verifier rejection
+   comes back as [Error diag] instead of being folded into the captured
+   output as an EXN line. The engine contains mid-run compile diagnostics
+   (quarantining the function and interpreting on), so they are collected
+   from its diagnostic sink, which also receives check-mode warnings;
+   [Diag.Failed] can only escape from bytecode admission in
+   [Engine.make]. Either way the first error of the run is the [Error]. *)
 let run_checked config src =
   let first_diag = ref None in
-  Pipeline.with_checks true (fun () ->
-      Engine.with_diag_abort_hook
-        (fun d -> if !first_diag = None then first_diag := Some d)
-        (fun () ->
-          capture (fun buf ->
-              match
-                (try
-                   ignore (Engine.run_source config src);
-                   Ok ()
-                 with
-                | Diag.Failed d -> Error d
-                | e ->
-                  Buffer.add_string buf ("EXN " ^ Printexc.to_string e ^ "\n");
-                  Ok ())
-              with
-              | Error d -> Error d
-              | Ok () -> (
-                match !first_diag with
-                | Some d -> Error d
-                | None -> Ok (Buffer.contents buf)))))
+  let diag d = if Diag.is_error d && !first_diag = None then first_diag := Some d in
+  capture (fun buf ->
+      match
+        (try
+           ignore (Engine.run_source ~diag { config with Engine.check = true } src);
+           Ok ()
+         with
+        | Diag.Failed d -> Error d
+        | e ->
+          Buffer.add_string buf ("EXN " ^ Printexc.to_string e ^ "\n");
+          Ok ())
+      with
+      | Error d -> Error d
+      | Ok () -> (
+        match !first_diag with Some d -> Error d | None -> Ok (Buffer.contents buf)))
 
 let default_configs =
   let opt o = Engine.default_config ~opt:o () in
@@ -83,10 +78,9 @@ let default_configs =
 let first_failure results = List.find_opt Option.is_some results |> Option.join
 
 (* Chaos differential: the reference is the pure interpreter with no
-   faults installed; every JIT configuration then runs under the fault
-   plan sampled from [seed] ([Faults.with_plan] arms a fresh copy per
-   configuration — and per domain, since the plan slot is domain-local —
-   so occurrence counts restart each time). The invariant is the
+   faults; every JIT configuration then runs under its own copy of the
+   fault plan sampled from [seed] (so occurrence counts restart each
+   time, whichever domain runs the configuration). The invariant is the
    containment layer's contract: under any injected fault schedule the run
    terminates with the interpreter's observable output — injected compile
    failures quarantine, injected guard failures bail out, and nothing but
@@ -95,20 +89,19 @@ let first_failure results = List.find_opt Option.is_some results |> Option.join
    with the full lint machinery in the loop. *)
 let check_chaos ?(configs = default_configs) ~seed src =
   let reference = run Engine.interp_only src in
-  let plan = Faults.sample seed in
   Pool.map (Pool.default ())
     (fun (name, config) ->
-      Pipeline.with_checks true (fun () ->
-          let got = Faults.with_plan plan (fun () -> run config src) in
-          if got = reference then None
-          else
-            Some
-              (Mismatch
-                 {
-                   mm_config = Printf.sprintf "%s+chaos(%s)" name (Faults.describe plan);
-                   mm_expected = reference;
-                   mm_got = got;
-                 })))
+      let plan = Faults.sample seed in
+      let got = run ~faults:plan { config with Engine.check = true } src in
+      if got = reference then None
+      else
+        Some
+          (Mismatch
+             {
+               mm_config = Printf.sprintf "%s+chaos(%s)" name (Faults.describe plan);
+               mm_expected = reference;
+               mm_got = got;
+             }))
     configs
   |> first_failure
 

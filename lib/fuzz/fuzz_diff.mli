@@ -19,20 +19,15 @@ type failure =
   | Mismatch of mismatch
   | Verifier_diag of { vd_config : string; vd_diag : Diag.t }
 
-val run : Engine.config -> string -> string
-(** Run one program under one configuration, capturing everything it
-    prints. Reseeds the deterministic [Math.random] before the run. *)
+val run : ?faults:Faults.plan -> Engine.config -> string -> string
+(** Run one program under one configuration (and fault plan), capturing
+    everything it prints. *)
 
 val default_configs : (string * Engine.config) list
 (** The interpreter-vs-everything matrix: baseline, best, a
     maximum-extensions configuration, the selective and 4-entry-cache
     engine policies, the polyvariant policy at cache sizes 1 and 4, the
     SCCP pipeline, and the ten Figure 9 columns. *)
-
-val run_checked : Engine.config -> string -> (string, Diag.t) result
-(** Like {!run}, but with per-pass pipeline checks enabled for the
-    duration; a verifier rejection is [Error diag] instead of an
-    ["EXN ..."] output line. *)
 
 val check : ?configs:(string * Engine.config) list -> string -> failure option
 (** Run [src] under the interpreter and every configuration (the latter
@@ -43,8 +38,8 @@ val check_chaos :
   ?configs:(string * Engine.config) list -> seed:int -> string -> failure option
 (** The chaos differential: run [src] under the fault-free interpreter for
     reference, then under every JIT configuration with the fault plan
-    [Faults.sample seed] installed (a fresh copy per configuration) and
-    pipeline checks on. The containment invariant under test: every run
+    [Faults.sample seed] (a fresh copy per configuration) and pipeline
+    checks on. The containment invariant under test: every run
     terminates with the interpreter's observable output — injected compile
     failures quarantine, injected guard failures bail out, and no exception
     other than [Engine.Runtime_error] escapes (one would surface as a

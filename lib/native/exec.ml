@@ -25,6 +25,7 @@ type callbacks = {
   cycles : int ref;
   on_charge : (Code.t -> int -> int -> unit) option;
   on_instr : (Code.t -> int -> unit) option;
+  faults : Faults.plan;
 }
 
 let make_activation ?(env = [||]) ?osr ~(func : Bytecode.Program.func) ~args () =
@@ -117,7 +118,7 @@ let bail snap reason =
 (* Chaos layer: a passing guard may be forced down its bailout path
    (snapshot and all). Only guards with a snapshot count as occurrences — a
    snapshot-less site has no bail path to take. *)
-let inject snap = match snap with Some _ -> Faults.fire Faults.Exec_guard | None -> false
+let inject cb snap = match snap with Some _ -> Faults.fire cb.faults Faults.Exec_guard | None -> false
 
 (* Every cycle charge, with its attribution note. *)
 let charge cb code pc n =
@@ -139,7 +140,7 @@ let exec_op cb act m code pc dst op args snap =
       (* Checked int32 arithmetic: bail when the JS result leaves the int32
          domain (overflow, NaN from x%0, >>> overflow). *)
       match r with
-      | Value.Int _ -> if inject snap then bail snap "int32 overflow" else set m dst r
+      | Value.Int _ -> if inject cb snap then bail snap "int32 overflow" else set m dst r
       | _ -> bail snap "int32 overflow")
     | Mir.Mode_int_nocheck | Mir.Mode_double | Mir.Mode_generic -> set m dst r)
   | Code.Cmp_op cop -> set m dst (Ops.cmp cop (arg m args 0) (arg m args 1))
@@ -147,16 +148,16 @@ let exec_op cb act m code pc dst op args snap =
   | Code.To_bool_op -> set m dst (Value.Bool (Convert.to_boolean (arg m args 0)))
   | Code.Guard_type tag ->
     let v = arg m args 0 in
-    if Value.tag_of v = tag then if inject snap then bail snap "type barrier" else set m dst v
+    if Value.tag_of v = tag then if inject cb snap then bail snap "type barrier" else set m dst v
     else bail snap "type barrier"
   | Code.Guard_array -> (
     match arg m args 0 with
-    | Value.Arr _ as v -> if inject snap then bail snap "not an array" else set m dst v
+    | Value.Arr _ as v -> if inject cb snap then bail snap "not an array" else set m dst v
     | _ -> bail snap "not an array")
   | Code.Guard_bounds -> (
     match (arg m args 0, arg m args 1) with
     | Value.Int i, Value.Arr a when i >= 0 && i < a.Value.length ->
-      if inject snap then bail snap "bounds check" else set m dst Value.Undefined
+      if inject cb snap then bail snap "bounds check" else set m dst Value.Undefined
     | _ -> bail snap "bounds check")
   | Code.Load_elem_op -> (
     match (arg m args 0, arg m args 1) with

@@ -45,9 +45,14 @@ type callbacks = {
           clock). The engine's cooperative deadline raises from here;
           the raise aborts the run without evaluating a snapshot.
           [None] costs one match per instruction. *)
+  faults : Faults.plan;
+      (** the engine's fault plan, drawn at every passing guard that has
+          a snapshot ({!Faults.Exec_guard}); {!Faults.none} for a run
+          without one *)
 }
 (** What the engine hands each run: call dispatch, the globals, the cycle
-    accumulator and the execution observers it has attached. *)
+    accumulator, the execution observers it has attached and its fault
+    plan. *)
 
 type prepared
 (** A {!Code.t} decoded once for execution: the code plus its

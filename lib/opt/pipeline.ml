@@ -53,17 +53,6 @@ let figure9_configs =
     all_on;
   ]
 
-(* Per-pass verification ("sandwich" mode): when enabled, [apply] re-runs
-   the MIR structural verifier and the type-consistency lint after every
-   pass, so the first broken invariant is attributed to the pass that broke
-   it instead of surfacing four passes later. Tests, the fuzzer and
-   bin/irlint flip this on; benchmarks leave it off (the final end-of-
-   pipeline [Verify.run] stays unconditional either way, and the compile
-   charge never includes verification). *)
-let checks_slot = Support.Tls.make (fun () -> false)
-let checks () = Support.Tls.get checks_slot
-let with_checks b f = Support.Tls.with_value checks_slot b f
-
 type run_stats = {
   folded : int;
   inlined : int;
@@ -78,8 +67,14 @@ type run_stats = {
   passes : Telemetry.pass_delta list;
 }
 
-let apply ?check ~program config (f : Mir.func) =
-  let check = match check with Some c -> c | None -> checks () in
+(* Per-pass verification ("sandwich" mode): with [check], [apply] re-runs
+   the MIR structural verifier and the type-consistency lint after every
+   pass, so the first broken invariant is attributed to the pass that broke
+   it instead of surfacing four passes later. Tests, the fuzzer and
+   bin/irlint turn it on through [Engine.config.check]; benchmarks leave it
+   off (the final end-of-pipeline [Verify.run] stays unconditional either
+   way, and the compile charge never includes verification). *)
+let apply ?(check = false) ~program config (f : Mir.func) =
   (* Per-pass attribution for the telemetry layer: graph size entering and
      leaving every pass that ran, in execution order. *)
   let pass_trace = ref [] in

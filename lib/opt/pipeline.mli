@@ -66,16 +66,6 @@ type run_stats = {
           forwards on its [Compile_end] telemetry event *)
 }
 
-val checks : unit -> bool
-(** Default for {!apply}'s [?check]: per-pass verification ("sandwich"
-    mode). Tests, the fuzzer and [bin/irlint] turn it on; benchmarks leave
-    it off. Domain-local, so a checked fuzz task and an unchecked bench
-    task can share a pool. Verification never contributes to the
-    compile-cycle model. *)
-
-val with_checks : bool -> (unit -> 'a) -> 'a
-(** Run with the current domain's check mode temporarily replaced. *)
-
 val apply : ?check:bool -> program:Bytecode.Program.t -> config -> Mir.func -> run_stats
 (** Run the configured passes over a freshly built MIR graph: type
     specialization, GVN and constant propagation; closure inlining (when
@@ -86,10 +76,13 @@ val apply : ?check:bool -> program:Bytecode.Program.t -> config -> Mir.func -> r
     runner executes
     every pass: it records the pass in [passes], bills it the graph size
     it enters (so [mir_instrs_processed] is the sum of [pd_before]), and,
-    when [check] — defaulting to {!checks} — is on, runs
-    {!Verify.run}, {!Verify.check_types} and translation validation after
-    it, raising {!Diag.Failed} attributed to the offending pass. The
-    structural verifier also runs once at the end, unconditionally. *)
+    when [check] (per-pass verification, "sandwich" mode; default
+    [false]) is on, runs {!Verify.run}, {!Verify.check_types} and
+    translation validation after it, raising {!Diag.Failed} attributed to
+    the offending pass. The structural verifier also runs once at the
+    end, unconditionally. Tests, the fuzzer and [bin/irlint] turn [check]
+    on through [Engine.config.check]; benchmarks leave it off.
+    Verification never contributes to the compile-cycle model. *)
 
 val npasses : config -> int
 (** Scheduled pass count for this config — the compile-latency weight the

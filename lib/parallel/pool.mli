@@ -10,11 +10,11 @@
       is re-raised after the batch drains. Scheduling affects wall-clock
       time only; every table, figure and JSONL byte is identical at any
       [--jobs].
-    - {b Self-contained tasks.} Ambient VM context ({!Support.Tls} slots:
-      print hook, PRNG, pipeline checks, fault plans, the request trace
-      context, diagnostic hooks) does not cross into pool tasks. A task that needs
-      context installs it itself ([Runner.quiet], [Pipeline.with_checks],
-      [Faults.with_plan], ...).
+    - {b Self-contained tasks.} Ambient VM context (the {!Support.Tls}
+      slots: the print hook, the [Math.random] state and the MIR hook)
+      does not cross into pool tasks. A task that needs context installs
+      it itself ([Runner.quiet], [Engine.with_mir_hook]); everything else
+      an engine run depends on is given to the engine.
     - {b Nested fan-out.} A task may itself call [map] on the same pool:
       joining participants help drain the shared queue instead of
       blocking, so the pool cannot deadlock on nested submission.

@@ -168,9 +168,13 @@ type iso = {
   snaps : (int * string) list ref;  (* (cycle, snapshot json), reversed *)
   mutable last_snap : int;  (* last boundary snapshotted *)
   flight : Flight.t option;
+  plan_for : int -> Faults.plan;  (* a request id's fault plan *)
+  mutable faults : Faults.plan;
+      (* the plan of the request being served: admission, the deadline
+         point and that request's engine all draw from it *)
 }
 
-let make_iso cfg ~isolate =
+let make_iso ?faults cfg ~isolate =
   let hub = Telemetry.create ~nfuncs:1 () in
   let spans = ref [] in
   if cfg.obs.obs_trace then Telemetry.attach_span hub (fun s -> spans := s :: !spans);
@@ -194,6 +198,12 @@ let make_iso cfg ~isolate =
            (Flight.create ~capacity:cfg.obs.obs_flight_capacity
               ~max_dumps:cfg.obs.obs_flight_max_dumps ())
        else None);
+    plan_for =
+      (match (faults, cfg.chaos) with
+      | Some plan, _ -> fun _ -> plan
+      | None, Some c -> fun id -> Faults.sample ((c * 1_000_003) + id)
+      | None, None -> fun _ -> Faults.none);
+    faults = Faults.none;
   }
 
 let bump ?n iso name = Telemetry.Counters.bump_global ?n (Telemetry.counters iso.hub) name
@@ -209,6 +219,12 @@ let absorb iso =
         (Telemetry.Counters.rows (Telemetry.counters (Engine.telemetry eng))))
     iso.engines
 
+(* Point an engine at the request the isolate is serving: its fault plan
+   and its trace context. *)
+let arm iso eng =
+  Engine.set_faults eng iso.faults;
+  Telemetry.set_trace (Engine.telemetry eng) (Telemetry.trace iso.hub)
+
 (* Recycle the isolate: drain background compile queues, absorb
    telemetry, then drop every warm engine. Heap state a crashing request
    may have corrupted is gone; the next attempt (and the next request of
@@ -218,7 +234,11 @@ let absorb iso =
    Compiled bytecode programs are pure and survive. *)
 let recycle iso =
   bump iso Skey.recycles;
-  Hashtbl.iter (fun _ eng -> ignore (Engine.drain_bg eng)) iso.engines;
+  Hashtbl.iter
+    (fun _ eng ->
+      arm iso eng;
+      ignore (Engine.drain_bg eng))
+    iso.engines;
   absorb iso;
   Hashtbl.reset iso.engines
 
@@ -242,11 +262,9 @@ let get_engine iso key =
        unchanged. *)
     if Telemetry.spans_active iso.hub then
       Telemetry.attach_span (Engine.telemetry eng) (Telemetry.emit_span iso.hub);
-    (match iso.flight with
-    | Some fl ->
-      Telemetry.attach (Engine.telemetry eng)
-        (Flight.sink fl ~clock:(fun () -> Engine.clock eng))
-    | None -> ());
+    Option.iter
+      (fun fl -> Flight.attach fl (Engine.telemetry eng) ~clock:(fun () -> Engine.clock eng))
+      iso.flight;
     Hashtbl.add iso.engines key eng;
     eng
 
@@ -263,7 +281,7 @@ let run_attempts iso rq ~degraded =
   let warm = Hashtbl.mem iso.engines tenant_key in
   let rec go k =
     attempts := k;
-    if cfg.deadline > 0 && Faults.fire Faults.Serve_deadline then begin
+    if cfg.deadline > 0 && Faults.fire iso.faults Faults.Serve_deadline then begin
       (* Injected attempt-deadline expiry: charge the full budget and fail
          exactly like a genuine expiry. Deadline misses are never retried —
          re-running a request that cannot fit its budget only burns more
@@ -274,6 +292,7 @@ let run_attempts iso rq ~degraded =
     end
     else begin
       let eng = get_engine iso tenant_key in
+      arm iso eng;
       Engine.set_degrade eng degraded;
       let c0 = Engine.clock eng in
       let _, _, k0 = Engine.cycle_split eng in
@@ -396,7 +415,7 @@ let process_request iso rq =
      unfinished at this arrival. *)
   iso.pending <- List.filter (fun f -> f > a) iso.pending;
   let depth = List.length iso.pending in
-  let forced_shed = Faults.fire Faults.Serve_admit in
+  let forced_shed = Faults.fire iso.faults Faults.Serve_admit in
   if forced_shed || (cfg.capacity > 0 && depth >= cfg.capacity) then begin
     bump iso Skey.shed;
     record iso rq ~outcome:Shed ~finish:a ~attempts:0 ~warm:false ~compile:0;
@@ -429,42 +448,36 @@ let process_request iso rq =
   end
 
 let guard_request iso rq =
-  let plan_installed () =
-    match iso.iso_cfg.chaos with
-    | None -> process_request iso rq
-    | Some c ->
-      (* A fresh per-request fault schedule: admission, every attempt and
-         the engine's own injection points all draw from it. *)
-      Faults.with_plan
-        (Faults.sample ((c * 1_000_003) + rq.rq_id))
-        (fun () -> process_request iso rq)
-  in
-  let supervised () =
-    try plan_installed ()
-    with _escaped ->
-      (* The outer belt: nothing may escape an isolate. A request that
-         trips this is a service-layer bug (counted, asserted zero by the
-         smoke gate) but still yields a classified record. *)
-      bump iso Skey.escapes;
-      recycle iso;
-      let finish = max iso.vclock rq.rq_arrival in
-      record iso rq ~outcome:Fault ~finish ~attempts:0 ~warm:false ~compile:0;
-      observe_request iso rq ~outcome:Fault ~depth:0 ~start:finish ~finish ~attempts:0
-  in
-  (* The request-scoped identity every span, flow stitch and flight entry
-     under this dynamic extent stamps itself with. Installed only when an
-     observer wants it; either way nothing below reads it unless one does. *)
-  if Telemetry.spans_active iso.hub || Option.is_some iso.flight then
-    Telemetry.with_trace
-      (Some
+  (* The request's fault schedule (fresh per request under chaos) and the
+     request-scoped identity every span, flow stitch and flight entry of
+     this request stamps itself with — set only when an observer wants
+     it; either way nothing reads it unless one does. [arm] hands both to
+     each engine the request touches. *)
+  iso.faults <- iso.plan_for rq.rq_id;
+  Telemetry.set_trace iso.hub
+    (if Telemetry.spans_active iso.hub || Option.is_some iso.flight then
+       Some
          {
            Telemetry.tc_trace = rq.rq_id + 1;
            tc_request = rq.rq_id;
            tc_tenant = rq.rq_tenant;
            tc_isolate = iso.iso_id;
-         })
-      supervised
-  else supervised ()
+         }
+     else None);
+  (try process_request iso rq
+   with _escaped ->
+     (* The outer belt: nothing may escape an isolate. A request that
+        trips this is a service-layer bug (counted, asserted zero by the
+        smoke gate) but still yields a classified record. *)
+     bump iso Skey.escapes;
+     recycle iso;
+     let finish = max iso.vclock rq.rq_arrival in
+     record iso rq ~outcome:Fault ~finish ~attempts:0 ~warm:false ~compile:0;
+     observe_request iso rq ~outcome:Fault ~depth:0 ~start:finish ~finish ~attempts:0);
+  List.iter
+    (fun (point, n) ->
+      bump ~n iso (Telemetry.Key.faults_fired (Faults.point_to_string point)))
+    (Faults.take_fired iso.faults)
 
 (* Everything one isolate's run produced. The observability fields are
    empty with obs off. *)
@@ -478,13 +491,9 @@ type iso_result = {
   ir_flights : Flight.dump list;  (* trigger order *)
 }
 
-let run_isolate_full cfg ~isolate reqs =
-  let iso = make_iso cfg ~isolate in
-  Runtime.Builtins.with_print_hook ignore (fun () ->
-      Faults.with_fired_hook
-        (fun point ->
-          bump iso (Telemetry.Key.faults_fired (Faults.point_to_string point)))
-        (fun () -> List.iter (guard_request iso) reqs));
+let run_isolate_full ?faults cfg ~isolate reqs =
+  let iso = make_iso ?faults cfg ~isolate in
+  Runtime.Builtins.with_print_hook ignore (fun () -> List.iter (guard_request iso) reqs);
   (* Close the flows of background compiles the run ended before
      harvesting — counter-silent, so a traced summary equals an untraced
      one, and a no-op untraced. Must precede [absorb]: the engines are
@@ -507,8 +516,8 @@ let run_isolate_full cfg ~isolate reqs =
     ir_flights = (match iso.flight with Some fl -> Flight.dumps fl | None -> []);
   }
 
-let run_isolate cfg ~isolate reqs =
-  let r = run_isolate_full cfg ~isolate reqs in
+let run_isolate ?faults cfg ~isolate reqs =
+  let r = run_isolate_full ?faults cfg ~isolate reqs in
   (r.ir_isolate, r.ir_records, r.ir_rows)
 
 (* ------------------------------------------------------------------ *)

@@ -146,13 +146,21 @@ type record = {
 }
 
 val run_isolate :
-  config -> isolate:int -> request list -> int * record list * (string * int) list
+  ?faults:Faults.plan ->
+  config ->
+  isolate:int ->
+  request list ->
+  int * record list * (string * int) list
 (** Play one isolate's queue serially, returning
     [(isolate, records in request order, counter rows)] (the interaction
-    tests' entry point). Installs its own print hook, fired-fault hook,
-    per-request chaos plans and (with obs on) span sinks / trace contexts
-    / flight sinks; absorbs every engine's counters — and, when tracing,
-    closes still-open background-compile flows — before returning. *)
+    tests' entry point). Installs its own print hook, arms each request's
+    fault plan and (with obs on) trace context on the isolate and on
+    every engine the request touches, and attaches span sinks / flight
+    recorders; folds the faults each plan fired into
+    [faults.fired.<point>] and absorbs every engine's counters — and, when
+    tracing, closes still-open background-compile flows — before
+    returning. [faults] is one plan every request draws from, in place of
+    [config.chaos]'s fresh plan per request. *)
 
 type summary = {
   sm_requests : int;

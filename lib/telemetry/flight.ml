@@ -66,9 +66,9 @@ let trigger t ~trigger ~detail ~at =
       :: t.dumps
   end
 
-let record t ~ts ev =
+let record t ~trace ~ts ev =
   let trace, request, tenant =
-    match Telemetry.current_trace () with
+    match trace with
     | Some c -> (c.Telemetry.tc_trace, c.Telemetry.tc_request, c.Telemetry.tc_tenant)
     | None -> (0, -1, -1)
   in
@@ -94,7 +94,9 @@ let record t ~ts ev =
     trigger t ~trigger:kind ~detail:fname ~at:ts
   | _ -> ()
 
-let sink t ~clock ev = record t ~ts:(clock ()) ev
+(* Entries take the trace context of the hub they were emitted on. *)
+let attach t hub ~clock =
+  Telemetry.attach hub (fun ev -> record t ~trace:(Telemetry.trace hub) ~ts:(clock ()) ev)
 
 let jstr s = "\"" ^ Telemetry.json_escape s ^ "\""
 

@@ -1,9 +1,9 @@
 (** The flight recorder: a bounded ring of recent telemetry events that
     turns a failure into a post-mortem.
 
-    One recorder per isolate (or per standalone engine): a
-    {!Telemetry.sink} stamps every event with the emitting engine's
-    model-cycle clock and the current {!Telemetry.trace_ctx}, so the last
+    One recorder per isolate (or per standalone engine), attached to each
+    engine's hub ({!attach}): every event is stamped with the emitting
+    engine's model-cycle clock and that hub's {!Telemetry.trace}, so the last
     [capacity] policy decisions — probes, widenings, promotions,
     quarantines, cancels, deadline hits, with their inputs — are always
     in memory. A {b trigger} (an injected fault, a deadline expiry, a
@@ -43,13 +43,11 @@ val create : ?capacity:int -> ?max_dumps:int -> unit -> t
 (** Defaults: 64 entries, 4 captured dumps.
     @raise Invalid_argument when either bound is not positive. *)
 
-val record : t -> ts:int -> Telemetry.event -> unit
-(** Stamp and buffer one event (reads {!Telemetry.current_trace}).
+val attach : t -> Telemetry.t -> clock:(unit -> int) -> unit
+(** Record every event emitted on [hub] from now on, stamped with
+    [clock ()] and the hub's {!Telemetry.trace} at emission.
     [Quarantine] events auto-trigger a dump — ["deopt-storm"] when that
     was the quarantine reason, ["quarantine"] otherwise. *)
-
-val sink : t -> clock:(unit -> int) -> Telemetry.sink
-(** [record] as an attachable sink reading [clock ()] per event. *)
 
 val trigger : t -> trigger:string -> detail:string -> at:int -> unit
 (** Capture a dump now (the caller-side triggers: supervised faults,

@@ -457,23 +457,18 @@ let jsonl_sink oc ev =
 (* ------------------------------------------------------------------ *)
 
 (* The request-scoped identity the service layer threads through queue
-   wait, engine runs and background-compile lifecycles. Domain-local: the
-   service installs one per request on the domain playing that isolate,
-   and every span or flight-recorder entry emitted underneath stamps
-   itself with it. Nothing reads the context unless an observer is
-   attached, so installing it costs one TLS write and cannot perturb the
-   model. *)
+   wait, engine runs and background-compile lifecycles. It lives on a hub
+   ([set_trace]): the service sets one per request on the isolate's hub
+   and on the engine serving it, and every span or flight-recorder entry
+   that hub emits stamps itself with it. Nothing reads the context unless
+   an observer is attached, so setting it costs one field write and
+   cannot perturb the model. *)
 type trace_ctx = {
   tc_trace : int;  (* trace id: unique per request across the whole run *)
   tc_request : int;  (* the request id (rq_id) *)
   tc_tenant : int;
   tc_isolate : int;
 }
-
-let trace_slot : trace_ctx option Support.Tls.t = Support.Tls.make (fun () -> None)
-
-let current_trace () = Support.Tls.get trace_slot
-let with_trace ctx f = Support.Tls.with_value trace_slot ctx f
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle spans                                                     *)
@@ -706,18 +701,29 @@ type open_span = {
 }
 
 (* Everything observing one engine (or one service isolate): its counter
-   registry, the sinks attached to it, and the stack of open lifecycle
-   spans. A hub starts with no sinks; observers attach to the hub of the
-   engine they watch, at any time before or during its run. *)
+   registry, the sinks attached to it, the stack of open lifecycle spans
+   and the request trace context its spans stamp themselves with. A hub
+   starts with no sinks and no context; observers attach to the hub of
+   the engine they watch, at any time before or during its run. *)
 type t = {
   counters : Counters.t;
   mutable sinks : sink list;
   mutable span_sinks : span_sink list;
   mutable open_spans : open_span list;
+  mutable trace : trace_ctx option;
 }
 
 let create ~nfuncs () =
-  { counters = Counters.create ~nfuncs (); sinks = []; span_sinks = []; open_spans = [] }
+  {
+    counters = Counters.create ~nfuncs ();
+    sinks = [];
+    span_sinks = [];
+    open_spans = [];
+    trace = None;
+  }
+
+let trace t = t.trace
+let set_trace t ctx = t.trace <- ctx
 
 let attach t sink = t.sinks <- t.sinks @ [ sink ]
 let attach_span t sink = t.span_sinks <- t.span_sinks @ [ sink ]
@@ -745,7 +751,7 @@ let span_begin t ~name ~cat ~fid ~fname ~now =
         os_fid = fid;
         os_fname = fname;
         os_start = now;
-        os_ctx = current_trace ();
+        os_ctx = t.trace;
       }
       :: t.open_spans
 
@@ -767,7 +773,7 @@ let span_end ?(args = []) t ~now =
 let span_complete ?(args = []) t ~name ~cat ~fid ~fname ~start ~dur =
   if spans_active t then
     emit_span t
-      (make_span ~ctx:(current_trace ()) ~ph:Ph_complete ~flow:0
+      (make_span ~ctx:t.trace ~ph:Ph_complete ~flow:0
          ~depth:(List.length t.open_spans) ~args ~name ~cat ~fid ~fname ~start ~dur)
 
 (* One flow stitch: a Ph_flow_start on the requesting lane at enqueue, a
@@ -778,7 +784,7 @@ let span_flow ?(args = []) ?trace t ~phase ~id ~name ~cat ~fid ~fname ~now =
   if spans_active t then
     emit_span t
       (make_span
-         ~ctx:(match trace with Some _ -> trace | None -> current_trace ())
+         ~ctx:(match trace with Some _ -> trace | None -> t.trace)
          ~ph:(match phase with `Start -> Ph_flow_start | `Finish -> Ph_flow_finish)
          ~flow:id ~depth:(List.length t.open_spans) ~args ~name ~cat ~fid ~fname
          ~start:now ~dur:0)

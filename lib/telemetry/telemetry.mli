@@ -198,11 +198,12 @@ val json_unescape : string -> string
 (** {1 Request trace context}
 
     The request-scoped identity the service layer threads from admission
-    through queue wait, engine runs and background-compile lifecycles.
-    Domain-local: the service installs one per request on the domain
-    playing that isolate; spans and flight-recorder entries emitted
-    underneath stamp themselves with it. Nothing reads the context unless
-    an observer is attached, so installing it cannot perturb the model. *)
+    through queue wait, engine runs and background-compile lifecycles. It
+    rides a hub ({!set_trace}): the service sets one per request on the
+    isolate's hub and on the engine serving the request; spans and
+    flight-recorder entries that hub emits stamp themselves with it.
+    Nothing reads the context unless an observer is attached, so setting
+    it cannot perturb the model. *)
 
 type trace_ctx = {
   tc_trace : int;  (** trace id — unique per request across the run *)
@@ -210,12 +211,6 @@ type trace_ctx = {
   tc_tenant : int;
   tc_isolate : int;
 }
-
-val current_trace : unit -> trace_ctx option
-
-val with_trace : trace_ctx option -> (unit -> 'a) -> 'a
-(** Run [f] with this domain's trace context temporarily replaced —
-    [None] explicitly clears it (background work with no requester). *)
 
 (** {1 Lifecycle spans} *)
 
@@ -384,15 +379,22 @@ end
 (** {1 The hub}
 
     One [t] per engine instance (and one per service isolate): its counter
-    registry, the sinks observing it, and its stack of open lifecycle
-    spans. A hub starts with no sinks. Observers attach to the hub of the
-    engine they watch — [Engine.telemetry] after [Engine.make] — at any
-    point before or during a run. *)
+    registry, the sinks observing it, its stack of open lifecycle spans
+    and its request trace context. A hub starts with no sinks. Observers
+    attach to the hub of the engine they watch — [Engine.telemetry] after
+    [Engine.make] — at any point before or during a run. *)
 
 type t
 
 val create : nfuncs:int -> unit -> t
-(** A fresh hub with an empty registry and no sinks. *)
+(** A fresh hub with an empty registry, no sinks and no trace context. *)
+
+val trace : t -> trace_ctx option
+(** The request this hub's spans and flight entries are attributed to. *)
+
+val set_trace : t -> trace_ctx option -> unit
+(** Attribute what the hub emits from now on to [ctx] ([None]: to no
+    request). *)
 
 val attach : t -> sink -> unit
 (** Add an event sink; it receives every event emitted from now on. *)
@@ -420,8 +422,8 @@ val emit_span : t -> span -> unit
 (** {2 Spans}
 
     Begin/end bookkeeping over the model-cycle clock ([now], [start]: the
-    caller's clock reading). Every span is stamped with the current
-    {!trace_ctx} — for a begun span, the one current when it opened. *)
+    caller's clock reading). Every span is stamped with the hub's
+    {!trace} — for a begun span, the one set when it opened. *)
 
 val span_begin : t -> name:string -> cat:string -> fid:int -> fname:string -> now:int -> unit
 (** Open a span entering a lifecycle phase. *)
@@ -458,6 +460,6 @@ val span_flow :
   now:int ->
   unit
 (** Emit one side of a Perfetto flow stitch ([ph:"s"]/[ph:"f"] sharing
-    [id]). [trace] overrides the current context on the finish side, so a
+    [id]). [trace] overrides the hub's context on the finish side, so a
     background compile's install is attributed back to the request that
     enqueued it, whichever request harvests it. *)

@@ -325,35 +325,32 @@ let test_pipeline_sandwich_clean_on_all_on () =
 (* One member per suite under the kitchen-sink config with every per-pass
    check enabled; bin/irlint covers the full workload x config matrix. The
    engine contains mid-run compile diagnostics (quarantine + interpreter
-   fallback) rather than raising, so corruption is observed through
-   [Engine.diag_abort_hook]; [Diag.Failed] can still escape [Engine.make]'s
+   fallback) rather than raising, so corruption is observed through the
+   engine's diagnostic sink; [Diag.Failed] can still escape [Engine.make]'s
    bytecode admission check. *)
 let test_engine_checked_sweep () =
   let aborted = ref None in
-  Pipeline.with_checks true @@ fun () ->
-  Engine.with_diag_abort_hook
-    (fun d -> if !aborted = None then aborted := Some d)
-    (fun () ->
-      List.iter
-        (fun (suite : Suite.t) ->
-          match suite.Suite.members with
-          | [] -> ()
-          | m :: _ -> (
-            let cfg = Engine.default_config ~opt:Pipeline.all_on () in
-            aborted := None;
-            match
-              Runner.quiet (fun () -> Engine.run_source cfg m.Suite.m_source)
-            with
-            | _ -> (
-              match !aborted with
-              | None -> ()
-              | Some d ->
-                Alcotest.failf "%s/%s: compile aborted: %s" suite.Suite.s_name
-                  m.Suite.m_name (Diag.to_string d))
-            | exception Diag.Failed d ->
-              Alcotest.failf "%s/%s: %s" suite.Suite.s_name m.Suite.m_name
-                (Diag.to_string d)))
-        Suites.all)
+  let diag d = if Diag.is_error d && !aborted = None then aborted := Some d in
+  List.iter
+    (fun (suite : Suite.t) ->
+      match suite.Suite.members with
+      | [] -> ()
+      | m :: _ -> (
+        let cfg = Engine.default_config ~opt:Pipeline.all_on ~check:true () in
+        aborted := None;
+        match
+          Runner.quiet (fun () -> Engine.run_source ~diag cfg m.Suite.m_source)
+        with
+        | _ -> (
+          match !aborted with
+          | None -> ()
+          | Some d ->
+            Alcotest.failf "%s/%s: compile aborted: %s" suite.Suite.s_name
+              m.Suite.m_name (Diag.to_string d))
+        | exception Diag.Failed d ->
+          Alcotest.failf "%s/%s: %s" suite.Suite.s_name m.Suite.m_name
+            (Diag.to_string d)))
+    Suites.all
 
 let suites =
   [

@@ -14,7 +14,7 @@ let compile_fn ?key ?arg_tags ?(config = Pipeline.baseline) src fid =
 let exec ?(globals = [||]) ?(call = fun _ _ -> Alcotest.fail "unexpected call") ?on_charge
     ?on_instr code ~func ~args =
   let cycles = ref 0 in
-  let cb = { Exec.call; globals; cycles; on_charge; on_instr } in
+  let cb = { Exec.call; globals; cycles; on_charge; on_instr; faults = Faults.none } in
   let act = Exec.make_activation ~func ~args () in
   (* Bind before pairing: tuple components evaluate right to left. *)
   let outcome = Exec.run cb (Exec.prepare code) act ~at_osr:false in
@@ -339,7 +339,10 @@ let prop_three_way_differential =
         | Eval.Bailed _ -> true
       in
       let code, _ = Regalloc.run (Lower.run f) in
-      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
+      let cb =
+        { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
+          on_charge = None; on_instr = None; faults = Faults.none }
+      in
       let act = Exec.make_activation ~func ~args () in
       let native_agrees =
         match Exec.run cb (Exec.prepare code) act ~at_osr:false with
@@ -371,7 +374,10 @@ let prop_native_matches_interp =
       in
       ignore (Pipeline.apply ~program Pipeline.baseline f);
       let code, _ = Regalloc.run (Lower.run f) in
-      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
+      let cb =
+        { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
+          on_charge = None; on_instr = None; faults = Faults.none }
+      in
       let act = Exec.make_activation ~func ~args () in
       match Exec.run cb (Exec.prepare code) act ~at_osr:false with
       | Exec.Finished v -> Value.same_value v expected

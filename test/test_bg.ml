@@ -12,12 +12,12 @@ open Runtime
 let collect evs ev = evs := ev :: !evs
 
 let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = [])
-    ?(span_sinks = []) src =
+    ?(span_sinks = []) ?faults src =
   let buf = Buffer.create 64 in
   Builtins.with_print_hook
     (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
     (fun () ->
-      let engine = Engine.make cfg (Bytecode.Compile.program_of_source src) in
+      let engine = Engine.make ?faults cfg (Bytecode.Compile.program_of_source src) in
       List.iter (Telemetry.attach (Engine.telemetry engine)) sinks;
       List.iter (Telemetry.attach_span (Engine.telemetry engine)) span_sinks;
       let report = Engine.run engine in
@@ -287,18 +287,13 @@ let test_bg_fault point () =
   let plan = Faults.make ~seed:3 [ (point, Faults.Nth 1) ] in
   let evs = ref [] in
   let spans = ref [] in
-  let fired = ref [] in
   let engine, report, out =
-    Faults.with_fired_hook
-      (fun p -> fired := p :: !fired)
-      (fun () ->
-        Faults.with_plan plan (fun () ->
-            run ~cfg:(bg_cfg ()) ~sinks:[ collect evs ]
-              ~span_sinks:[ (fun sp -> spans := sp :: !spans) ]
-              call_hot_src))
+    run ~cfg:(bg_cfg ()) ~faults:plan ~sinks:[ collect evs ]
+      ~span_sinks:[ (fun sp -> spans := sp :: !spans) ]
+      call_hot_src
   in
   Engine.flush_flows engine;
-  Alcotest.(check bool) "the fault fired" true (List.mem point !fired);
+  Alcotest.(check bool) "the fault fired" true (List.mem_assoc point (Faults.take_fired plan));
   let _, _, sync_out = run call_hot_src in
   Alcotest.(check string) "output unaffected" sync_out out;
   Alcotest.(check int) "no synchronous compile cycles" 0 report.Engine.compile_cycles;
@@ -509,17 +504,19 @@ let golden_cell ?(degrade_on_print = false) cfg src fault =
     Buffer.add_char spans '\n'
   in
   let e, r =
-    Faults.with_plan (Faults.make ~seed:1 fault) (fun () ->
-        Builtins.with_print_hook on_print (fun () ->
-            let e = Engine.make cfg (Bytecode.Compile.program_of_source src) in
-            engine := Some e;
-            Telemetry.attach_span (Engine.telemetry e) span_sink;
-            Telemetry.attach (Engine.telemetry e) (fun ev ->
-                Buffer.add_string out (Telemetry.to_json ev);
-                Buffer.add_char out '\n');
-            let r = Engine.run e in
-            Engine.flush_flows e;
-            (e, r)))
+    Builtins.with_print_hook on_print (fun () ->
+        let e =
+          Engine.make ~faults:(Faults.make ~seed:1 fault) cfg
+            (Bytecode.Compile.program_of_source src)
+        in
+        engine := Some e;
+        Telemetry.attach_span (Engine.telemetry e) span_sink;
+        Telemetry.attach (Engine.telemetry e) (fun ev ->
+            Buffer.add_string out (Telemetry.to_json ev);
+            Buffer.add_char out '\n');
+        let r = Engine.run e in
+        Engine.flush_flows e;
+        (e, r))
   in
   let rows = Telemetry.Counters.rows (Telemetry.counters (Engine.telemetry e)) in
   let get k = Option.value ~default:0 (List.assoc_opt k rows) in

@@ -475,7 +475,10 @@ let test_compile_exception_contained () =
 (* Two engines interleaved run by run on one domain must each behave as
    they do alone: output, counters and events. Each program prints three
    [Math.random] draws, so the stream's state must not carry over from
-   whatever ran on the domain before. *)
+   whatever ran on the domain before. Engine A also has check mode on, a
+   diagnostic sink and a plan that fails its first compile; engine B has
+   none of these and runs first, so a plan or a sink that leaked across
+   engines would show in B. *)
 let interleave_src fn =
   Printf.sprintf
     "function %s(x) { return (x * 3 + 1) | 0; }\n\
@@ -506,7 +509,12 @@ let observed_engine make =
 
 let test_engines_interleave () =
   let cfg = Engine.default_config ~opt:Pipeline.all_on () in
-  let make_a () = Engine.make cfg (Bytecode.Compile.program_of_source (interleave_src "f")) in
+  let make_a sink () =
+    Engine.make ~diag:sink
+      ~faults:(Faults.make ~seed:1 [ (Faults.Compile_diag, Faults.Nth 1) ])
+      { cfg with Engine.check = true }
+      (Bytecode.Compile.program_of_source (interleave_src "f"))
+  in
   let make_b () = Engine.make cfg (Bytecode.Compile.program_of_source (interleave_src "g")) in
   let solo make =
     let step, observed = observed_engine make in
@@ -514,8 +522,10 @@ let test_engines_interleave () =
     step ();
     observed ()
   in
-  let solo_a = solo make_a and solo_b = solo make_b in
-  let step_a, observed_a = observed_engine make_a in
+  let solo_a = solo (make_a ignore) and solo_b = solo make_b in
+  let aborts = ref [] in
+  let sink d = if Diag.is_error d then aborts := d.Diag.message :: !aborts in
+  let step_a, observed_a = observed_engine (make_a sink) in
   let step_b, observed_b = observed_engine make_b in
   step_b ();
   step_a ();
@@ -527,7 +537,9 @@ let test_engines_interleave () =
     Alcotest.(check (list string)) (name ^ " events") evs evs'
   in
   same "A" solo_a (observed_a ());
-  same "B" solo_b (observed_b ())
+  same "B" solo_b (observed_b ());
+  Alcotest.(check (list string)) "A's sink saw A's one abort" [ "injected compile_diag fault" ]
+    !aborts
 
 let suites =
   [

@@ -14,12 +14,12 @@ let collect evs ev = evs := ev :: !evs
 
 (* Run a source program on an explicit engine, capturing prints, with
    optional list sinks for event inspection. *)
-let run ?(cfg = Engine.default_config ()) ?(sinks = []) src =
+let run ?(cfg = Engine.default_config ()) ?(sinks = []) ?diag ?faults src =
   let buf = Buffer.create 64 in
   Builtins.with_print_hook
     (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
     (fun () ->
-      let engine = Engine.make cfg (Bytecode.Compile.program_of_source src) in
+      let engine = Engine.make ?diag ?faults cfg (Bytecode.Compile.program_of_source src) in
       List.iter (Telemetry.attach (Engine.telemetry engine)) sinks;
       let report = Engine.run engine in
       (engine, report, Buffer.contents buf))
@@ -61,14 +61,12 @@ let hot_src n =
 (* ------------------------------------------------------------------ *)
 
 let test_plan_mechanics () =
-  Alcotest.(check bool) "inactive by default" false (Faults.active ());
-  Alcotest.(check bool) "no plan, no fire" false (Faults.fire Faults.Compile_diag);
-  let plan =
-    Faults.make ~seed:7
-      [ (Faults.Compile_diag, Faults.Nth 2); (Faults.Exec_guard, Faults.Every 3) ]
-  in
+  Alcotest.(check bool) "the empty plan never fires" false
+    (Faults.fire Faults.none Faults.Compile_diag);
+  let spec = [ (Faults.Compile_diag, Faults.Nth 2); (Faults.Exec_guard, Faults.Every 3) ] in
   let fire_seq point n =
-    Faults.with_plan plan (fun () -> List.init n (fun _ -> Faults.fire point))
+    let plan = Faults.make ~seed:7 spec in
+    List.init n (fun _ -> Faults.fire plan point)
   in
   Alcotest.(check (list bool)) "nth(2) fires exactly once"
     [ false; true; false; false; false ]
@@ -76,14 +74,19 @@ let test_plan_mechanics () =
   Alcotest.(check (list bool)) "every(3) fires at each multiple"
     [ false; false; true; false; false; true; false ]
     (fire_seq Faults.Exec_guard 7);
-  (* with_plan installs a fresh copy, so a plan replays identically. *)
+  (* A plan made again from the same spec replays identically. *)
   Alcotest.(check (list bool)) "replay is identical"
     [ false; true; false; false; false ]
     (fire_seq Faults.Compile_diag 5);
-  Faults.with_plan plan (fun () ->
-      Alcotest.(check bool) "unruled point never fires" false
-        (Faults.fire Faults.Cache_oom));
-  Alcotest.(check bool) "uninstalled on exit" false (Faults.active ())
+  let plan = Faults.make ~seed:7 spec in
+  Alcotest.(check bool) "unruled point never fires" false (Faults.fire plan Faults.Cache_oom);
+  ignore (List.init 7 (fun _ -> Faults.fire plan Faults.Exec_guard));
+  Alcotest.(check (list (pair string int)))
+    "the plan counts its fires" [ ("exec_guard", 2) ]
+    (List.map (fun (p, n) -> (Faults.point_to_string p, n)) (Faults.take_fired plan));
+  Alcotest.(check int) "taking resets the count" 0 (List.length (Faults.take_fired plan));
+  Alcotest.(check int) "the empty plan counts nothing" 0
+    (List.length (Faults.take_fired Faults.none))
 
 let test_sample_deterministic () =
   for seed = 0 to 19 do
@@ -94,10 +97,9 @@ let test_sample_deterministic () =
   done;
   (* Probabilistic rules draw from the plan's own seeded PRNG, so even
      they replay exactly. *)
-  let plan = Faults.make ~seed:11 [ (Faults.Exec_guard, Faults.Prob 0.5) ] in
   let draw () =
-    Faults.with_plan plan (fun () ->
-        List.init 40 (fun _ -> Faults.fire Faults.Exec_guard))
+    let plan = Faults.make ~seed:11 [ (Faults.Exec_guard, Faults.Prob 0.5) ] in
+    List.init 40 (fun _ -> Faults.fire plan Faults.Exec_guard)
   in
   let first = draw () in
   Alcotest.(check (list bool)) "prob schedule replays" first (draw ());
@@ -116,7 +118,7 @@ let test_compile_abort_retries () =
   let src = hot_src 35 in
   let plan = Faults.make ~seed:1 [ (Faults.Compile_diag, Faults.Nth 1) ] in
   let engine, report, out =
-    Faults.with_plan plan (fun () -> run ~sinks:[ collect evs ] src)
+    run ~faults:plan ~sinks:[ collect evs ] src
   in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
@@ -149,7 +151,7 @@ let test_code_verify_abort () =
      too. *)
   let src = hot_src 35 in
   let plan = Faults.make ~seed:1 [ (Faults.Code_verify, Faults.Nth 1) ] in
-  let engine, report, out = Faults.with_plan plan (fun () -> run src) in
+  let engine, report, out = run ~faults:plan src in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
   Alcotest.(check int) "one aborted compile" 1 (get Telemetry.Key.compiles_aborted);
@@ -168,8 +170,7 @@ let test_poisoned_pass_pins () =
   let engine, report, out =
     Engine.with_mir_hook
       (fun _ -> Diag.error ~layer:"mir" ~pass:"poisoned" "synthetic pass corruption")
-      (fun () ->
-        Engine.with_diag_abort_hook (fun _ -> incr aborted) (fun () -> run ~cfg src))
+      (fun () -> run ~cfg ~diag:(fun d -> if Diag.is_error d then incr aborted) src)
   in
   Alcotest.(check string) "completes with the interpreter's answer" (interp_out src) out;
   let get = counter engine report "f" in
@@ -177,7 +178,7 @@ let test_poisoned_pass_pins () =
   Alcotest.(check int) "three backoff quarantines" 3 (get Telemetry.Key.quarantines);
   Alcotest.(check int) "then pinned" 1 (get Telemetry.Key.pins);
   Alcotest.(check int) "never compiled" 0 (get Telemetry.Key.compiles);
-  Alcotest.(check bool) "diagnostics reached the abort hook" true (!aborted >= 4)
+  Alcotest.(check bool) "aborts reached the diagnostic sink" true (!aborted >= 4)
 
 (* ------------------------------------------------------------------ *)
 (* Injected guard failures: entry vs in-body                           *)
@@ -199,7 +200,7 @@ let test_exec_fault_entry_guard () =
   let evs = ref [] in
   let plan = Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Nth 1) ] in
   let engine, report, out =
-    Faults.with_plan plan (fun () -> run ~cfg ~sinks:[ collect evs ] src)
+    run ~faults:plan ~cfg ~sinks:[ collect evs ] src
   in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "g" in
@@ -236,7 +237,7 @@ let test_exec_fault_in_body () =
   let evs = ref [] in
   let plan = Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Nth 1) ] in
   let engine, report, out =
-    Faults.with_plan plan (fun () -> run ~cfg ~sinks:[ collect evs ] src)
+    run ~faults:plan ~cfg ~sinks:[ collect evs ] src
   in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
@@ -261,7 +262,7 @@ let test_storm_detector () =
   let cfg = Engine.default_config ~opt:ps_only () in
   let src = guarded_src 100 in
   let plan = Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Every 1) ] in
-  let engine, report, out = Faults.with_plan plan (fun () -> run ~cfg src) in
+  let engine, report, out = run ~faults:plan ~cfg src in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
   Alcotest.(check int) "two storms" 2 (get Telemetry.Key.storms);
@@ -348,7 +349,7 @@ let test_cache_oom_fault () =
      unbounded budget; the function quarantines and the retry admits. *)
   let src = hot_src 35 in
   let plan = Faults.make ~seed:1 [ (Faults.Cache_oom, Faults.Nth 1) ] in
-  let engine, report, out = Faults.with_plan plan (fun () -> run src) in
+  let engine, report, out = run ~faults:plan src in
   Alcotest.(check string) "output matches the interpreter" (interp_out src) out;
   let get = counter engine report "f" in
   Alcotest.(check int) "compiled at calls 10 and 30" 2 (get Telemetry.Key.compiles);
@@ -399,7 +400,7 @@ let test_disabled_faults_cost_nothing () =
   let cfg = Engine.default_config ~opt:ps_only () in
   let _, bare, out_bare = run ~cfg src in
   let _, empty, out_empty =
-    Faults.with_plan (Faults.make ~seed:3 []) (fun () -> run ~cfg src)
+    run ~faults:(Faults.make ~seed:3 []) ~cfg src
   in
   let dormant_plan =
     Faults.make ~seed:3
@@ -410,7 +411,7 @@ let test_disabled_faults_cost_nothing () =
         (Faults.Cache_oom, Faults.Nth 1_000_000);
       ]
   in
-  let _, dormant, out_dormant = Faults.with_plan dormant_plan (fun () -> run ~cfg src) in
+  let _, dormant, out_dormant = run ~faults:dormant_plan ~cfg src in
   List.iter
     (fun (label, (r : Engine.report), out) ->
       Alcotest.(check string) (label ^ ": same output") out_bare out;

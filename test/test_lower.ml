@@ -13,7 +13,10 @@ let compile ?key ?arg_tags ?(config = Pipeline.baseline) src fid =
   (func, code)
 
 let exec code ~func ~args =
-  let cb = { Exec.call = (fun _ _ -> Alcotest.fail "unexpected call"); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
+  let cb =
+    { Exec.call = (fun _ _ -> Alcotest.fail "unexpected call"); globals = [||]; cycles = ref 0;
+      on_charge = None; on_instr = None; faults = Faults.none }
+  in
   let act = Exec.make_activation ~func ~args () in
   Exec.run cb (Exec.prepare code) act ~at_osr:false
 
@@ -99,7 +102,10 @@ let test_entry_offset_is_zero_with_osr () =
   | None -> Alcotest.fail "expected an OSR offset");
   (* Entry path computes the full sum; OSR path continues from i=5,t=10. *)
   let run_at ~at_osr =
-    let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0; on_charge = None; on_instr = None } in
+    let cb =
+      { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
+        on_charge = None; on_instr = None; faults = Faults.none }
+    in
     let act =
       {
         Exec.act_args = [| Value.Int 100 |];

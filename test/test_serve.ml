@@ -117,10 +117,11 @@ let test_recycle_does_not_leak_quarantine () =
   let program = Bytecode.Compile.program_of_source hot_src in
   let cfg = spec_cfg () in
   Builtins.with_print_hook ignore (fun () ->
-      let first = Engine.make cfg program in
-      Faults.with_plan
-        (Faults.make ~seed:1 [ (Faults.Compile_diag, Faults.Every 1) ])
-        (fun () -> ignore (Engine.run first));
+      let first =
+        Engine.make ~faults:(Faults.make ~seed:1 [ (Faults.Compile_diag, Faults.Every 1) ]) cfg
+          program
+      in
+      ignore (Engine.run first);
       let c1 = registry first in
       Alcotest.(check bool) "first engine quarantined" true (total c1 "quarantines" >= 1);
       Alcotest.(check bool) "compiles aborted" true (total c1 "compiles.aborted" >= 1);
@@ -266,9 +267,9 @@ let two_requests = [ req 0 ~tenant:0 ~arrival:0 ~poison:false; req 1 ~tenant:0 ~
 let test_forced_admission_shed () =
   let cfg = Serve.default_config ~isolates:1 ~requests:0 ~tenants:1 ~seed:5 () in
   let _, records, rows =
-    Faults.with_plan
-      (Faults.make ~seed:1 [ (Faults.Serve_admit, Faults.Nth 1) ])
-      (fun () -> Serve.run_isolate cfg ~isolate:0 two_requests)
+    Serve.run_isolate
+      ~faults:(Faults.make ~seed:1 [ (Faults.Serve_admit, Faults.Nth 1) ])
+      cfg ~isolate:0 two_requests
   in
   Alcotest.(check (list string)) "first shed by the injected fault" [ "shed"; "ok" ]
     (outcomes records);
@@ -281,9 +282,9 @@ let test_forced_deadline_not_retried () =
       ~retries:2 ~seed:5 ()
   in
   let _, records, rows =
-    Faults.with_plan
-      (Faults.make ~seed:1 [ (Faults.Serve_deadline, Faults.Nth 1) ])
-      (fun () -> Serve.run_isolate cfg ~isolate:0 two_requests)
+    Serve.run_isolate
+      ~faults:(Faults.make ~seed:1 [ (Faults.Serve_deadline, Faults.Nth 1) ])
+      cfg ~isolate:0 two_requests
   in
   Alcotest.(check (list string)) "deadline fault fails cleanly" [ "deadline-exec"; "ok" ]
     (outcomes records);
@@ -297,20 +298,24 @@ let test_forced_deadline_not_retried () =
   Alcotest.(check int) "the firing was counted" 1
     (row rows (Telemetry.Key.faults_fired "serve_deadline"))
 
+(* The plan counts its own fires; the isolate folds each request's count
+   into [faults.fired.<point>]. *)
 let test_fired_hook () =
-  let fired = ref [] in
-  Faults.with_fired_hook
-    (fun p -> fired := p :: !fired)
-    (fun () ->
-      Alcotest.(check bool) "no plan, no fire" false (Faults.fire Faults.Serve_admit);
-      Faults.with_plan
-        (Faults.make ~seed:1 [ (Faults.Serve_admit, Faults.Nth 2) ])
-        (fun () ->
-          Alcotest.(check bool) "first occurrence passes" false (Faults.fire Faults.Serve_admit);
-          Alcotest.(check bool) "second occurrence fires" true (Faults.fire Faults.Serve_admit)));
+  Alcotest.(check bool) "no plan, no fire" false (Faults.fire Faults.none Faults.Serve_admit);
+  let plan = Faults.make ~seed:1 [ (Faults.Serve_admit, Faults.Nth 2) ] in
+  Alcotest.(check bool) "first occurrence passes" false (Faults.fire plan Faults.Serve_admit);
+  Alcotest.(check bool) "second occurrence fires" true (Faults.fire plan Faults.Serve_admit);
   Alcotest.(check (list string))
-    "the hook saw exactly the fired occurrence" [ "serve_admit" ]
-    (List.map Faults.point_to_string !fired)
+    "the plan counted exactly the fired occurrence" [ "serve_admit" ]
+    (List.map (fun (p, _) -> Faults.point_to_string p) (Faults.take_fired plan));
+  let cfg = Serve.default_config ~isolates:1 ~requests:0 ~tenants:1 ~seed:5 () in
+  let _, _, rows =
+    Serve.run_isolate
+      ~faults:(Faults.make ~seed:1 [ (Faults.Serve_admit, Faults.Nth 2) ])
+      cfg ~isolate:0 two_requests
+  in
+  Alcotest.(check int) "the isolate folded one fire" 1
+    (row rows (Telemetry.Key.faults_fired "serve_admit"))
 
 let test_sample_covers_service_points () =
   let covered p =
