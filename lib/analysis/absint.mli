@@ -20,7 +20,6 @@ type aval =
   | Vals of { tags : int; range : itv option }  (* tag set + int interval *)
 
 val tag_bit : Value.tag -> int
-val all_tags : int
 val top : aval
 val vals : int -> itv option -> aval  (* normalizing constructor *)
 val tags_of : aval -> int
@@ -28,8 +27,6 @@ val int_range : aval -> itv option
 val join : aval -> aval -> aval
 val widen : aval -> aval -> aval
 val equal : aval -> aval -> bool
-val meet_tags : aval -> int -> aval
-val meet_range : aval -> itv -> aval
 val to_string : aval -> string
 
 (* ---- entry state from the specialization key ---- *)

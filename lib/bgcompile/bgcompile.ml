@@ -87,7 +87,6 @@ let create ~depth =
   { q_depth = max 1 depth; q_next = 0; q_busy = Array.make service_width 0; q_pending = [] }
 let depth q = q.q_depth
 let length q = List.length q.q_pending
-let pending q = q.q_pending
 let pending_for q ~fid = List.find_opt (fun e -> e.e_fid = fid) q.q_pending
 
 let enqueue q ~fid ~now ~cost ?(attempts = 1) payload =

@@ -82,9 +82,6 @@ val depth : 'a t -> int
 val length : 'a t -> int
 (** In-flight entries (queued, not yet harvested). *)
 
-val pending : 'a t -> 'a entry list
-(** In-flight entries in enqueue order. *)
-
 val pending_for : 'a t -> fid:int -> 'a entry option
 (** The oldest in-flight entry for [fid], if any — the engine keeps at
     most one per function. *)

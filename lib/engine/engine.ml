@@ -282,7 +282,6 @@ let telemetry t = t.tel
 let set_faults t plan = t.faults := plan
 let fire t point = Faults.fire !(t.faults) point
 let attach_profile t r = t.profile := Some r
-let degraded t = !(t.degrade)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry plumbing                                                  *)

@@ -256,8 +256,6 @@ val set_degrade : t -> bool -> unit
     Off (the default) the engine is byte-identical to one without the
     switch. *)
 
-val degraded : t -> bool
-
 val drain_bg : t -> int
 (** Cancel every in-flight background compile request (reason
     ["recycle"]), returning how many were dropped. Pool jobs that have

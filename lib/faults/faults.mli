@@ -67,9 +67,6 @@ type point =
   | Bg_enqueue
   | Bg_install
 
-val all_points : point list
-(** Every point, in the order {!sample} draws rules for them. *)
-
 (** When a rule fires, in terms of its point's occurrence count [n]
     (1-based): [Nth k] fires exactly once, at [n = k]; [Every k] fires
     at every multiple of [k]; [Prob p] fires each occurrence with

@@ -21,9 +21,4 @@ type t = {
 
 val run : unit -> t
 
-val speedup_table : mean:[ `Arith | `Geo ] -> t -> string list list
-(** Rows: suite name followed by one mean-speedup column per config. *)
-
-val overhead_table : mean:[ `Arith | `Geo ] -> t -> string list list
-
 val print : t -> unit

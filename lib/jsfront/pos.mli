@@ -2,5 +2,4 @@
 
 type t = { line : int; col : int }
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

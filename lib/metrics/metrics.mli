@@ -69,8 +69,6 @@ module Rate : sig
   (** Record [n] events at model cycle [now]. Ticks must not go back in
       time (the model clock never does). *)
 
-  val window : t -> int
-
   val current : t -> int
   (** Events inside [(last_tick - window, last_tick]]. *)
 

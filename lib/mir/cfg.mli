@@ -8,9 +8,6 @@ type dominators
 
 val dominators : Mir.func -> dominators
 
-val reachable : dominators -> int -> bool
-(** Some entry reaches the block. *)
-
 val immediate_dominator : dominators -> int -> int option
 (** [None] for entry blocks and unreachable blocks. *)
 

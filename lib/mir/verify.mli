@@ -20,6 +20,3 @@ val run : ?pass:string -> Mir.func -> unit
 val check_types : ?pass:string -> Mir.func -> unit
 (** @raise Diag.Failed describing the first type inconsistency found. *)
 
-val ty_subsumes : wide:Mir.ty -> narrow:Mir.ty -> bool
-(** [wide] may stand in for [narrow]: equal, fully boxed, or the int32 ->
-    double widening the typer's join performs. *)

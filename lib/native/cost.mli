@@ -5,7 +5,7 @@
     reproduces those relative effects while keeping every experiment
     bit-reproducible. Costs are in abstract cycles, ordered the way the
     corresponding x86 operations are: register ALU < memory access <
-    guard < allocation < call. Spill-slot operands add {!slot_penalty}
+    guard < allocation < call. Spill-slot operands add a fixed penalty
     per access, which is how register pressure shows up in runtime. *)
 
 val instr : Code.ninstr -> int
@@ -37,12 +37,6 @@ val bytes_per_native_instr : int
 (** Code-cache bytes one emitted native instruction occupies — the unit of
     the engine's [code_cache_bytes] budget. Not a cycle cost: cache
     accounting never charges model cycles. *)
-
-val slot_penalty : int
-
-val bg_compile_base : int
-(** Fixed modeled latency of one background compile (queue service
-    overhead), before the size-dependent term. *)
 
 val bg_compile_cost : size:int -> specialized:bool -> passes:int -> int
 (** Modeled latency of one background compile: the deterministic

@@ -25,8 +25,6 @@ type tier =
       (** tag-specialized native code: a widened polyvariant version *)
   | T_compile  (** the JIT itself: pipeline + codegen *)
 
-val tier_to_string : tier -> string
-
 (** Kind of work a cycle paid for — the guard/ALU/memory split the paper's
     attribution argument is about. *)
 type category =
@@ -39,9 +37,6 @@ type category =
   | C_compile  (** compile-time work ({!T_compile} only) *)
 
 val category_to_string : category -> string
-val category_of_op : Code.op -> category
-val category_of_ninstr : Code.ninstr -> category
-val category_of_bytecode : Bytecode.Instr.t -> category
 
 type key = {
   k_fid : int;

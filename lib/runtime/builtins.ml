@@ -105,16 +105,6 @@ let is_pure = function
   | "print" | "Math.random" | "__keys" -> false
   | _ -> true
 
-let known_natives =
-  [
-    "print"; "Math.floor"; "Math.ceil"; "Math.sqrt"; "Math.abs"; "Math.sin";
-    "Math.cos"; "Math.tan"; "Math.atan"; "Math.atan2"; "Math.log"; "Math.exp";
-    "Math.round"; "Math.pow"; "Math.min"; "Math.max"; "Math.random";
-    "String.fromCharCode"; "parseInt"; "parseFloat"; "isNaN";
-  ]
-
-let exists name = List.mem name known_natives
-
 let string_method s name args =
   let len = String.length s in
   let clamp i = max 0 (min len i) in

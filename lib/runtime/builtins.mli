@@ -25,8 +25,6 @@ val call : string -> Value.t array -> Value.t
 val is_pure : string -> bool
 (** Whether folding a call to this native at compile time is sound. *)
 
-val exists : string -> bool
-
 val method_call :
   ?call:(Value.t -> Value.t array -> Value.t) ->
   Value.t ->

@@ -45,8 +45,6 @@ val relational : cmp -> Value.t -> Value.t -> bool
 val unop : unop -> Value.t -> Value.t
 
 val strict_eq : Value.t -> Value.t -> bool
-val loose_eq : Value.t -> Value.t -> bool
-
 val binop_to_string : binop -> string
 val cmp_to_string : cmp -> string
 val unop_to_string : unop -> string

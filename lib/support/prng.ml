@@ -26,12 +26,6 @@ let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (raw /. 9007199254740992.0)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let weighted t choices =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 choices in
   assert (total > 0.0);

@@ -21,11 +21,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val weighted : t -> (float * 'a) list -> 'a
 (** [weighted t choices] picks proportionally to the (positive) weights.
     Requires a non-empty list with positive total weight. *)

@@ -1,18 +1,7 @@
 (* Tiny string-search helpers the stdlib lacks (naive scan; the inputs here
    are short lines, never bulk data). *)
 
-let find_substring_from s sub start =
+let contains_substring s sub =
   let n = String.length s and m = String.length sub in
-  if m = 0 then Some start
-  else begin
-    let found = ref None in
-    let i = ref start in
-    while !found = None && !i + m <= n do
-      if String.sub s !i m = sub then found := Some !i else incr i
-    done;
-    !found
-  end
-
-let find_substring s sub = find_substring_from s sub 0
-
-let contains_substring s sub = find_substring s sub <> None
+  let rec from i = i + m <= n && (String.sub s i m = sub || from (i + 1)) in
+  from 0

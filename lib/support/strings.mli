@@ -1,11 +1,4 @@
 (** Substring search helpers (naive scan — meant for short lines, not bulk
     text). *)
 
-val find_substring_from : string -> string -> int -> int option
-(** [find_substring_from s sub start] is the index of the first occurrence
-    of [sub] in [s] at or after [start], if any. The empty [sub] matches at
-    [start]. *)
-
-val find_substring : string -> string -> int option
-
 val contains_substring : string -> string -> bool

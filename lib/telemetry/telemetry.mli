@@ -169,14 +169,10 @@ type event =
           binary at its loop head (distinct from [Osr_enter], which marks
           the synchronous OSR {e trigger}) *)
 
-val event_fid : event -> int
 val event_fname : event -> string
 
 val event_kind : event -> string
 (** Stable snake_case tag, e.g. ["cache_hit"] (the JSON ["ev"] field). *)
-
-val deopt_reason_to_string : deopt_reason -> string
-val quarantine_reason_to_string : quarantine_reason -> string
 
 val to_string : event -> string
 (** One human-readable line (the [--trace] format). *)
@@ -362,7 +358,6 @@ end
 module Counters : sig
   type t
 
-  val create : nfuncs:int -> unit -> t
   val bump : ?n:int -> t -> fid:int -> string -> unit
   val bump_global : ?n:int -> t -> string -> unit
   val get : t -> fid:int -> string -> int
