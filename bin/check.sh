@@ -20,11 +20,12 @@ elapsed() {
   lap=$now
 }
 
-# Compile and link the installed executables only: the default alias
-# would also build every gate's rule outputs here, and the gate stages
-# below would then time nothing. The stages build what else they run.
-echo "== dune build @install =="
-dune build @install
+# Compile and link the installed executables, and type-check every
+# module in the tree (@check), only: the default alias would also build
+# every gate's rule outputs here, and the gate stages below would then
+# time nothing. The stages build what else they run.
+echo "== dune build @install @check =="
+dune build @install @check
 elapsed
 
 echo "== dune build @lint =="
