@@ -574,25 +574,30 @@ let golden_lines () =
        degrade_src []);
   List.rev !lines
 
+(* The expected file sits beside the test binary (dune copies it there),
+   so the test reads the same file from any working directory. *)
 let test_lifecycle_golden () =
-  let got = golden_lines () in
+  let beside name = Filename.concat (Filename.dirname Sys.executable_name) name in
+  let expected_file = beside "lifecycle_golden.expected" in
+  if not (Sys.file_exists expected_file) then
+    Alcotest.failf "expected file not found: %s" expected_file;
   let expected =
-    (try In_channel.with_open_text "lifecycle_golden.expected" In_channel.input_all
-     with Sys_error _ -> "")
+    In_channel.with_open_text expected_file In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
+  let got = golden_lines () in
   if got <> expected then begin
-    Out_channel.with_open_text "lifecycle_golden.actual" (fun oc ->
+    let actual_file = beside "lifecycle_golden.actual" in
+    Out_channel.with_open_text actual_file (fun oc ->
         List.iter (fun l -> output_string oc (l ^ "\n")) got);
     let differing =
       List.filter (fun l -> not (List.mem l expected)) got
     in
-    Alcotest.failf
-      "lifecycle golden drifted in %d of %d cells (first: %s); see \
-       _build/default/test/lifecycle_golden.actual"
+    Alcotest.failf "lifecycle golden drifted in %d of %d cells (first: %s); see %s"
       (List.length differing) (List.length got)
       (match differing with l :: _ -> l | [] -> "cell count changed")
+      actual_file
   end
 
 let suites =
