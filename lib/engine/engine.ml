@@ -1826,7 +1826,7 @@ let run t =
   in
   report_of t result
 
-let run_program ?diag ?faults cfg program = run (make ?diag ?faults cfg program)
+let run_program cfg program = run (make cfg program)
 
 let run_source ?diag ?faults cfg src =
-  run_program ?diag ?faults cfg (Bytecode.Compile.program_of_source src)
+  run (make ?diag ?faults cfg (Bytecode.Compile.program_of_source src))

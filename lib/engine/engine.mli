@@ -287,8 +287,7 @@ val run : t -> report
     {!Runtime_error} and (with a deadline configured)
     {!Deadline_exceeded}. *)
 
-val run_program :
-  ?diag:(Diag.t -> unit) -> ?faults:Faults.plan -> config -> Bytecode.Program.t -> report
+val run_program : config -> Bytecode.Program.t -> report
 
 val run_source : ?diag:(Diag.t -> unit) -> ?faults:Faults.plan -> config -> string -> report
 (** Parse, compile to bytecode and run under a fresh engine ({!make}).
