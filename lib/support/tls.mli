@@ -1,14 +1,15 @@
-(** Domain-local slots for the VM's ambient context.
+(** Domain-local slots for the VM's remaining ambient context.
 
-    Every piece of cross-run mutable context in the tree — the print hook,
-    [Math.random]'s generator, pipeline check mode, telemetry default
-    sinks, fault plans, diagnostic hooks — lives in one of these slots
-    instead of a global [ref], so engine runs fanned out over a
-    {!Parallel.Pool} cannot observe (or clobber) each other's state. Each
-    domain lazily gets its own value from the initializer; nothing is
-    inherited from the spawning domain, which is what makes pool tasks
-    self-contained: a task that needs a hook installs it itself, usually
-    through the owning module's [with_...] combinator. *)
+    Four slots use it: the print hook, [Math.random]'s generator, the
+    engine's MIR hook and the pool's participant index. Everything else
+    an engine run depends on (check mode, the diagnostic sink, the fault
+    plan, the request trace) is given to the engine. A slot rather than a
+    global [ref] means engine runs fanned out over a {!Parallel.Pool}
+    cannot observe (or clobber) each other's state. Each domain lazily
+    gets its own value from the initializer; nothing is inherited from
+    the spawning domain, which is what makes pool tasks self-contained: a
+    task that needs a hook installs it itself, usually through the owning
+    module's [with_...] combinator. *)
 
 type 'a t
 
