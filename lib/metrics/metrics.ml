@@ -8,6 +8,27 @@ type labels = (string * string) list
 
 let canon_labels labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
 
+(* Merge a sorted array with a list of fresh elements: sort the few fresh
+   ones and merge the two runs, O(n + k log k) instead of a full re-sort.
+   The elements are distinct under [cmp]. *)
+let merge_fresh cmp sorted fresh =
+  let fresh = Array.of_list fresh in
+  Array.sort cmp fresh;
+  let n = Array.length sorted and k = Array.length fresh in
+  let out = Array.make (n + k) fresh.(0) in
+  let i = ref 0 and j = ref 0 in
+  for o = 0 to n + k - 1 do
+    if !j >= k || (!i < n && cmp sorted.(!i) fresh.(!j) < 0) then begin
+      out.(o) <- sorted.(!i);
+      incr i
+    end
+    else begin
+      out.(o) <- fresh.(!j);
+      incr j
+    end
+  done;
+  out
+
 (* ------------------------------------------------------------------ *)
 (* Exact mergeable histograms                                          *)
 (* ------------------------------------------------------------------ *)
@@ -18,56 +39,76 @@ module Hist = struct
      quantizes everything), so exactness is affordable — and it is what
      makes merge associative and quantiles identical to the service's
      old nearest-rank arrays. The log-bucket view is derived on demand
-     and never feeds back. *)
+     and never feeds back.
+
+     Each distinct value is one mutable cell, shared by the lookup table
+     and the value-sorted view. An observe of a known value bumps its
+     cell in place and leaves the order alone; a new value waits in
+     [fresh] until the next read merges it in. *)
+  type cell = { v : int; mutable c : int }
+
   type t = {
-    cells : (int, int ref) Hashtbl.t;
+    cells : (int, cell) Hashtbl.t;
     mutable count : int;
     mutable sum : int;
+    mutable sorted : cell array;  (* value-sorted: every cell not in [fresh] *)
+    mutable fresh : cell list;  (* cells added since [sorted] was built *)
   }
 
-  let create () = { cells = Hashtbl.create 16; count = 0; sum = 0 }
+  let create () = { cells = Hashtbl.create 16; count = 0; sum = 0; sorted = [||]; fresh = [] }
 
   let observe ?(n = 1) h v =
     if n < 0 then invalid_arg "Metrics.Hist.observe: negative count";
     if n > 0 then begin
       (match Hashtbl.find_opt h.cells v with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.add h.cells v (ref n));
+      | Some cell -> cell.c <- cell.c + n
+      | None ->
+        let cell = { v; c = n } in
+        Hashtbl.add h.cells v cell;
+        h.fresh <- cell :: h.fresh);
       h.count <- h.count + n;
       h.sum <- h.sum + (v * n)
     end
 
   let count h = h.count
   let sum h = h.sum
+  let by_value a b = compare (a.v : int) b.v
 
-  let values h =
-    Hashtbl.fold (fun v r acc -> (v, !r) :: acc) h.cells []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let sorted h =
+    (match h.fresh with
+    | [] -> ()
+    | fresh ->
+      h.sorted <- merge_fresh by_value h.sorted fresh;
+      h.fresh <- []);
+    h.sorted
+
+  let values h = Array.fold_right (fun cell acc -> (cell.v, cell.c) :: acc) (sorted h) []
 
   let min_value h =
     if h.count = 0 then invalid_arg "Metrics.Hist.min_value: empty histogram";
-    Hashtbl.fold (fun v _ acc -> min v acc) h.cells max_int
+    (sorted h).(0).v
 
   let max_value h =
     if h.count = 0 then invalid_arg "Metrics.Hist.max_value: empty histogram";
-    Hashtbl.fold (fun v _ acc -> max v acc) h.cells min_int
+    let s = sorted h in
+    s.(Array.length s - 1).v
 
   (* Nearest-rank: the value at (1-based) rank ceil(p * n), clamped —
      exactly [Serve]'s old [percentile] over the sorted latency array. *)
+  let rank h p = min h.count (max 1 (int_of_float (ceil (p *. float_of_int h.count))))
+
   let quantile h p =
     if h.count = 0 then 0
     else begin
-      let rank = int_of_float (ceil (p *. float_of_int h.count)) in
-      let rank = min h.count (max 1 rank) in
-      let rec walk acc = function
-        | [] -> assert false
-        | (v, c) :: rest -> if acc + c >= rank then v else walk (acc + c) rest
+      let rank = rank h p and s = sorted h in
+      let rec walk i acc =
+        let cell = s.(i) in
+        if acc + cell.c >= rank then cell.v else walk (i + 1) (acc + cell.c)
       in
-      walk 0 (values h)
+      walk 0 0
     end
 
-  let merge_into ~into src =
-    List.iter (fun (v, c) -> observe ~n:c into v) (values src)
+  let merge_into ~into src = Array.iter (fun cell -> observe ~n:cell.c into cell.v) (sorted src)
 
   let merge a b =
     let h = create () in
@@ -75,25 +116,56 @@ module Hist = struct
     merge_into ~into:h b;
     h
 
+  (* Everything an export prints about a histogram, from one walk over
+     its sorted cells. *)
+  type summary = {
+    s_min : int;
+    s_max : int;
+    s_p50 : int;
+    s_p95 : int;
+    s_p99 : int;
+    s_buckets : (int option * int) list;
+  }
+
   (* The HDR-style export projection: cumulative counts at log2 upper
      bounds. Bound 0 catches non-positive values; each further bound
-     doubles until it covers the maximum; +Inf closes the series. *)
-  let buckets h =
-    if h.count = 0 then [ (None, 0) ]
+     doubles until it covers the maximum; +Inf closes the series. The
+     walk consumes the cells up to each bound in turn and notes where the
+     running count first reaches each quantile's rank. *)
+  let summary h =
+    if h.count = 0 then
+      { s_min = 0; s_max = 0; s_p50 = 0; s_p95 = 0; s_p99 = 0; s_buckets = [ (None, 0) ] }
     else begin
-      let cells = values h in
-      let vmax = max_value h in
-      let bounds = ref [ 0 ] in
-      let b = ref 1 in
-      while !b < vmax && !b > 0 do
-        bounds := !b :: !bounds;
-        b := !b * 2
-      done;
-      if vmax > 0 then bounds := max vmax !b :: !bounds;
-      let bounds = List.rev !bounds in
-      let cum le = List.fold_left (fun acc (v, c) -> if v <= le then acc + c else acc) 0 cells in
-      List.map (fun le -> (Some le, cum le)) bounds @ [ (None, h.count) ]
+      let s = sorted h in
+      let n = Array.length s in
+      let vmax = s.(n - 1).v in
+      let r50 = rank h 0.50 and r95 = rank h 0.95 and r99 = rank h 0.99 in
+      let p50 = ref 0 and p95 = ref 0 and p99 = ref 0 in
+      let i = ref 0 and cum = ref 0 in
+      let upto le =
+        while !i < n && s.(!i).v <= le do
+          let cell = s.(!i) in
+          let before = !cum in
+          cum := before + cell.c;
+          if before < r50 && !cum >= r50 then p50 := cell.v;
+          if before < r95 && !cum >= r95 then p95 := cell.v;
+          if before < r99 && !cum >= r99 then p99 := cell.v;
+          incr i
+        done;
+        (Some le, !cum)
+      in
+      let rec bounds b =
+        if b < vmax && b > 0 then
+          let bucket = upto b in
+          bucket :: bounds (b * 2)
+        else [ upto (max vmax b); (None, h.count) ]
+      in
+      let zero = upto 0 in
+      let s_buckets = if vmax > 0 then zero :: bounds 1 else [ zero; (None, h.count) ] in
+      { s_min = s.(0).v; s_max = vmax; s_p50 = !p50; s_p95 = !p95; s_p99 = !p99; s_buckets }
     end
+
+  let buckets h = (summary h).s_buckets
 end
 
 (* ------------------------------------------------------------------ *)
@@ -135,18 +207,34 @@ end
 
 type value = Counter of int ref | Gauge of int ref | H of Hist.t | R of Rate.t
 
-type t = { tbl : (string * labels, value) Hashtbl.t }
+(* A registered metric. [json] caches its snapshot fragment, the one JSON
+   object [snapshot_json] prints for it; every write reaches the cell
+   through [cell], which clears the cache, so a fragment is re-rendered
+   only after its metric changed. A rate's value moves only on a tick,
+   so the invalidation is exact. A fragment is never empty, so [""]
+   marks a stale one. *)
+type cell = { name : string; labels : labels; v : value; mutable json : string }
 
-let create () = { tbl = Hashtbl.create 64 }
+type t = {
+  tbl : (string * labels, cell) Hashtbl.t;
+  mutable rows : cell array;  (* name-sorted: every cell not in [fresh] *)
+  mutable fresh : cell list;  (* cells registered since [rows] was built *)
+  scratch : Buffer.t;  (* fragment renderer's buffer, reused *)
+}
+
+let create () = { tbl = Hashtbl.create 64; rows = [||]; fresh = []; scratch = Buffer.create 256 }
 
 let cell t name labels mk =
-  let key = (name, canon_labels labels) in
-  match Hashtbl.find_opt t.tbl key with
-  | Some v -> v
+  let labels = canon_labels labels in
+  match Hashtbl.find_opt t.tbl (name, labels) with
+  | Some c ->
+    c.json <- "";
+    c.v
   | None ->
-    let v = mk () in
-    Hashtbl.add t.tbl key v;
-    v
+    let c = { name; labels; v = mk (); json = "" } in
+    Hashtbl.add t.tbl (name, labels) c;
+    t.fresh <- c :: t.fresh;
+    c.v
 
 let kind_mismatch name = invalid_arg ("Metrics: kind mismatch for " ^ name)
 
@@ -175,33 +263,44 @@ let tick_rate ?n t name labels ~window ~now =
   | R r -> Rate.tick ?n r ~now
   | _ -> kind_mismatch name
 
+let find t name labels =
+  Option.map (fun c -> c.v) (Hashtbl.find_opt t.tbl (name, canon_labels labels))
+
 let get_counter t name labels =
-  match Hashtbl.find_opt t.tbl (name, canon_labels labels) with
+  match find t name labels with
   | Some (Counter r) -> !r
   | Some _ -> kind_mismatch name
   | None -> 0
 
 let get_gauge t name labels =
-  match Hashtbl.find_opt t.tbl (name, canon_labels labels) with
+  match find t name labels with
   | Some (Gauge r) -> !r
   | Some _ -> kind_mismatch name
   | None -> 0
 
 let find_hist t name labels =
-  match Hashtbl.find_opt t.tbl (name, canon_labels labels) with
+  match find t name labels with
   | Some (H h) -> Some h
   | Some _ -> kind_mismatch name
   | None -> None
 
 (* Name-sorted contents — the one iteration order every rendering and the
-   cross-isolate merge share, so nothing depends on hash-table order. *)
+   cross-isolate merge share, so nothing depends on hash-table order.
+   Kept between calls; only newly registered cells are sorted in. *)
+let by_key a b =
+  match String.compare a.name b.name with 0 -> compare a.labels b.labels | c -> c
+
 let rows t =
-  Hashtbl.fold (fun (name, labels) v acc -> ((name, labels), v) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  (match t.fresh with
+  | [] -> ()
+  | fresh ->
+    t.rows <- merge_fresh by_key t.rows fresh;
+    t.fresh <- []);
+  t.rows
 
 let merge_into ~into src =
-  List.iter
-    (fun ((name, labels), v) ->
+  Array.iter
+    (fun { name; labels; v; _ } ->
       match v with
       | Counter r -> inc ~n:!r into name labels
       | Gauge r -> max_gauge into name labels !r
@@ -222,20 +321,34 @@ let merge_into ~into src =
 (* Renderings                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let sanitize name =
-  String.map (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_') name
+(* All three exports walk [rows]. The Prometheus and dashboard texts
+   append into one [Buffer]; a snapshot joins cached per-metric
+   fragments. *)
 
-let prom_labels ?extra labels =
-  let labels = match extra with None -> labels | Some kv -> labels @ [ kv ] in
-  match labels with
-  | [] -> ""
-  | kvs ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (Telemetry.json_escape v))
-           kvs)
-    ^ "}"
+let add_int buf i = Buffer.add_string buf (string_of_int i)
+
+let add_jstr buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (Telemetry.json_escape s);
+  Buffer.add_char buf '"'
+
+let sanitize_char = function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_'
+let sanitize name = String.map sanitize_char name
+
+(* [{k="v",...}], with the histogram bucket's [le] label last. *)
+let add_prom_labels ?le buf labels =
+  let first = ref true in
+  let add_label k v =
+    Buffer.add_char buf (if !first then '{' else ',');
+    first := false;
+    String.iter (fun c -> Buffer.add_char buf (sanitize_char c)) k;
+    Buffer.add_string buf "=\"";
+    Buffer.add_string buf (Telemetry.json_escape v);
+    Buffer.add_char buf '"'
+  in
+  List.iter (fun (k, v) -> add_label k v) labels;
+  Option.iter (add_label "le") le;
+  if not !first then Buffer.add_char buf '}'
 
 let kind_of = function
   | Counter _ -> "counter"
@@ -245,108 +358,137 @@ let kind_of = function
 let to_prometheus t =
   let buf = Buffer.create 1024 in
   let typed = Hashtbl.create 16 in
-  List.iter
-    (fun ((name, labels), v) ->
+  let sample pname suffix ?le labels v =
+    Buffer.add_string buf pname;
+    Buffer.add_string buf suffix;
+    add_prom_labels ?le buf labels;
+    Buffer.add_char buf ' ';
+    add_int buf v;
+    Buffer.add_char buf '\n'
+  in
+  Array.iter
+    (fun { name; labels; v; _ } ->
       let pname = sanitize name in
       if not (Hashtbl.mem typed pname) then begin
         Hashtbl.add typed pname ();
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" pname (kind_of v))
+        Printf.bprintf buf "# TYPE %s %s\n" pname (kind_of v)
       end;
       match v with
-      | Counter r -> Buffer.add_string buf (Printf.sprintf "%s%s %d\n" pname (prom_labels labels) !r)
-      | Gauge r -> Buffer.add_string buf (Printf.sprintf "%s%s %d\n" pname (prom_labels labels) !r)
-      | R r ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %d\n" pname (prom_labels labels) (Rate.current r))
+      | Counter r | Gauge r -> sample pname "" labels !r
+      | R r -> sample pname "" labels (Rate.current r)
       | H h ->
         List.iter
           (fun (le, cum) ->
             let le = match le with Some v -> string_of_int v | None -> "+Inf" in
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket%s %d\n" pname (prom_labels ~extra:("le", le) labels) cum))
+            sample pname "_bucket" ~le labels cum)
           (Hist.buckets h);
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum%s %d\n" pname (prom_labels labels) (Hist.sum h));
-        Buffer.add_string buf
-          (Printf.sprintf "%s_count%s %d\n" pname (prom_labels labels) (Hist.count h)))
+        sample pname "_sum" labels (Hist.sum h);
+        sample pname "_count" labels (Hist.count h))
     (rows t);
   Buffer.contents buf
 
-let jstr s = "\"" ^ Telemetry.json_escape s ^ "\""
+(* One metric's snapshot object, rendered into the registry's scratch
+   buffer the first time it is asked for after a write. *)
+let fragment t c =
+  if c.json = "" then begin
+    let buf = t.scratch in
+    Buffer.clear buf;
+    Buffer.add_string buf "{\"name\":";
+    add_jstr buf c.name;
+    Buffer.add_string buf ",\"labels\":{";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_jstr buf k;
+        Buffer.add_char buf ':';
+        add_jstr buf v)
+      c.labels;
+    (match c.v with
+    | Counter r ->
+      Buffer.add_string buf "},\"type\":\"counter\",\"value\":";
+      add_int buf !r
+    | Gauge r ->
+      Buffer.add_string buf "},\"type\":\"gauge\",\"value\":";
+      add_int buf !r
+    | R r ->
+      Printf.bprintf buf "},\"type\":\"rate\",\"window\":%d,\"value\":%d" (Rate.window r)
+        (Rate.current r)
+    | H h ->
+      let s = Hist.summary h in
+      Printf.bprintf buf
+        "},\"type\":\"histogram\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"buckets\":["
+        (Hist.count h) (Hist.sum h) s.Hist.s_min s.Hist.s_max s.Hist.s_p50 s.Hist.s_p95
+        s.Hist.s_p99;
+      List.iteri
+        (fun i (le, cum) ->
+          Buffer.add_string buf (if i > 0 then ",[" else "[");
+          (match le with Some v -> add_int buf v | None -> Buffer.add_string buf "null");
+          Buffer.add_char buf ',';
+          add_int buf cum;
+          Buffer.add_char buf ']')
+        s.Hist.s_buckets;
+      Buffer.add_char buf ']');
+    Buffer.add_char buf '}';
+    c.json <- Buffer.contents buf
+  end;
+  c.json
 
-let json_labels labels =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ jstr v) labels) ^ "}"
-
+(* The snapshot is its cached fragments joined: its exact length is known
+   before anything is copied, so the output string is the one allocation
+   that grows with the registry. *)
 let snapshot_json ~cycle t =
-  let metric ((name, labels), v) =
-    let head = [ (jstr "name", jstr name); (jstr "labels", json_labels labels) ] in
-    let body =
-      match v with
-      | Counter r -> [ (jstr "type", jstr "counter"); (jstr "value", string_of_int !r) ]
-      | Gauge r -> [ (jstr "type", jstr "gauge"); (jstr "value", string_of_int !r) ]
-      | R r ->
-        [
-          (jstr "type", jstr "rate");
-          (jstr "window", string_of_int (Rate.window r));
-          (jstr "value", string_of_int (Rate.current r));
-        ]
-      | H h ->
-        let q p = string_of_int (Hist.quantile h p) in
-        [
-          (jstr "type", jstr "histogram");
-          (jstr "count", string_of_int (Hist.count h));
-          (jstr "sum", string_of_int (Hist.sum h));
-          (jstr "min", string_of_int (if Hist.count h = 0 then 0 else Hist.min_value h));
-          (jstr "max", string_of_int (if Hist.count h = 0 then 0 else Hist.max_value h));
-          (jstr "p50", q 0.50);
-          (jstr "p95", q 0.95);
-          (jstr "p99", q 0.99);
-          ( jstr "buckets",
-            "["
-            ^ String.concat ","
-                (List.map
-                   (fun (le, cum) ->
-                     Printf.sprintf "[%s,%d]"
-                       (match le with Some v -> string_of_int v | None -> "null")
-                       cum)
-                   (Hist.buckets h))
-            ^ "]" );
-        ]
-    in
-    "{"
-    ^ String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ v) (head @ body))
-    ^ "}"
+  let rows = rows t in
+  let head = "{\"schema\":\"vs-metrics/1\",\"cycle\":" ^ string_of_int cycle ^ ",\"metrics\":[" in
+  let len = ref (String.length head + 2 + max 0 (Array.length rows - 1)) in
+  Array.iter (fun c -> len := !len + String.length (fragment t c)) rows;
+  let out = Bytes.create !len in
+  let pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 out !pos (String.length s);
+    pos := !pos + String.length s
   in
-  Printf.sprintf "{%s:%s,%s:%d,%s:[%s]}" (jstr "schema") (jstr "vs-metrics/1") (jstr "cycle")
-    cycle (jstr "metrics")
-    (String.concat "," (List.map metric (rows t)))
+  put head;
+  Array.iteri
+    (fun i c ->
+      if i > 0 then put ",";
+      put c.json)
+    rows;
+  put "]}";
+  Bytes.unsafe_to_string out
 
 let render_top ?(title = "vs-top") t =
   let buf = Buffer.create 512 in
-  let label_str labels =
-    match labels with
-    | [] -> ""
-    | kvs -> "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) kvs) ^ "}"
+  let rows = rows t in
+  (* Row keys print as [name{k=v,...}]. *)
+  let key_length c =
+    List.fold_left
+      (fun acc (k, v) -> acc + String.length k + String.length v + 2)
+      (String.length c.name + if c.labels = [] then 0 else 1)
+      c.labels
   in
-  let entries =
-    List.map
-      (fun ((name, labels), v) ->
-        let cell =
-          match v with
-          | Counter r -> string_of_int !r
-          | Gauge r -> string_of_int !r
-          | R r -> Printf.sprintf "%d in window (%.2f/Mcycle)" (Rate.current r) (Rate.per_mcycle r)
-          | H h ->
-            Printf.sprintf "n=%d p50=%d p95=%d p99=%d max=%d" (Hist.count h)
-              (Hist.quantile h 0.50) (Hist.quantile h 0.95) (Hist.quantile h 0.99)
-              (if Hist.count h = 0 then 0 else Hist.max_value h)
-        in
-        (name ^ label_str labels, cell))
-      (rows t)
-  in
-  let width = List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 entries in
-  Buffer.add_string buf (title ^ "\n");
-  List.iter
-    (fun (k, cell) -> Buffer.add_string buf (Printf.sprintf "  %-*s  %s\n" width k cell))
-    entries;
+  let width = Array.fold_left (fun acc c -> max acc (key_length c)) 0 rows in
+  Buffer.add_string buf title;
+  Buffer.add_char buf '\n';
+  Array.iter
+    (fun c ->
+      Buffer.add_string buf "  ";
+      Buffer.add_string buf c.name;
+      List.iteri
+        (fun i (k, v) ->
+          Buffer.add_char buf (if i > 0 then ',' else '{');
+          Buffer.add_string buf k;
+          Buffer.add_char buf '=';
+          Buffer.add_string buf v)
+        c.labels;
+      if c.labels <> [] then Buffer.add_char buf '}';
+      Buffer.add_string buf (String.make (width - key_length c + 2) ' ');
+      (match c.v with
+      | Counter r | Gauge r -> add_int buf !r
+      | R r -> Printf.bprintf buf "%d in window (%.2f/Mcycle)" (Rate.current r) (Rate.per_mcycle r)
+      | H h ->
+        let s = Hist.summary h in
+        Printf.bprintf buf "n=%d p50=%d p95=%d p99=%d max=%d" (Hist.count h) s.Hist.s_p50
+          s.Hist.s_p95 s.Hist.s_p99 s.Hist.s_max);
+      Buffer.add_char buf '\n')
+    rows;
   Buffer.contents buf

@@ -21,7 +21,14 @@
 type labels = (string * string) list
 (** Label set; canonicalized (key-sorted) on first use. *)
 
-(** Exact mergeable histograms. *)
+(** Exact mergeable histograms.
+
+    Each distinct value is one cell. The cells are kept value-sorted
+    between reads: an observe of a known value costs a table lookup and
+    leaves the order alone, and values first seen since the last read
+    are sorted and merged in by the next read (O(n + k log k) for k new
+    values). Quantiles, min/max and the bucket projection are then one
+    walk over the sorted cells. *)
 module Hist : sig
   type t
 
@@ -99,7 +106,9 @@ val get_counter : t -> string -> labels -> int
 val get_gauge : t -> string -> labels -> int
 
 val find_hist : t -> string -> labels -> Hist.t option
-(** The live histogram cell (shared, not copied) — quantile reads. *)
+(** The live histogram cell (shared, not copied) — quantile reads. Write
+    through {!observe}: a {!Hist.observe} on the returned value does not
+    invalidate the cell's cached snapshot fragment. *)
 
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into]: counters add, gauges keep the maximum,
@@ -112,13 +121,22 @@ val to_prometheus : t -> string
     samples sorted by (name, labels). Histograms render cumulative
     [_bucket{le=...}] series from {!Hist.buckets} plus [_sum]/[_count];
     rates render as gauges of their current window count. Metric and
-    label names are sanitized ([. -] to [_]). *)
+    label names are sanitized ([. -] to [_]). One walk over the sorted
+    rows into one buffer. *)
 
 val snapshot_json : cycle:int -> t -> string
 (** One-line JSON snapshot ([vs-metrics/1]): the cycle stamp plus every
     metric with its type, labels and value (histograms include count,
     sum, min/max, p50/p95/p99 and the log-bucket projection). Sorted like
-    {!to_prometheus}, so snapshots diff cleanly. *)
+    {!to_prometheus}, so snapshots diff cleanly.
+
+    Cost: what changed since the previous snapshot. Each metric caches
+    its rendered JSON object until its next write ({!inc}, {!set_gauge},
+    {!max_gauge}, {!observe}, {!tick_rate}, {!merge_into}), the sorted
+    row order is kept until a new metric is registered, and the output
+    is assembled at its exact length from the cached objects. With one
+    metric written since the last call, a snapshot allocates its output
+    string plus a few dozen words. *)
 
 val render_top : ?title:string -> t -> string
 (** The [vs-top]-style text dashboard: one aligned row per metric —

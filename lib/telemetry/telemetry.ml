@@ -301,23 +301,29 @@ let to_string ev =
 (* RFC 8259 string escaping: the two mandatory escapes, the five short
    forms (\b \t \n \f \r), and \u00XX for every remaining control char
    (which covers the whole <0x10 range). Everything >= 0x20 passes through
-   byte-for-byte. *)
+   byte-for-byte. Most strings need no escape (metric and label names,
+   span names): those are returned as they are, without a copy. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 (* Inverse of [json_escape], for the round-trip test and the trace-JSON
    validator: decodes the escapes [json_escape] emits (including \uXXXX

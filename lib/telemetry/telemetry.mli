@@ -184,7 +184,8 @@ val json_escape : string -> string
 (** RFC 8259 string-body escaping: double quote and backslash always, the
     short forms [\b \t \n \f \r], and [\u00XX] for every remaining control
     character (everything below [0x20], including the whole [<0x10]
-    range). *)
+    range). A string with nothing to escape is returned itself, with no
+    allocation. *)
 
 val json_unescape : string -> string
 (** Inverse of {!json_escape} (accepts any escape {!json_escape} emits,
