@@ -33,19 +33,6 @@ let print_pool_stats () =
       s.Pool.st_jobs s.Pool.st_steals s.Pool.st_joins s.Pool.st_join_wait
       (String.concat ";" (Array.to_list (Array.map string_of_int s.Pool.st_tasks)))
 
-(* Serialize collected spans (emission order) as a Chrome trace-event file:
-   loadable in Perfetto / chrome://tracing. *)
-let write_trace_spans file spans =
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc "{\"traceEvents\":[";
-      List.iteri
-        (fun i s ->
-          if i > 0 then output_string oc ",";
-          output_string oc "\n";
-          output_string oc (Telemetry.span_to_chrome_json s))
-        spans;
-      output_string oc "\n]}\n")
-
 (* Flight-recorder post-mortems as JSONL (one header object per dump, then
    its entries). *)
 let write_flight file fl =
@@ -205,7 +192,11 @@ let run_file path no_jit spec selective policy_name cache_size code_cache_bytes 
         dump_flight ~trigger:"end-of-run" ~detail:path
       | Some _ -> dump_flight ~trigger:"" ~detail:""
       | None -> ());
-      Option.iter (fun file -> write_trace_spans file (List.rev !spans_acc)) trace_spans;
+      Option.iter
+        (fun file ->
+          Out_channel.with_open_text file (fun oc ->
+              Telemetry.output_chrome_trace oc (List.rev !spans_acc)))
+        trace_spans;
       (match (recorder, profile_folded) with
       | Some r, Some file ->
         Out_channel.with_open_text file (fun oc ->

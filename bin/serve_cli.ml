@@ -25,18 +25,6 @@
 
 let write_file file contents = Out_channel.with_open_text file (fun oc -> output_string oc contents)
 
-(* Chrome trace-event file (same shape jsvm --trace-spans writes). *)
-let write_trace_spans file spans =
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc "{\"traceEvents\":[";
-      List.iteri
-        (fun i s ->
-          if i > 0 then output_string oc ",";
-          output_string oc "\n";
-          output_string oc (Telemetry.span_to_chrome_json s))
-        spans;
-      output_string oc "\n]}\n")
-
 let () =
   let isolates = ref 2 in
   let requests = ref 80 in
@@ -162,45 +150,41 @@ let () =
   in
   let summary, obs_out = Serve.run_full cfg in
   Serve.print_summary ~counters:!counters stdout cfg summary;
-  if !trace_spans <> "" then write_trace_spans !trace_spans obs_out.Serve.or_spans;
+  if !trace_spans <> "" then
+    Out_channel.with_open_text !trace_spans (fun oc ->
+        Telemetry.output_chrome_trace oc obs_out.Serve.or_spans);
   (match obs_out.Serve.or_metrics with
   | Some m ->
     if !metrics_out <> "" then write_file !metrics_out (Metrics.to_prometheus m);
-    if !metrics_json <> "" then begin
+    if !metrics_json <> "" then
       (* Per-isolate periodic snapshots in (cycle, isolate) order, then a
          closing line for the merged registry at the makespan. *)
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun (_, _, json) ->
-          Buffer.add_string buf json;
-          Buffer.add_char buf '\n')
-        obs_out.Serve.or_snapshots;
-      Buffer.add_string buf (Metrics.snapshot_json ~cycle:summary.Serve.sm_makespan m);
-      Buffer.add_char buf '\n';
-      write_file !metrics_json (Buffer.contents buf)
-    end;
+      Out_channel.with_open_text !metrics_json (fun oc ->
+          let line s =
+            output_string oc (Metrics.snapshot_json s);
+            output_char oc '\n'
+          in
+          List.iter (fun (_, s) -> line s) obs_out.Serve.or_snapshots;
+          line (Metrics.snapshot ~cycle:summary.Serve.sm_makespan m));
     if !top then print_string (Metrics.render_top ~title:"vs-serve" m)
   | None -> ());
-  if !flight <> "" then begin
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun (_, d) ->
+  if !flight <> "" then
+    Out_channel.with_open_text !flight (fun oc ->
         List.iter
-          (fun line ->
-            Buffer.add_string buf line;
-            Buffer.add_char buf '\n')
-          (Flight.dump_jsonl d))
-      obs_out.Serve.or_flights;
-    write_file !flight (Buffer.contents buf)
-  end;
-  if !flight_text <> "" then begin
-    let buf = Buffer.create 4096 in
-    List.iter (fun (i, d) ->
-        Buffer.add_string buf (Printf.sprintf "-- isolate %d --\n" i);
-        Buffer.add_string buf (Flight.render d))
-      obs_out.Serve.or_flights;
-    write_file !flight_text (Buffer.contents buf)
-  end;
+          (fun (_, d) ->
+            List.iter
+              (fun line ->
+                output_string oc line;
+                output_char oc '\n')
+              (Flight.dump_jsonl d))
+          obs_out.Serve.or_flights);
+  if !flight_text <> "" then
+    Out_channel.with_open_text !flight_text (fun oc ->
+        List.iter
+          (fun (i, d) ->
+            Printf.fprintf oc "-- isolate %d --\n" i;
+            output_string oc (Flight.render d))
+          obs_out.Serve.or_flights);
   if !smoke then begin
     match Serve.smoke_check summary with
     | Ok () -> print_endline "smoke: all service invariants hold"

@@ -400,11 +400,14 @@ let check_metrics_prom file =
   Printf.printf "trace_check: %s: %d samples OK\n" file !nsamples
 
 (* JSONL snapshots: every line one vs-metrics/1 object with an integer
-   cycle and a metrics array. *)
+   cycle and a metrics array. The file is in (cycle, isolate) order with
+   the closing makespan line last, so no cycle is lower than the one
+   before it. *)
 let check_metrics_json file =
   let s = read_file file in
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   if lines = [] then fail "%s: empty snapshot file" file;
+  let prev = ref 0.0 in
   List.iteri
     (fun i line ->
       let lno = i + 1 in
@@ -413,7 +416,10 @@ let check_metrics_json file =
       | Some (J_str "vs-metrics/1") -> ()
       | _ -> fail "%s:%d: schema is not \"vs-metrics/1\"" file lno);
       (match field doc "cycle" with
-      | Some (J_num f) when Float.is_integer f && f >= 0.0 -> ()
+      | Some (J_num f) when Float.is_integer f && f >= 0.0 ->
+        if f < !prev then
+          fail "%s:%d: cycle %.0f is lower than the previous line's %.0f" file lno f !prev;
+        prev := f
       | _ -> fail "%s:%d: cycle is not a non-negative integer" file lno);
       match field doc "metrics" with
       | Some (J_list _) -> ()

@@ -433,26 +433,36 @@ let fragment t c =
   end;
   c.json
 
-(* The snapshot is its cached fragments joined: its exact length is known
-   before anything is copied, so the output string is the one allocation
-   that grows with the registry. *)
-let snapshot_json ~cycle t =
-  let rows = rows t in
-  let head = "{\"schema\":\"vs-metrics/1\",\"cycle\":" ^ string_of_int cycle ^ ",\"metrics\":[" in
-  let len = ref (String.length head + 2 + max 0 (Array.length rows - 1)) in
-  Array.iter (fun c -> len := !len + String.length (fragment t c)) rows;
+(* A snapshot holds the fragments of the moment it was taken. They are
+   the strings the cells cache, so consecutive snapshots share every
+   fragment whose metric did not change in between: a write replaces a
+   cell's cached string and never mutates one, so a kept snapshot renders
+   the same bytes forever. *)
+type snapshot = { cycle : int; fragments : string array }
+
+let snapshot ~cycle t = { cycle; fragments = Array.map (fragment t) (rows t) }
+let snapshot_cycle s = s.cycle
+let snapshot_fragments s = Array.to_list s.fragments
+
+(* The rendering is the fragments joined: its exact length is known before
+   anything is copied, so the output string is the one allocation that
+   grows with the registry. *)
+let snapshot_json s =
+  let head = "{\"schema\":\"vs-metrics/1\",\"cycle\":" ^ string_of_int s.cycle ^ ",\"metrics\":[" in
+  let len = ref (String.length head + 2 + max 0 (Array.length s.fragments - 1)) in
+  Array.iter (fun f -> len := !len + String.length f) s.fragments;
   let out = Bytes.create !len in
   let pos = ref 0 in
-  let put s =
-    Bytes.blit_string s 0 out !pos (String.length s);
-    pos := !pos + String.length s
+  let put f =
+    Bytes.blit_string f 0 out !pos (String.length f);
+    pos := !pos + String.length f
   in
   put head;
   Array.iteri
-    (fun i c ->
+    (fun i f ->
       if i > 0 then put ",";
-      put c.json)
-    rows;
+      put f)
+    s.fragments;
   put "]}";
   Bytes.unsafe_to_string out
 

@@ -124,19 +124,35 @@ val to_prometheus : t -> string
     label names are sanitized ([. -] to [_]). One walk over the sorted
     rows into one buffer. *)
 
-val snapshot_json : cycle:int -> t -> string
-(** One-line JSON snapshot ([vs-metrics/1]): the cycle stamp plus every
-    metric with its type, labels and value (histograms include count,
-    sum, min/max, p50/p95/p99 and the log-bucket projection). Sorted like
-    {!to_prometheus}, so snapshots diff cleanly.
+type snapshot
+(** The registry's state at one cycle, held as the per-metric JSON
+    fragments the registry caches: consecutive snapshots of one registry
+    share every fragment whose metric was not written in between. Later
+    writes never change a taken snapshot. *)
+
+val snapshot : cycle:int -> t -> snapshot
+(** Take a snapshot stamped [cycle].
 
     Cost: what changed since the previous snapshot. Each metric caches
     its rendered JSON object until its next write ({!inc}, {!set_gauge},
-    {!max_gauge}, {!observe}, {!tick_rate}, {!merge_into}), the sorted
-    row order is kept until a new metric is registered, and the output
-    is assembled at its exact length from the cached objects. With one
-    metric written since the last call, a snapshot allocates its output
-    string plus a few dozen words. *)
+    {!max_gauge}, {!observe}, {!tick_rate}, {!merge_into}), and the sorted
+    row order is kept until a new metric is registered. With one metric
+    written since the last call, a snapshot allocates that metric's
+    fragment and one array slot per metric. *)
+
+val snapshot_cycle : snapshot -> int
+
+val snapshot_fragments : snapshot -> string list
+(** The per-metric JSON objects, in row order (test hook: sharing is
+    physical equality of these strings). *)
+
+val snapshot_json : snapshot -> string
+(** One-line JSON rendering ([vs-metrics/1]): the cycle stamp plus every
+    metric with its type, labels and value (histograms include count,
+    sum, min/max, p50/p95/p99 and the log-bucket projection). Sorted like
+    {!to_prometheus}, so snapshots diff cleanly. Assembled at its exact
+    length from the fragments: it allocates its output string and a few
+    dozen words. *)
 
 val render_top : ?title:string -> t -> string
 (** The [vs-top]-style text dashboard: one aligned row per metric —

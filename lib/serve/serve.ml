@@ -165,7 +165,7 @@ type iso = {
      ever allocates or runs). *)
   spans : Telemetry.span list ref;  (* emission order, reversed *)
   mx : Metrics.t option;
-  snaps : (int * string) list ref;  (* (cycle, snapshot json), reversed *)
+  snaps : Metrics.snapshot list ref;  (* reversed *)
   mutable last_snap : int;  (* last boundary snapshotted *)
   flight : Flight.t option;
   plan_for : int -> Faults.plan;  (* a request id's fault plan *)
@@ -393,7 +393,7 @@ let observe_request iso rq ~outcome ~depth ~start ~finish ~attempts =
       let boundary = finish / every * every in
       if boundary > iso.last_snap then begin
         iso.last_snap <- boundary;
-        iso.snaps := (boundary, Metrics.snapshot_json ~cycle:boundary mx) :: !(iso.snaps)
+        iso.snaps := Metrics.snapshot ~cycle:boundary mx :: !(iso.snaps)
       end
     end
   | None -> ());
@@ -485,9 +485,9 @@ type iso_result = {
   ir_isolate : int;
   ir_records : record list;  (* request order *)
   ir_rows : (string * int) list;
-  ir_spans : Telemetry.span list;  (* emission order *)
+  ir_spans_rev : Telemetry.span list;  (* emission order, reversed *)
   ir_metrics : Metrics.t option;
-  ir_snaps : (int * string) list;  (* (cycle, json), cycle order *)
+  ir_snaps : Metrics.snapshot list;  (* cycle order *)
   ir_flights : Flight.dump list;  (* trigger order *)
 }
 
@@ -504,13 +504,13 @@ let run_isolate_full ?faults cfg ~isolate reqs =
      state, whatever the period. *)
   (match iso.mx with
   | Some mx when cfg.obs.obs_metrics_every > 0 && iso.vclock > iso.last_snap ->
-    iso.snaps := (iso.vclock, Metrics.snapshot_json ~cycle:iso.vclock mx) :: !(iso.snaps)
+    iso.snaps := Metrics.snapshot ~cycle:iso.vclock mx :: !(iso.snaps)
   | _ -> ());
   {
     ir_isolate = isolate;
     ir_records = List.rev iso.records;
     ir_rows = Telemetry.Counters.rows (Telemetry.counters iso.hub);
-    ir_spans = List.rev !(iso.spans);
+    ir_spans_rev = !(iso.spans);
     ir_metrics = iso.mx;
     ir_snaps = List.rev !(iso.snaps);
     ir_flights = (match iso.flight with Some fl -> Flight.dumps fl | None -> []);
@@ -608,7 +608,7 @@ let summarize results =
 type obs_result = {
   or_spans : Telemetry.span list;  (* isolate-major, emission order *)
   or_metrics : Metrics.t option;  (* per-isolate registries, merged *)
-  or_snapshots : (int * int * string) list;  (* (cycle, isolate, json) *)
+  or_snapshots : (int * Metrics.snapshot) list;  (* (isolate, snapshot) *)
   or_flights : (int * Flight.dump) list;  (* (isolate, dump) *)
 }
 
@@ -634,15 +634,20 @@ let run_full cfg =
     end
     else None
   in
+  (* (cycle, isolate) order. The snapshots themselves are never compared:
+     only the key is. *)
   let snapshots =
-    List.concat_map
-      (fun r -> List.map (fun (c, j) -> (c, r.ir_isolate, j)) r.ir_snaps)
-      results
-    |> List.sort compare
+    List.concat_map (fun r -> List.map (fun s -> (r.ir_isolate, s)) r.ir_snaps) results
+    |> List.sort (fun (i, s) (j, s') ->
+           match Int.compare (Metrics.snapshot_cycle s) (Metrics.snapshot_cycle s') with
+           | 0 -> Int.compare i j
+           | c -> c)
   in
   let obs =
     {
-      or_spans = List.concat_map (fun r -> r.ir_spans) results;
+      (* One new spine, built back to front: isolate-major, each
+         isolate's spans in emission order. *)
+      or_spans = List.fold_right (fun r acc -> List.rev_append r.ir_spans_rev acc) results [];
       or_metrics = metrics;
       or_snapshots = snapshots;
       or_flights =

@@ -194,8 +194,10 @@ type obs_result = {
   or_metrics : Metrics.t option;
       (** the per-isolate registries merged (losslessly) in isolate
           order *)
-  or_snapshots : (int * int * string) list;
-      (** periodic snapshots, [(cycle, isolate, json)]-sorted *)
+  or_snapshots : (int * Metrics.snapshot) list;
+      (** periodic snapshots as [(isolate, snapshot)], in (cycle, isolate)
+          order; consecutive snapshots of one isolate share the fragments
+          of the metrics that did not change *)
   or_flights : (int * Flight.dump) list;  (** [(isolate, dump)] *)
 }
 (** A run's merged observability output; everything empty with obs off. *)

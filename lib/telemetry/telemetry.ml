@@ -486,102 +486,93 @@ type trace_ctx = {
    flows to its install (on whatever request harvests it). *)
 type span_ph = Ph_complete | Ph_flow_start | Ph_flow_finish
 
+(* Where a span happened: one lifecycle phase of one function. A hub
+   interns one site per (function, phase), so a hot function's thousands
+   of native runs share one site instead of each carrying its name,
+   category and function inline. *)
+type span_site = {
+  site_name : string;  (* e.g. "interpret", "pass:gvn", "native", "bailout" *)
+  site_cat : string;  (* taxonomy bucket: interp|compile|pass|codegen|native|bailout *)
+  site_fid : int;
+  site_fname : string;
+}
+
+(* What a span says beyond where and when: the request it ran for, its
+   Chrome phase, flow id and args. Every complete args-free span a hub
+   emits for one request shares one note. *)
+type span_note = {
+  note_ctx : trace_ctx option;  (* the request context, shared with the hub *)
+  note_ph : span_ph;
+  note_flow : int;  (* flow id tying a start to its finish; 0 = none *)
+  note_args : (string * string) list;  (* (key, already-rendered JSON value) *)
+}
+
 (* A completed interval on the VM's deterministic model-cycle clock
    (interp cycles + native cycles + compile cycles at emission time — never
    wall time, so traces are reproducible). Spans describe engine lifecycle
    phases: interpreting a frame, each pipeline pass, codegen, a native run,
-   a bailout's frame reconstruction, a recompilation. *)
+   a bailout's frame reconstruction, a recompilation. A span is its site,
+   three ints and its note: a plain span shares both. *)
 type span = {
-  sp_name : string;  (* e.g. "interpret", "pass:gvn", "native", "bailout" *)
-  sp_cat : string;  (* taxonomy bucket: interp|compile|pass|codegen|native|bailout *)
-  sp_fid : int;
-  sp_fname : string;
+  sp_site : span_site;
   sp_start : int;  (* model-cycle timestamp at which the phase began *)
   sp_dur : int;  (* model cycles spent in the phase *)
   sp_depth : int;  (* nesting depth when the span was opened (0 = root) *)
-  sp_args : (string * string) list;
-      (* extra Chrome-trace args: (key, already-rendered JSON value) *)
-  sp_ph : span_ph;  (* Ph_complete outside flow stitching *)
-  sp_flow : int;  (* flow id tying a start to its finish; 0 = none *)
-  sp_trace : int;  (* requesting trace id, rendered as the Perfetto tid
-                      (the request lane); 0 = no request context *)
-  sp_pid : int;  (* Perfetto pid (the isolate); 0 renders as 1 *)
+  sp_note : span_note;
 }
 
 type span_sink = span -> unit
 
-(* The one place a [span] record is built. [ctx] is the request identity
-   the span is stamped with: the trace id is the Perfetto lane (tid) and
-   the isolate the process group (pid), so one request's interpret /
-   compile / OSR / deadline spans land in a single lane no matter which
-   engine emitted them. Standalone runs have no context and keep the
-   0 -> 1 rendering. *)
-let make_span ~ctx ~ph ~flow ~depth ~args ~name ~cat ~fid ~fname ~start ~dur =
-  let trace, pid =
-    match ctx with Some c -> (c.tc_trace, c.tc_isolate + 1) | None -> (0, 0)
-  in
-  {
-    sp_name = name;
-    sp_cat = cat;
-    sp_fid = fid;
-    sp_fname = fname;
-    sp_start = start;
-    sp_dur = dur;
-    sp_depth = depth;
-    sp_args = args;
-    sp_ph = ph;
-    sp_flow = flow;
-    sp_trace = trace;
-    sp_pid = pid;
-  }
+let plain_note = { note_ctx = None; note_ph = Ph_complete; note_flow = 0; note_args = [] }
+
+(* The request identity a span is stamped with: the trace id is the
+   Perfetto lane (tid) and the isolate the process group (pid), so one
+   request's interpret / compile / OSR / deadline spans land in a single
+   lane no matter which engine emitted them. Standalone runs have no
+   context (0). *)
+let span_trace s = match s.sp_note.note_ctx with Some c -> c.tc_trace | None -> 0
+let span_pid s = match s.sp_note.note_ctx with Some c -> c.tc_isolate + 1 | None -> 0
 
 (* One Chrome trace-event object, loadable in Perfetto / chrome://tracing
    when wrapped as {"traceEvents":[...]}. Complete spans are "ph":"X";
    flow stitches are "ph":"s"/"f" pairs sharing an "id". The model-cycle
    clock maps onto the format's microsecond timestamps. A zero trace id
    or pid renders as 1 so standalone (`jsvm`) traces are byte-identical to the
-   pre-flow format. *)
-let span_to_chrome_json s =
-  let tid = if s.sp_trace = 0 then 1 else s.sp_trace in
-  let pid = if s.sp_pid = 0 then 1 else s.sp_pid in
-  let trace_arg = if s.sp_trace = 0 then [] else [ ("trace_id", string_of_int s.sp_trace) ] in
-  match s.sp_ph with
-  | Ph_complete ->
-    json_obj
-      [
-        ("name", jstr s.sp_name);
-        ("cat", jstr s.sp_cat);
-        ("ph", jstr "X");
-        ("ts", string_of_int s.sp_start);
-        ("dur", string_of_int s.sp_dur);
-        (* one track per request lane: Perfetto nests same-track "X" events
-           by timestamp containment, which our begin/end discipline
-           guarantees *)
-        ("pid", string_of_int pid);
-        ("tid", string_of_int tid);
-        ( "args",
-          json_obj
-            (("fid", string_of_int s.sp_fid) :: ("fn", jstr s.sp_fname)
-            :: (trace_arg @ s.sp_args)) );
-      ]
-  | Ph_flow_start | Ph_flow_finish ->
-    json_obj
-      ([
-         ("name", jstr s.sp_name);
-         ("cat", jstr s.sp_cat);
-         ("ph", jstr (if s.sp_ph = Ph_flow_start then "s" else "f"));
-         ("id", string_of_int s.sp_flow);
-         ("ts", string_of_int s.sp_start);
-         ("pid", string_of_int pid);
-         ("tid", string_of_int tid);
-       ]
-      @ (if s.sp_ph = Ph_flow_finish then [ ("bp", jstr "e") ] else [])
-      @ [
-          ( "args",
-            json_obj
-              (("fid", string_of_int s.sp_fid) :: ("fn", jstr s.sp_fname)
-              :: (trace_arg @ s.sp_args)) );
-        ])
+   pre-flow format. Same-track "X" events nest by timestamp containment,
+   which the begin/end discipline guarantees, so each request lane is one
+   track. *)
+let add_span_chrome_json buf s =
+  let site = s.sp_site and note = s.sp_note in
+  let trace = span_trace s and pid = span_pid s in
+  Printf.bprintf buf "{\"name\":\"%s\",\"cat\":\"%s\"" (json_escape site.site_name)
+    (json_escape site.site_cat);
+  (match note.note_ph with
+  | Ph_complete -> Printf.bprintf buf ",\"ph\":\"X\",\"ts\":%d,\"dur\":%d" s.sp_start s.sp_dur
+  | Ph_flow_start -> Printf.bprintf buf ",\"ph\":\"s\",\"id\":%d,\"ts\":%d" note.note_flow s.sp_start
+  | Ph_flow_finish -> Printf.bprintf buf ",\"ph\":\"f\",\"id\":%d,\"ts\":%d" note.note_flow s.sp_start);
+  Printf.bprintf buf ",\"pid\":%d,\"tid\":%d"
+    (if pid = 0 then 1 else pid)
+    (if trace = 0 then 1 else trace);
+  if note.note_ph = Ph_flow_finish then Buffer.add_string buf ",\"bp\":\"e\"";
+  Printf.bprintf buf ",\"args\":{\"fid\":%d,\"fn\":\"%s\"" site.site_fid (json_escape site.site_fname);
+  if trace <> 0 then Printf.bprintf buf ",\"trace_id\":%d" trace;
+  List.iter (fun (k, v) -> Printf.bprintf buf ",\"%s\":%s" k v) note.note_args;
+  Buffer.add_string buf "}}"
+
+(* A Chrome trace-event file, one event per line, rendered span by span
+   through one reused buffer. *)
+let output_chrome_trace oc spans =
+  let buf = Buffer.create 256 in
+  output_string oc "{\"traceEvents\":[";
+  List.iteri
+    (fun i s ->
+      Buffer.clear buf;
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '\n';
+      add_span_chrome_json buf s;
+      Buffer.output_buffer oc buf)
+    spans;
+  output_string oc "\n]}\n"
 
 (* ------------------------------------------------------------------ *)
 (* Counter registry                                                    *)
@@ -697,25 +688,21 @@ end
 
 (* A span opened by [span_begin] and not yet closed: the request context
    is captured when it opens, its depth is its position in the stack. *)
-type open_span = {
-  os_name : string;
-  os_cat : string;
-  os_fid : int;
-  os_fname : string;
-  os_start : int;
-  os_ctx : trace_ctx option;
-}
+type open_span = { os_site : span_site; os_start : int; os_ctx : trace_ctx option }
 
 (* Everything observing one engine (or one service isolate): its counter
-   registry, the sinks attached to it, the stack of open lifecycle spans
-   and the request trace context its spans stamp themselves with. A hub
-   starts with no sinks and no context; observers attach to the hub of
-   the engine they watch, at any time before or during its run. *)
+   registry, the sinks attached to it, the stack of open lifecycle spans,
+   the span sites interned so far and the request trace context its spans
+   stamp themselves with. A hub starts with no sinks and no context;
+   observers attach to the hub of the engine they watch, at any time
+   before or during its run. *)
 type t = {
   counters : Counters.t;
   mutable sinks : sink list;
   mutable span_sinks : span_sink list;
   mutable open_spans : open_span list;
+  sites : (int * string, span_site) Hashtbl.t;  (* (fid, phase name) -> site *)
+  mutable plain : span_note;  (* the note of plain spans under [plain.note_ctx] *)
   mutable trace : trace_ctx option;
 }
 
@@ -725,6 +712,8 @@ let create ~nfuncs () =
     sinks = [];
     span_sinks = [];
     open_spans = [];
+    sites = Hashtbl.create 1;
+    plain = plain_note;
     trace = None;
   }
 
@@ -741,9 +730,41 @@ let active t = t.sinks <> []
 let emit t ev = List.iter (fun sink -> sink ev) t.sinks
 
 (* Same contract for spans: every span function below is a no-op until a
-   span sink is attached, so tracing off costs nothing. *)
+   span sink is attached, so tracing off costs nothing and interns no
+   site. *)
 let spans_active t = t.span_sinks <> []
 let emit_span t sp = List.iter (fun sink -> sink sp) t.span_sinks
+
+(* The hub's site for [name] in function [fid]. A function keeps its name
+   and a phase its category, so a hit nearly always matches; a caller that
+   passes different ones gets (and interns) a site that says what it
+   passed. *)
+let site t ~name ~cat ~fid ~fname =
+  match Hashtbl.find_opt t.sites (fid, name) with
+  | Some s when String.equal s.site_cat cat && String.equal s.site_fname fname -> s
+  | _ ->
+    let s = { site_name = name; site_cat = cat; site_fid = fid; site_fname = fname } in
+    Hashtbl.replace t.sites (fid, name) s;
+    s
+
+(* A complete args-free span gets the hub's shared note for its context,
+   renewed only when the context changes; any other span gets its own. *)
+let note t ~ctx ~ph ~flow ~args =
+  if ph = Ph_complete && args = [] then begin
+    if t.plain.note_ctx != ctx then t.plain <- { plain_note with note_ctx = ctx };
+    t.plain
+  end
+  else { note_ctx = ctx; note_ph = ph; note_flow = flow; note_args = args }
+
+(* The one place a [span] record is built. *)
+let make_span t ~ctx ~ph ~flow ~depth ~args ~site ~start ~dur =
+  {
+    sp_site = site;
+    sp_start = start;
+    sp_dur = dur;
+    sp_depth = depth;
+    sp_note = note t ~ctx ~ph ~flow ~args;
+  }
 
 (* Begin/end bookkeeping over the model-cycle clock: an engine opens a
    span when it enters a lifecycle phase and closes it when the phase
@@ -751,14 +772,7 @@ let emit_span t sp = List.iter (fun sink -> sink sp) t.span_sinks
 let span_begin t ~name ~cat ~fid ~fname ~now =
   if spans_active t then
     t.open_spans <-
-      {
-        os_name = name;
-        os_cat = cat;
-        os_fid = fid;
-        os_fname = fname;
-        os_start = now;
-        os_ctx = t.trace;
-      }
+      { os_site = site t ~name ~cat ~fid ~fname; os_start = now; os_ctx = t.trace }
       :: t.open_spans
 
 (* Ends the innermost open span. Unbalanced ends are a bug in the
@@ -770,17 +784,17 @@ let span_end ?(args = []) t ~now =
     | os :: rest ->
       t.open_spans <- rest;
       emit_span t
-        (make_span ~ctx:os.os_ctx ~ph:Ph_complete ~flow:0 ~depth:(List.length rest) ~args
-           ~name:os.os_name ~cat:os.os_cat ~fid:os.os_fid ~fname:os.os_fname
-           ~start:os.os_start ~dur:(now - os.os_start))
+        (make_span t ~ctx:os.os_ctx ~ph:Ph_complete ~flow:0 ~depth:(List.length rest) ~args
+           ~site:os.os_site ~start:os.os_start ~dur:(now - os.os_start))
 
 (* A retroactive span that leaves the stack alone (e.g. the bailout
    penalty, which is only known after it was charged). *)
 let span_complete ?(args = []) t ~name ~cat ~fid ~fname ~start ~dur =
   if spans_active t then
     emit_span t
-      (make_span ~ctx:t.trace ~ph:Ph_complete ~flow:0
-         ~depth:(List.length t.open_spans) ~args ~name ~cat ~fid ~fname ~start ~dur)
+      (make_span t ~ctx:t.trace ~ph:Ph_complete ~flow:0
+         ~depth:(List.length t.open_spans) ~args ~site:(site t ~name ~cat ~fid ~fname) ~start
+         ~dur)
 
 (* One flow stitch: a Ph_flow_start on the requesting lane at enqueue, a
    Ph_flow_finish (same id) wherever the artifact lands. [trace] lets the
@@ -789,8 +803,8 @@ let span_complete ?(args = []) t ~name ~cat ~fid ~fname ~start ~dur =
 let span_flow ?(args = []) ?trace t ~phase ~id ~name ~cat ~fid ~fname ~now =
   if spans_active t then
     emit_span t
-      (make_span
+      (make_span t
          ~ctx:(match trace with Some _ -> trace | None -> t.trace)
          ~ph:(match phase with `Start -> Ph_flow_start | `Finish -> Ph_flow_finish)
-         ~flow:id ~depth:(List.length t.open_spans) ~args ~name ~cat ~fid ~fname
-         ~start:now ~dur:0)
+         ~flow:id ~depth:(List.length t.open_spans) ~args
+         ~site:(site t ~name ~cat ~fid ~fname) ~start:now ~dur:0)

@@ -217,34 +217,55 @@ type trace_ctx = {
     request harvests it). *)
 type span_ph = Ph_complete | Ph_flow_start | Ph_flow_finish
 
-type span = {
-  sp_name : string;  (** e.g. ["interpret"], ["pass:gvn"], ["native"] *)
-  sp_cat : string;
+type span_site = {
+  site_name : string;  (** e.g. ["interpret"], ["pass:gvn"], ["native"] *)
+  site_cat : string;
       (** taxonomy bucket: [interp], [compile], [pass], [codegen],
           [native], [bailout] *)
-  sp_fid : int;
-  sp_fname : string;
+  site_fid : int;
+  site_fname : string;
+}
+(** Where a span happened: one lifecycle phase of one function. A hub
+    interns one site per (function, phase) while spans are active, and
+    every span of that phase points to it. *)
+
+type span_note = {
+  note_ctx : trace_ctx option;
+      (** the request context the hub held (shared, not copied); [None]
+          renders as lane 1 of process 1 *)
+  note_ph : span_ph;
+  note_flow : int;  (** flow id tying a start to its finish; 0 = none *)
+  note_args : (string * string) list;
+      (** extra Chrome-trace args: (key, already-rendered JSON value) *)
+}
+(** What a span says beyond where and when. Every complete args-free span
+    a hub emits under one request context shares one note. *)
+
+type span = {
+  sp_site : span_site;
   sp_start : int;  (** model-cycle timestamp at which the phase began *)
   sp_dur : int;  (** model cycles spent in the phase *)
   sp_depth : int;  (** nesting depth when the span was opened (0 = root) *)
-  sp_args : (string * string) list;
-      (** extra Chrome-trace args: (key, already-rendered JSON value) *)
-  sp_ph : span_ph;  (** [Ph_complete] outside flow stitching *)
-  sp_flow : int;  (** flow id tying a start to its finish; 0 = none *)
-  sp_trace : int;
-      (** requesting trace id, rendered as the Perfetto tid (the request
-          lane); 0 = no request context, rendered as 1 *)
-  sp_pid : int;  (** Perfetto pid (the isolate); 0 renders as 1 *)
+  sp_note : span_note;
 }
 (** A completed engine-lifecycle interval on the deterministic model-cycle
-    clock (never wall time: traces are byte-reproducible). *)
+    clock (never wall time: traces are byte-reproducible): its site,
+    three ints and its note. *)
 
 type span_sink = span -> unit
 
-val span_to_chrome_json : span -> string
-(** One Chrome trace-event object (["ph":"X"] for complete spans,
+val span_trace : span -> int
+(** Requesting trace id, rendered as the Perfetto tid (the request lane);
+    0 = no request context. *)
+
+val add_span_chrome_json : Buffer.t -> span -> unit
+(** Append one Chrome trace-event object (["ph":"X"] for complete spans,
     ["s"]/["f"] with a shared ["id"] for flow stitches); a file of these
     wrapped as [{"traceEvents":[...]}] loads in Perfetto. *)
+
+val output_chrome_trace : out_channel -> span list -> unit
+(** Write the spans as a Chrome trace-event file: the wrapper and one
+    event per line, each rendered as it is written. *)
 
 (** {1 Sinks} *)
 

@@ -302,7 +302,8 @@ let test_bg_fault point () =
     List.sort compare
       (List.filter_map
          (fun (sp : Telemetry.span) ->
-           if sp.Telemetry.sp_ph = ph then Some sp.Telemetry.sp_flow else None)
+           let note = sp.Telemetry.sp_note in
+           if note.Telemetry.note_ph = ph then Some note.Telemetry.note_flow else None)
          !spans)
   in
   let starts = flows Telemetry.Ph_flow_start in
@@ -436,7 +437,7 @@ let test_jobs_determinism () =
    or queue fault), plus selective cells and a cell that toggles degrade
    mode mid-run. A line digests everything the cell makes observable:
    program output and every event ([Telemetry.to_json]), every span
-   ([Telemetry.span_to_chrome_json]), the counter rows and the report's
+   ([Telemetry.add_span_chrome_json]), the counter rows and the report's
    cycle split. The two counters a re-triggered background request could
    inflate ([versions.promoted], [interpro.seeded]) are printed in clear
    and left out of the counter digest, so a change to them alone is
@@ -500,7 +501,7 @@ let golden_cell ?(degrade_on_print = false) cfg src fault =
     | _ -> ()
   in
   let span_sink sp =
-    Buffer.add_string spans (Telemetry.span_to_chrome_json sp);
+    Telemetry.add_span_chrome_json spans sp;
     Buffer.add_char spans '\n'
   in
   let e, r =

@@ -28,6 +28,8 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+let snapshot_json ~cycle m = Metrics.snapshot_json (Metrics.snapshot ~cycle m)
+
 let sample_values prng n bound = List.init n (fun _ -> Prng.int prng bound)
 
 let quantile_points = [ 0.0; 0.01; 0.25; 0.50; 0.75; 0.90; 0.95; 0.99; 1.0 ]
@@ -53,7 +55,7 @@ let test_quantile_matches_reference () =
         true
         (contains
            ~sub:(Printf.sprintf {|"p50":%d,"p95":%d,"p99":%d,|} (q 0.50) (q 0.95) (q 0.99))
-           (Metrics.snapshot_json ~cycle:0 m)))
+           (snapshot_json ~cycle:0 m)))
     [ 1; 2; 3; 7; 10; 100; 999 ]
 
 let test_empty_histogram () =
@@ -216,7 +218,7 @@ let test_exports () =
   Alcotest.(check bool) "+Inf bucket" true (contains ~sub:{|le="+Inf"|} prom);
   Alcotest.(check bool) "histogram count" true
     (contains ~sub:{|serve_latency_cycles_count{isolate="0",policy="paper"} 2|} prom);
-  let json = Metrics.snapshot_json ~cycle:123 m in
+  let json = snapshot_json ~cycle:123 m in
   Alcotest.(check bool) "snapshot schema + cycle" true
     (contains ~sub:{|"schema":"vs-metrics/1"|} json && contains ~sub:{|"cycle":123|} json);
   Alcotest.(check bool) "snapshot is one line" true
@@ -252,8 +254,8 @@ let test_export_deterministic_under_merge () =
   Alcotest.(check string) "prometheus text identical" (Metrics.to_prometheus serial)
     (Metrics.to_prometheus merged);
   Alcotest.(check string) "snapshot identical"
-    (Metrics.snapshot_json ~cycle:9 serial)
-    (Metrics.snapshot_json ~cycle:9 merged)
+    (snapshot_json ~cycle:9 serial)
+    (snapshot_json ~cycle:9 merged)
 
 (* --- snapshot caches ---------------------------------------------------- *)
 
@@ -315,31 +317,41 @@ let gen_steps =
     (frequency [ (9, leaf); (1, map (fun s -> Merge s) (list_size (int_range 0 6) leaf)) ])
 
 let exports m =
-  (Metrics.snapshot_json ~cycle:77 m, Metrics.to_prometheus m, Metrics.render_top m)
+  (snapshot_json ~cycle:77 m, Metrics.to_prometheus m, Metrics.render_top m)
 
 let prop_snapshot_caches =
   QCheck.Test.make ~name:"cached snapshots equal a fresh render" ~count:300
     (QCheck.make gen_steps) (fun steps ->
       let live = Metrics.create () and clock = ref 0 in
-      let snap m = ignore (exports m) in
+      (* Every snapshot taken, of [live] and of merge sources, with the
+         bytes it rendered when taken. *)
+      let kept = ref [] in
+      let snap m =
+        let s = Metrics.snapshot ~cycle:(List.length !kept) m in
+        kept := (s, Metrics.snapshot_json s) :: !kept
+      in
       List.iteri
         (fun i step ->
           apply_step ~snap ~clock live step;
+          snap live;
           let fresh = Metrics.create () and clock = ref 0 in
           List.iteri (fun j s -> if j <= i then apply_step ~clock fresh s) steps;
           if exports live <> exports fresh then
             QCheck.Test.fail_reportf "step %d: live %s\nfresh %s" i
-              (Metrics.snapshot_json ~cycle:77 live)
-              (Metrics.snapshot_json ~cycle:77 fresh))
+              (snapshot_json ~cycle:77 live)
+              (snapshot_json ~cycle:77 fresh))
         steps;
+      (* Later writes never reach a kept snapshot. *)
+      List.iter
+        (fun (s, taken) ->
+          let now = Metrics.snapshot_json s in
+          if now <> taken then QCheck.Test.fail_reportf "kept snapshot changed: %s\nnow %s" taken now)
+        !kept;
       true)
 
-(* A snapshot after one write costs its output string plus a small
-   constant: every other metric's fragment, the sorted rows and the
-   histograms' sorted cells are reused. Re-rendering every metric, as a
-   renderer without these caches does, allocates about 310K words here
-   for a 6.4K-word snapshot. *)
-let test_snapshot_allocation () =
+(* 516 metrics: per-tenant counters and gauges, two histograms, two
+   rates. *)
+let wide_registry () =
   let m = Metrics.create () in
   for t = 0 to 255 do
     let l = [ ("isolate", string_of_int (t mod 2)); ("tenant", string_of_int t) ] in
@@ -353,26 +365,60 @@ let test_snapshot_allocation () =
     done;
     Metrics.tick_rate m "serve.arrivals" l ~window:1_000_000 ~now:500
   done;
-  ignore (Metrics.snapshot_json ~cycle:1 m);
-  Metrics.inc m "serve.tenant.requests" [ ("tenant", "7"); ("isolate", "1") ];
+  m
+
+let bump_tenant_7 m = Metrics.inc m "serve.tenant.requests" [ ("tenant", "7"); ("isolate", "1") ]
+
+(* Two snapshots around one write hold the same string for every metric
+   but the written one. *)
+let test_snapshot_sharing () =
+  let m = wide_registry () in
+  let a = Metrics.snapshot_fragments (Metrics.snapshot ~cycle:1 m) in
+  bump_tenant_7 m;
+  let b = Metrics.snapshot_fragments (Metrics.snapshot ~cycle:2 m) in
+  Alcotest.(check int) "metrics in each snapshot" 516 (List.length a);
+  Alcotest.(check int) "same rows" (List.length a) (List.length b);
+  let unshared = List.filter (fun (x, y) -> x != y) (List.combine a b) in
+  match unshared with
+  | [ (x, y) ] ->
+    Alcotest.(check bool) "the written metric re-rendered" true
+      (x <> y && contains ~sub:{|"tenant":"7"|} y)
+  | _ -> Alcotest.failf "%d fragments not shared, expected 1" (List.length unshared)
+
+(* A snapshot after one write costs the written metric's fragment and an
+   array slot per metric, and rendering it costs its output string plus a
+   small constant: every other metric's fragment, the sorted rows and the
+   histograms' sorted cells are reused. Re-rendering every metric, as a
+   renderer without these caches does, allocates about 310K words here
+   for a 6.4K-word snapshot. *)
+let test_snapshot_allocation () =
+  let m = wide_registry () in
+  ignore (Metrics.snapshot ~cycle:1 m);
+  bump_tenant_7 m;
   let words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
   (* An empty minor heap keeps a collection out of the measured window
      (the counters overshoot across one). *)
-  Gc.minor ();
-  let before = words () in
-  let json = Metrics.snapshot_json ~cycle:2 m in
-  let spent = int_of_float (words () -. before) in
+  let measure f =
+    Gc.minor ();
+    let before = words () in
+    let v = f () in
+    (v, int_of_float (words () -. before))
+  in
+  let snap, snap_spent = measure (fun () -> Metrics.snapshot ~cycle:2 m) in
+  let json, spent = measure (fun () -> Metrics.snapshot_json snap) in
   let out_words = (String.length json / (Sys.word_size / 8)) + 2 in
   let metrics = ref 0 in
   String.iteri
     (fun i _ -> if i + 7 <= String.length json && String.sub json i 7 = {|"type":|} then incr metrics)
     json;
   Alcotest.(check int) "metrics in the snapshot" 516 !metrics;
+  if snap_spent > !metrics + 64 then
+    Alcotest.failf "second snapshot allocated %d words for %d metrics" snap_spent !metrics;
   if spent > out_words + 64 then
-    Alcotest.failf "second snapshot allocated %d words for a %d-word output" spent out_words
+    Alcotest.failf "rendering it allocated %d words for a %d-word output" spent out_words
 
 let suites =
   [
@@ -396,5 +442,6 @@ let suites =
           test_export_deterministic_under_merge;
         QCheck_alcotest.to_alcotest prop_snapshot_caches;
         Alcotest.test_case "snapshot allocates what changed" `Quick test_snapshot_allocation;
+        Alcotest.test_case "consecutive snapshots share fragments" `Quick test_snapshot_sharing;
       ] );
   ]

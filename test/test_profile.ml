@@ -184,6 +184,9 @@ let collect_spans ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) src =
   let report = Runtime.Builtins.with_print_hook ignore (fun () -> Engine.run engine) in
   (List.rev !acc, report)
 
+let span_name (s : Telemetry.span) = s.Telemetry.sp_site.Telemetry.site_name
+let span_cat (s : Telemetry.span) = s.Telemetry.sp_site.Telemetry.site_cat
+
 let test_span_nesting () =
   let spans, report = collect_spans fib_src in
   Alcotest.(check bool) "spans were emitted" true (spans <> []);
@@ -201,7 +204,7 @@ let test_span_nesting () =
       if s.Telemetry.sp_depth > 0 then
         Alcotest.(check bool)
           (Printf.sprintf "span %s at depth %d has an enclosing parent"
-             s.Telemetry.sp_name s.Telemetry.sp_depth)
+             (span_name s) s.Telemetry.sp_depth)
           true
           (List.exists
              (fun (p : Telemetry.span) ->
@@ -212,7 +215,7 @@ let test_span_nesting () =
              spans))
     spans;
   (* The expected lifecycle phases all appear. *)
-  let names = List.map (fun (s : Telemetry.span) -> s.Telemetry.sp_name) spans in
+  let names = List.map span_name spans in
   List.iter
     (fun expected ->
       Alcotest.(check bool) ("has a " ^ expected ^ " span") true (List.mem expected names))
@@ -226,16 +229,15 @@ let test_span_pass_children_contained () =
   let spans, _ = collect_spans loop_src in
   let compiles =
     List.filter
-      (fun (s : Telemetry.span) ->
-        s.Telemetry.sp_name = "compile" || s.Telemetry.sp_name = "recompile")
+      (fun s -> span_name s = "compile" || span_name s = "recompile")
       spans
   in
   Alcotest.(check bool) "at least one compile span" true (compiles <> []);
   List.iter
     (fun (s : Telemetry.span) ->
-      if s.Telemetry.sp_cat = "pass" || s.Telemetry.sp_cat = "codegen" then
+      if span_cat s = "pass" || span_cat s = "codegen" then
         Alcotest.(check bool)
-          (s.Telemetry.sp_name ^ " inside a compile span")
+          (span_name s ^ " inside a compile span")
           true
           (List.exists
              (fun (c : Telemetry.span) ->
@@ -265,10 +267,10 @@ let test_tracer_discipline () =
   Telemetry.span_end hub ~now:30;
   (match !acc with
   | [ outer; inner ] ->
-    Alcotest.(check string) "LIFO emission" "inner" inner.Telemetry.sp_name;
+    Alcotest.(check string) "LIFO emission" "inner" (span_name inner);
     Alcotest.(check int) "inner depth" 1 inner.Telemetry.sp_depth;
     Alcotest.(check int) "inner dur" 10 inner.Telemetry.sp_dur;
-    Alcotest.(check string) "outer last" "outer" outer.Telemetry.sp_name;
+    Alcotest.(check string) "outer last" "outer" (span_name outer);
     Alcotest.(check int) "outer dur" 30 outer.Telemetry.sp_dur;
     Alcotest.(check int) "outer depth" 0 outer.Telemetry.sp_depth
   | _ -> Alcotest.fail "expected exactly two spans");
@@ -292,7 +294,7 @@ let test_late_attach () =
       let engine = Engine.make cfg (Bytecode.Compile.program_of_source richards) in
       Telemetry.attach_span (Engine.telemetry engine) (fun sp ->
           incr count;
-          Buffer.add_string buf (Telemetry.span_to_chrome_json sp);
+          Telemetry.add_span_chrome_json buf sp;
           Buffer.add_char buf '\n');
       Runtime.Builtins.with_print_hook ignore (fun () -> ignore (Engine.run engine));
       Engine.flush_flows engine;
@@ -312,7 +314,11 @@ let test_chrome_json_shape () =
   let spans, _ = collect_spans fib_src in
   List.iter
     (fun s ->
-      let j = Telemetry.span_to_chrome_json s in
+      let j =
+        let buf = Buffer.create 256 in
+        Telemetry.add_span_chrome_json buf s;
+        Buffer.contents buf
+      in
       List.iter
         (fun sub ->
           Alcotest.(check bool)

@@ -431,8 +431,8 @@ let test_obs_artifacts_jobs_deterministic () =
   let s4, o4 = run 4 in
   Alcotest.(check bool) "summary identical" true (s1 = s4);
   Alcotest.(check bool) "spans identical" true (o1.Serve.or_spans = o4.Serve.or_spans);
-  Alcotest.(check bool) "snapshots identical" true
-    (o1.Serve.or_snapshots = o4.Serve.or_snapshots);
+  let snapshots o = List.map (fun (i, s) -> (i, Metrics.snapshot_json s)) o.Serve.or_snapshots in
+  Alcotest.(check (list (pair int string))) "snapshots identical" (snapshots o1) (snapshots o4);
   Alcotest.(check bool) "flight dumps identical" true
     (o1.Serve.or_flights = o4.Serve.or_flights);
   (* The rendered forms too: what the CLI writes to disk. *)
@@ -454,7 +454,9 @@ let test_request_spans_stitchable () =
      its trace context: trace id rq_id + 1. *)
   let request_spans =
     List.filter
-      (fun sp -> sp.Telemetry.sp_name = "request" && sp.Telemetry.sp_ph = Telemetry.Ph_complete)
+      (fun sp ->
+        sp.Telemetry.sp_site.Telemetry.site_name = "request"
+        && sp.Telemetry.sp_note.Telemetry.note_ph = Telemetry.Ph_complete)
       spans
   in
   Alcotest.(check int) "one request span per record"
@@ -462,33 +464,33 @@ let test_request_spans_stitchable () =
     (List.length request_spans);
   List.iter
     (fun sp ->
-      Alcotest.(check int) "trace id is rq_id + 1" (sp.Telemetry.sp_fid + 1)
-        sp.Telemetry.sp_trace)
+      Alcotest.(check int) "trace id is rq_id + 1" (sp.Telemetry.sp_site.Telemetry.site_fid + 1)
+        (Telemetry.span_trace sp))
     request_spans;
   (* Engine-side spans executed on behalf of a request carry its trace. *)
   Alcotest.(check bool) "engine spans are stamped with request traces" true
     (List.exists
-       (fun sp -> sp.Telemetry.sp_cat <> "serve" && sp.Telemetry.sp_trace > 0)
+       (fun sp -> sp.Telemetry.sp_site.Telemetry.site_cat <> "serve" && Telemetry.span_trace sp > 0)
        spans);
   (* Flow stitches balance: every flow id has exactly one start and one
      finish, in timestamp order. *)
   let flows = Hashtbl.create 64 in
   List.iter
     (fun sp ->
-      match sp.Telemetry.sp_ph with
+      match sp.Telemetry.sp_note.Telemetry.note_ph with
       | Telemetry.Ph_complete -> ()
       | Telemetry.Ph_flow_start | Telemetry.Ph_flow_finish ->
         let starts, finishes, first_start, last_finish =
           Option.value
-            (Hashtbl.find_opt flows sp.Telemetry.sp_flow)
+            (Hashtbl.find_opt flows sp.Telemetry.sp_note.Telemetry.note_flow)
             ~default:(0, 0, max_int, min_int)
         in
         let cell =
-          if sp.Telemetry.sp_ph = Telemetry.Ph_flow_start then
+          if sp.Telemetry.sp_note.Telemetry.note_ph = Telemetry.Ph_flow_start then
             (starts + 1, finishes, min first_start sp.Telemetry.sp_start, last_finish)
           else (starts, finishes + 1, first_start, max last_finish sp.Telemetry.sp_start)
         in
-        Hashtbl.replace flows sp.Telemetry.sp_flow cell)
+        Hashtbl.replace flows sp.Telemetry.sp_note.Telemetry.note_flow cell)
     spans;
   Alcotest.(check bool) "background compiles produced flows" true
     (Hashtbl.length flows > 0);
@@ -501,6 +503,28 @@ let test_request_spans_stitchable () =
         true
         (first_start <= last_finish))
     flows
+
+(* What a traced run retains per span: a span is a record of a shared
+   site, three ints and a shared note, plus its list cell — 9 words — and
+   the sites, the per-request notes and the args of the few spans that
+   carry them come on top. The stream is the benchmark's traced serve
+   stream at 400 requests (26,440 spans, 11.0 words each). Spans that
+   carried their name, category, function and context inline retained
+   16.9 words each here. *)
+let test_span_retention () =
+  let cfg =
+    Serve.default_config ~isolates:2 ~requests:400 ~tenants:32 ~mean_gap:30_000 ~seed:1
+      ~engine:
+        (Engine.default_config ~policy:Policy.Polyvariant ~cache_size:4 ~bg_compile:true ())
+      ~obs:{ Serve.obs_off with Serve.obs_trace = true }
+      ()
+  in
+  let _, obs = Serve.run_full cfg in
+  let spans = List.length obs.Serve.or_spans in
+  Alcotest.(check bool) "the stream is traced" true (spans > 20_000);
+  let per_span = float (Obj.reachable_words (Obj.repr obs.Serve.or_spans)) /. float spans in
+  if per_span > 11.5 then
+    Alcotest.failf "%d retained spans hold %.2f words each (bound 11.5)" spans per_span
 
 let suites =
   [
@@ -555,5 +579,6 @@ let suites =
           test_obs_artifacts_jobs_deterministic;
         Alcotest.test_case "request spans stitch by trace id" `Quick
           test_request_spans_stitchable;
+        Alcotest.test_case "retained words per span" `Quick test_span_retention;
       ] );
   ]
