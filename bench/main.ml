@@ -142,7 +142,8 @@ let print_compile_attribution () =
       let m = member_of sname mname in
       let passes : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
       let spec = ref (0, 0) and gen = ref (0, 0) in
-      let sink = function
+      let sink (ev : Telemetry.event) =
+        match ev.what with
         | Telemetry.Compile_end e ->
           let bucket = if e.specialized then spec else gen in
           let n, cy = !bucket in

@@ -170,14 +170,7 @@ let () =
   | None -> ());
   if !flight <> "" then
     Out_channel.with_open_text !flight (fun oc ->
-        List.iter
-          (fun (_, d) ->
-            List.iter
-              (fun line ->
-                output_string oc line;
-                output_char oc '\n')
-              (Flight.dump_jsonl d))
-          obs_out.Serve.or_flights);
+        Flight.output_jsonl oc (List.map snd obs_out.Serve.or_flights));
   if !flight_text <> "" then
     Out_channel.with_open_text !flight_text (fun oc ->
         List.iter

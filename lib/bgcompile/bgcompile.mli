@@ -39,8 +39,8 @@ module Task : sig
       the first {!force} — the engine passes [inline:true] whenever the
       closure captures mutable runtime values, so both [--jobs] settings
       read them at the same (harvest-time) point. Otherwise the thunk is
-      submitted to the default pool at {!Pool.Low} priority and runs
-      concurrently with the submitter. *)
+      handed to the default pool with {!Pool.submit}, behind every queued
+      [map] task, and runs concurrently with the submitter. *)
 
   val force : 'a t -> 'a
   (** The result, memoized; awaits (helping) if the pool job is still in

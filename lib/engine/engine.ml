@@ -342,7 +342,9 @@ let in_span t ~name ~cat fid f =
 (* Event payloads are only constructed when a sink is listening; counters
    are always maintained (they are the report's source of truth). Neither
    charges model cycles, so telemetry cannot perturb the measurements. *)
-let emit t mk = if Telemetry.active t.tel then Telemetry.emit t.tel (mk ())
+let emit t fs mk =
+  if Telemetry.active t.tel then
+    Telemetry.emit t.tel ~fid:fs.fid ~fname:(fname t fs.fid) ~at:(now t) (mk ())
 
 let bump ?n t fs key = Telemetry.Counters.bump ?n (counters t) ~fid:fs.fid key
 
@@ -356,7 +358,7 @@ let blacklist t fs =
   if not fs.no_specialize then begin
     fs.no_specialize <- true;
     bump t fs Telemetry.Key.blacklists;
-    emit t (fun () -> Telemetry.Blacklist { fid = fs.fid; fname = fname t fs.fid })
+    emit t fs (fun () -> Telemetry.Blacklist)
   end
 
 (* A §4 deoptimization event: a specialized binary was invalidated (cache
@@ -364,7 +366,7 @@ let blacklist t fs =
    only refresh the binary. *)
 let deopt t fs reason =
   bump t fs Telemetry.Key.deopts;
-  emit t (fun () -> Telemetry.Deopt { fid = fs.fid; fname = fname t fs.fid; reason })
+  emit t fs (fun () -> Telemetry.Deopt { reason })
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
@@ -592,23 +594,17 @@ let compile_opt t (func : Bytecode.Program.func) req =
    charge. *)
 let compile t fs req =
   let func = t.program.Bytecode.Program.funcs.(fs.fid) in
-  let name = func.Bytecode.Program.name in
   (match req.r_key with
   | Spec_key.Key_values (args, mask) ->
-    emit t (fun () ->
-        Telemetry.Specialize { fid = fs.fid; fname = name; args = display_args args; mask })
+    emit t fs (fun () -> Telemetry.Specialize { args = display_args args; mask })
   | Spec_key.Key_tags _ as key ->
     (* Only the polyvariant policy keys on tags, so the paper policy's
        event stream is untouched. *)
-    emit t (fun () ->
-        Telemetry.Specialize
-          { fid = fs.fid; fname = name; args = Spec_key.to_string key; mask = None })
+    emit t fs (fun () -> Telemetry.Specialize { args = Spec_key.to_string key; mask = None })
   | Spec_key.Key_generic -> ());
-  emit t (fun () ->
+  emit t fs (fun () ->
       Telemetry.Compile_start
         {
-          fid = fs.fid;
-          fname = name;
           specialized = specialized req;
           selective = selective req;
           osr = req.r_osr <> None;
@@ -674,10 +670,8 @@ let quarantine t fs reason =
     if not fs.pinned then begin
       fs.pinned <- true;
       bump t fs Telemetry.Key.pins;
-      emit t (fun () ->
-          Telemetry.Quarantine
-            { fid = fs.fid; fname = fname t fs.fid; reason; backoff_calls = 0;
-              permanent = true })
+      emit t fs (fun () ->
+          Telemetry.Quarantine { reason; backoff_calls = 0; permanent = true })
     end
   end
   else begin
@@ -685,10 +679,8 @@ let quarantine t fs reason =
     fs.quarantine_until <- count t fs Telemetry.Key.calls + backoff;
     fs.loop_edges <- 0;
     bump t fs Telemetry.Key.quarantines;
-    emit t (fun () ->
-        Telemetry.Quarantine
-          { fid = fs.fid; fname = fname t fs.fid; reason; backoff_calls = backoff;
-            permanent = false })
+    emit t fs (fun () ->
+        Telemetry.Quarantine { reason; backoff_calls = backoff; permanent = false })
   end
 
 let can_compile t fs =
@@ -754,10 +746,7 @@ let evict_for t need =
         let bytes = entry_bytes e in
         detach t owner e;
         bump t owner Telemetry.Key.cache_evictions;
-        emit t (fun () ->
-            Telemetry.Cache_evict
-              { fid = owner.fid; fname = fname t owner.fid; bytes;
-                in_use = !(t.cache_bytes) });
+        emit t owner (fun () -> Telemetry.Cache_evict { bytes; in_use = !(t.cache_bytes) });
         go ()
   in
   go ()
@@ -781,7 +770,6 @@ let admit t entry =
    compile announces [Compile_end] here; a queued one is announced by its
    harvest ([Compile_ready]). *)
 let install t fs req a ~sync =
-  let name = fname t fs.fid in
   let code = a.a_code in
   (* Interprocedural facts and version ids exist only under the
      polyvariant policy; the paper policy's counters and code records stay
@@ -799,18 +787,15 @@ let install t fs req a ~sync =
   let stats = a.a_stats in
   if stats.Pipeline.inlined > 0 then begin
     bump ~n:stats.Pipeline.inlined t fs Telemetry.Key.inlined;
-    emit t (fun () ->
-        Telemetry.Inline_decision { fid = fs.fid; fname = name; inlined = stats.Pipeline.inlined })
+    emit t fs (fun () -> Telemetry.Inline_decision { inlined = stats.Pipeline.inlined })
   end;
   if stats.Pipeline.guards_elided > 0 then begin
     bump ~n:stats.Pipeline.guards_elided t fs Telemetry.Key.guards_elided;
     List.iter
       (fun (e : Mir.elision) ->
-        emit t (fun () ->
+        emit t fs (fun () ->
             Telemetry.Guard_elided
               {
-                fid = fs.fid;
-                fname = name;
                 guard = e.Mir.el_kind;
                 origin_fid = e.Mir.el_ofid;
                 pc = e.Mir.el_pc;
@@ -818,11 +803,9 @@ let install t fs req a ~sync =
       stats.Pipeline.elisions
   end;
   if sync then
-    emit t (fun () ->
+    emit t fs (fun () ->
         Telemetry.Compile_end
           {
-            fid = fs.fid;
-            fname = name;
             specialized = specialized req;
             selective = selective req;
             osr = req.r_osr <> None;
@@ -848,11 +831,9 @@ let install t fs req a ~sync =
 let abort t fs req (d : Diag.t) ~cycles =
   bump t fs Telemetry.Key.compiles_aborted;
   t.diag d;
-  emit t (fun () ->
+  emit t fs (fun () ->
       Telemetry.Compile_abort
         {
-          fid = fs.fid;
-          fname = fname t fs.fid;
           specialized = specialized req;
           osr = req.r_osr <> None;
           reason = d.Diag.message;
@@ -885,11 +866,9 @@ let try_compile t fs req =
    a queued one when the replacement lands. *)
 let retire t fs w wider =
   bump t fs Telemetry.Key.versions_widened;
-  emit t (fun () ->
+  emit t fs (fun () ->
       Telemetry.Version_widen
         {
-          fid = fs.fid;
-          fname = fname t fs.fid;
           index = w.w_index;
           from_key = Spec_key.to_string w.w_victim.key;
           to_key = Spec_key.to_string wider;
@@ -923,7 +902,7 @@ let bg_mutable_value = function
 
 let bg_cancel t fs ~reason key =
   bump t fs key;
-  emit t (fun () -> Telemetry.Compile_cancel { fid = fs.fid; fname = fname t fs.fid; reason })
+  emit t fs (fun () -> Telemetry.Compile_cancel { reason })
 
 (* A queued request for [fs] is in flight: at most one per function is, so
    a further request is dropped (re-triggering is free). *)
@@ -1015,11 +994,9 @@ let enqueue t fs ?widen req =
         bg_cancel t fs ~reason:"overflow" Telemetry.Key.bg_overflow
       | Ok e ->
         bump t fs Telemetry.Key.bg_queued;
-        emit t (fun () ->
+        emit t fs (fun () ->
             Telemetry.Compile_enqueue
               {
-                fid = fs.fid;
-                fname = fname t fs.fid;
                 kind;
                 osr = req.r_osr <> None;
                 ready = e.Bgcompile.e_ready;
@@ -1112,11 +1089,9 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
         install_entry t fs entry;
         bump t fs Telemetry.Key.bg_installed;
         let size = Code.size a.a_code in
-        emit t (fun () ->
+        emit t fs (fun () ->
             Telemetry.Compile_ready
               {
-                fid = fs.fid;
-                fname = fname t fs.fid;
                 size;
                 cycles = charge;
                 wait = now t - e.Bgcompile.e_enqueue;
@@ -1391,10 +1366,7 @@ and call_closure_at_depth t (c : Value.closure) args =
   match cache_find t fs args with
   | Some (index, entry) ->
     bump t fs Telemetry.Key.cache_hits;
-    emit t (fun () ->
-        Telemetry.Cache_hit
-          { fid = fs.fid; fname = fname t fs.fid; index;
-            entries = List.length fs.compiled });
+    emit t fs (fun () -> Telemetry.Cache_hit { index; entries = List.length fs.compiled });
     (* Tier-2 promotion: a generic tier-1 binary serving a function that
        stayed hot gets a specialized sibling (polyvariant only — the
        paper policy's [promote] is always [None]). The specialized
@@ -1424,9 +1396,7 @@ and call_closure_at_depth t (c : Value.closure) args =
   | None ->
     if fs.compiled <> [] then begin
       bump t fs Telemetry.Key.cache_misses;
-      emit t (fun () ->
-          Telemetry.Cache_miss
-            { fid = fs.fid; fname = fname t fs.fid; entries = List.length fs.compiled });
+      emit t fs (fun () -> Telemetry.Cache_miss { entries = List.length fs.compiled });
       (* Hot, compiled, but no binary fits these arguments. With the
          paper's one-entry cache this is the deoptimization event: discard,
          recompile generic, never specialize again (§4). The §6 extension
@@ -1524,11 +1494,9 @@ and run_native t fs func act entry ~at_osr =
     let entry_bail = b.Exec.bo_pc = 0 in
     if entry_bail then bump t fs Telemetry.Key.bailouts_entry
     else entry.strikes <- entry.strikes + 1;
-    emit t (fun () ->
+    emit t fs (fun () ->
         Telemetry.Bailout
           {
-            fid = fs.fid;
-            fname = fname t fs.fid;
             pc = b.Exec.bo_pc;
             native_pc = b.Exec.bo_native_pc;
             reason = b.Exec.bo_reason;
@@ -1565,9 +1533,7 @@ and run_native t fs func act entry ~at_osr =
          and discarded for recompilation with refreshed type feedback. *)
       detach t fs entry;
       bump t fs Telemetry.Key.strike_discards;
-      emit t (fun () ->
-          Telemetry.Deopt
-            { fid = fs.fid; fname = fname t fs.fid; reason = Telemetry.Strike_limit });
+      emit t fs (fun () -> Telemetry.Deopt { reason = Telemetry.Strike_limit });
       note_discard t fs
     end;
     resume_interp t func act b
@@ -1631,10 +1597,7 @@ and maybe_osr t (frame : Interp.frame) =
       let args_now = Array.copy frame.Interp.args in
       let locals_now = Array.copy frame.Interp.locals in
       bump t fs Telemetry.Key.osr_entries;
-      emit t (fun () ->
-          Telemetry.Osr_enter
-            { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc;
-              loop_edges = edges });
+      emit t fs (fun () -> Telemetry.Osr_enter { pc = frame.Interp.pc; loop_edges = edges });
       Telemetry.span_complete t.tel ~name:"osr-trigger" ~cat:"interp" ~fid:fs.fid
         ~fname:(fname t fs.fid) ~start:(now t) ~dur:0
         ~args:[ ("pc", string_of_int frame.Interp.pc);
@@ -1704,8 +1667,7 @@ and bg_osr_poll t fs (frame : Interp.frame) =
   | Some (req, o, entry) ->
     if bg_osr_frame_matches req o frame then begin
       bump t fs Telemetry.Key.bg_osr_entries;
-      emit t (fun () ->
-          Telemetry.Osr_entry { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc });
+      emit t fs (fun () -> Telemetry.Osr_entry { pc = frame.Interp.pc });
       let act =
         {
           Exec.act_args = Array.copy frame.Interp.args;
@@ -1801,9 +1763,7 @@ let with_deadline t f =
       if spent > budget then begin
         let fs = t.fstates.(fid) in
         bump t fs Telemetry.Key.deadlines;
-        emit t (fun () ->
-            Telemetry.Deadline_hit
-              { fid; fname = fname t fid; spent; limit = budget });
+        emit t fs (fun () -> Telemetry.Deadline_hit { spent; limit = budget });
         raise (Deadline_exceeded { dl_fid = fid; dl_pc = pc; dl_spent = spent; dl_limit = budget })
       end
     in

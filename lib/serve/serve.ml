@@ -256,15 +256,13 @@ let get_engine iso key =
     in
     let eng = Engine.make iso.iso_ecfg program in
     (* The engine's spans join the isolate's stream. The flight recorder
-       rides the engine's event stream; timestamps are that engine's own
-       model clock (the ring's seq numbers give the global order).
+       rides the engine's event stream; each event carries that engine's
+       own model clock (the ring's seq numbers give the global order).
        Attaching a sink never charges cycles, so the simulation is
        unchanged. *)
     if Telemetry.spans_active iso.hub then
       Telemetry.attach_span (Engine.telemetry eng) (Telemetry.emit_span iso.hub);
-    Option.iter
-      (fun fl -> Flight.attach fl (Engine.telemetry eng) ~clock:(fun () -> Engine.clock eng))
-      iso.flight;
+    Option.iter (fun fl -> Flight.attach fl (Engine.telemetry eng)) iso.flight;
     Hashtbl.add iso.engines key eng;
     eng
 

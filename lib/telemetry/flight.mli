@@ -2,14 +2,14 @@
     turns a failure into a post-mortem.
 
     One recorder per isolate (or per standalone engine), attached to each
-    engine's hub ({!attach}): every event is stamped with the emitting
-    engine's model-cycle clock and that hub's {!Telemetry.trace}, so the last
-    [capacity] policy decisions — probes, widenings, promotions,
-    quarantines, cancels, deadline hits, with their inputs — are always
-    in memory. A {b trigger} (an injected fault, a deadline expiry, a
-    deopt storm, a quarantine, or an explicit request) snapshots the ring
-    into a {!dump}; dumps render as JSONL ({!dump_jsonl}) and as a human
-    report ({!render}).
+    engine's hub ({!attach}): it keeps every event as the hub stamped it —
+    function, model cycle and request context ({!Telemetry.event}) — so
+    the last [capacity] policy decisions (probes, widenings, promotions,
+    quarantines, cancels, deadline hits, with their inputs) are always in
+    memory. A {b trigger} (an injected fault, a deadline expiry, a deopt
+    storm, a quarantine, or the end of a standalone run) snapshots the
+    ring into a {!dump}; dumps render as JSONL ({!output_jsonl}) and as a
+    human report ({!render}).
 
     Determinism contract: entries carry only model-clock data, capture
     order is the (serial, per-isolate) emission order, and the number of
@@ -20,17 +20,13 @@
 
 type entry = {
   fe_seq : int;  (** monotone per recorder, from 1 *)
-  fe_ts : int;  (** emitting engine's model-cycle clock *)
-  fe_trace : int;  (** trace id at emission; 0 = no request context *)
-  fe_request : int;  (** request id; -1 = none *)
-  fe_tenant : int;  (** tenant; -1 = none *)
-  fe_event : Telemetry.event;
+  fe_event : Telemetry.event;  (** as stamped at emission *)
 }
 
 type dump = {
   d_trigger : string;
       (** ["fault"], ["deadline"], ["deopt-storm"], ["quarantine"] or
-          ["manual"] *)
+          ["end-of-run"] *)
   d_detail : string;  (** free-form: the request/function that tripped it *)
   d_at : int;  (** model-cycle stamp of the trigger *)
   d_dropped : int;  (** ring overwrites before this dump *)
@@ -43,22 +39,24 @@ val create : ?capacity:int -> ?max_dumps:int -> unit -> t
 (** Defaults: 64 entries, 4 captured dumps.
     @raise Invalid_argument when either bound is not positive. *)
 
-val attach : t -> Telemetry.t -> clock:(unit -> int) -> unit
-(** Record every event emitted on [hub] from now on, stamped with
-    [clock ()] and the hub's {!Telemetry.trace} at emission.
+val attach : t -> Telemetry.t -> unit
+(** Record every event emitted on [hub] from now on.
     [Quarantine] events auto-trigger a dump — ["deopt-storm"] when that
     was the quarantine reason, ["quarantine"] otherwise. *)
 
 val trigger : t -> trigger:string -> detail:string -> at:int -> unit
 (** Capture a dump now (the caller-side triggers: supervised faults,
-    deadline outcomes, on-demand dumps). Past [max_dumps] the capture is
+    deadline outcomes, the end of a run). Past [max_dumps] the capture is
     dropped. *)
 
 val dumps : t -> dump list
 (** Captured dumps, oldest first. *)
 
-val dump_jsonl : dump -> string list
-(** One [vs-flight/1] header object, then one line per entry. *)
+val output_jsonl : out_channel -> dump list -> unit
+(** Write the dumps as [vs-flight/1] JSONL, line by line: per dump one
+    header object, then one line per entry with its sequence number, model
+    cycle ([ts]), request context (trace 0, request and tenant -1 when
+    none) and event. *)
 
 val render : dump -> string
 (** The human post-mortem: a header line plus one line per entry. *)

@@ -31,17 +31,25 @@ type quarantine_reason =
   | Deopt_storm  (* compile→bailout→recompile oscillation past threshold *)
   | Cache_oom  (* code-cache admission failed *)
 
-type event =
-  | Compile_start of {
-      fid : int;
-      fname : string;
-      specialized : bool;
-      selective : bool;
-      osr : bool;
-    }
+(* The request-scoped identity the service layer threads through queue
+   wait, engine runs and background-compile lifecycles. It lives on a hub
+   ([set_trace]): the service sets one per request on the isolate's hub
+   and on the engine serving it, and every event or span that hub emits
+   stamps itself with it. Nothing reads the context unless an observer is
+   attached, so setting it costs one field write and cannot perturb the
+   model. *)
+type trace_ctx = {
+  tc_trace : int;  (* trace id: unique per request across the whole run *)
+  tc_request : int;  (* the request id (rq_id) *)
+  tc_tenant : int;
+  tc_isolate : int;
+}
+
+(* What an event says happened; who, when and for which request is its
+   header ([event]). *)
+type what =
+  | Compile_start of { specialized : bool; selective : bool; osr : bool }
   | Compile_end of {
-      fid : int;
-      fname : string;
       specialized : bool;
       selective : bool;
       osr : bool;
@@ -50,142 +58,79 @@ type event =
       passes : pass_delta list;  (* pipeline passes, in execution order *)
     }
   | Cache_hit of {
-      fid : int;
-      fname : string;
       index : int;  (* position probed in the MRU-first cache list *)
       entries : int;  (* cache entries at probe time *)
     }
-  | Cache_miss of { fid : int; fname : string; entries : int }
+  | Cache_miss of { entries : int }
   | Specialize of {
-      fid : int;
-      fname : string;
       args : string;  (* display form of the burned-in tuple *)
       mask : bool array option;  (* selective: which positions burn in *)
     }
-  | Deopt of { fid : int; fname : string; reason : deopt_reason }
+  | Deopt of { reason : deopt_reason }
   | Bailout of {
-      fid : int;
-      fname : string;
       pc : int;  (* bytecode pc interpretation resumes at *)
       native_pc : int;  (* native instruction that failed *)
       reason : string;
       osr_entry : bool;
       strikes : int;  (* in-body strikes against the binary, after this one *)
     }
-  | Blacklist of { fid : int; fname : string }
-  | Osr_enter of { fid : int; fname : string; pc : int; loop_edges : int }
-  | Inline_decision of { fid : int; fname : string; inlined : int }
+  | Blacklist
+  | Osr_enter of { pc : int; loop_edges : int }
+  | Inline_decision of { inlined : int }
   | Guard_elided of {
-      fid : int;
-      fname : string;
       guard : string;  (* "type" | "array" | "bounds" *)
       origin_fid : int;  (* function the guard came from (inlining) *)
       pc : int;  (* bytecode pc of the guarded operation *)
     }
   | Compile_abort of {
-      fid : int;
-      fname : string;
       specialized : bool;
       osr : bool;
       reason : string;  (* the diagnostic's message (or the injected fault) *)
       cycles : int;  (* wasted compile cycles, still charged *)
     }
   | Quarantine of {
-      fid : int;
-      fname : string;
       reason : quarantine_reason;
       backoff_calls : int;  (* calls until the next compile attempt; 0 if permanent *)
       permanent : bool;  (* pinned to the interpreter tier *)
     }
   | Cache_evict of {
-      fid : int;
-      fname : string;  (* owner of the evicted binary *)
-      bytes : int;  (* bytes reclaimed *)
+      bytes : int;  (* bytes reclaimed (the event names the binary's owner) *)
       in_use : int;  (* cache bytes in use after the eviction *)
     }
   | Version_widen of {
-      fid : int;
-      fname : string;
       index : int;  (* the widened version's position (MRU-first) *)
       from_key : string;  (* display form of the key it had *)
       to_key : string;  (* display form of the replacement key *)
       entries : int;  (* cache entries before the widening *)
     }
   | Deadline_hit of {
-      fid : int;  (* function whose dispatch observed the expiry *)
-      fname : string;
       spent : int;  (* model cycles spent in the run when it tripped *)
       limit : int;  (* the run's cycle budget *)
     }
   | Compile_enqueue of {
-      fid : int;
-      fname : string;
       kind : string;  (* queued signature flavor: "values" | "selective" | "tags" | "generic" *)
       osr : bool;  (* carries an OSR entry snapshot *)
       ready : int;  (* modeled completion cycle *)
       depth : int;  (* queue occupancy after the enqueue *)
     }
   | Compile_ready of {
-      fid : int;
-      fname : string;
       size : int;  (* native instructions installed *)
       cycles : int;  (* off-clock compile cycles the artifact cost *)
       wait : int;  (* model cycles from enqueue to harvest *)
     }
   | Compile_cancel of {
-      fid : int;
-      fname : string;
       reason : string;  (* "overflow" | "degrade" | "recycle" | "install-fault" | "enqueue-fault" *)
     }
-  | Osr_entry of {
-      fid : int;
-      fname : string;
-      pc : int;  (* loop head transferred into the finished binary *)
-    }
+  | Osr_entry of { pc : int  (* loop head transferred into the finished binary *) }
 
-let event_fid = function
-  | Compile_start { fid; _ }
-  | Compile_end { fid; _ }
-  | Cache_hit { fid; _ }
-  | Cache_miss { fid; _ }
-  | Specialize { fid; _ }
-  | Deopt { fid; _ }
-  | Bailout { fid; _ }
-  | Blacklist { fid; _ }
-  | Osr_enter { fid; _ }
-  | Inline_decision { fid; _ }
-  | Guard_elided { fid; _ }
-  | Compile_abort { fid; _ }
-  | Quarantine { fid; _ }
-  | Cache_evict { fid; _ }
-  | Version_widen { fid; _ }
-  | Deadline_hit { fid; _ }
-  | Compile_enqueue { fid; _ }
-  | Compile_ready { fid; _ }
-  | Compile_cancel { fid; _ }
-  | Osr_entry { fid; _ } -> fid
-
-let event_fname = function
-  | Compile_start { fname; _ }
-  | Compile_end { fname; _ }
-  | Cache_hit { fname; _ }
-  | Cache_miss { fname; _ }
-  | Specialize { fname; _ }
-  | Deopt { fname; _ }
-  | Bailout { fname; _ }
-  | Blacklist { fname; _ }
-  | Osr_enter { fname; _ }
-  | Inline_decision { fname; _ }
-  | Guard_elided { fname; _ }
-  | Compile_abort { fname; _ }
-  | Quarantine { fname; _ }
-  | Cache_evict { fname; _ }
-  | Version_widen { fname; _ }
-  | Deadline_hit { fname; _ }
-  | Compile_enqueue { fname; _ }
-  | Compile_ready { fname; _ }
-  | Compile_cancel { fname; _ }
-  | Osr_entry { fname; _ } -> fname
+(* One policy decision, stamped once by the hub that emits it ([emit]). *)
+type event = {
+  fid : int;  (* the function the decision is about *)
+  fname : string;
+  at : int;  (* the emitting engine's model cycle *)
+  ctx : trace_ctx option;  (* the hub's request context, shared *)
+  what : what;
+}
 
 let event_kind = function
   | Compile_start _ -> "compile_start"
@@ -195,7 +140,7 @@ let event_kind = function
   | Specialize _ -> "specialize"
   | Deopt _ -> "deopt"
   | Bailout _ -> "bailout"
-  | Blacklist _ -> "blacklist"
+  | Blacklist -> "blacklist"
   | Osr_enter _ -> "osr_enter"
   | Inline_decision _ -> "inline_decision"
   | Guard_elided _ -> "guard_elided"
@@ -230,8 +175,8 @@ let flavor ~specialized ~selective ~osr =
 (* One human-readable line per event, the replacement for the engine's old
    [verbose] printf diagnostics (jsvm --trace). *)
 let to_string ev =
-  let site = Printf.sprintf "f%d %s" (event_fid ev) (event_fname ev) in
-  match ev with
+  let site = Printf.sprintf "f%d %s" ev.fid ev.fname in
+  match ev.what with
   | Compile_start { specialized; selective; osr; _ } ->
     Printf.sprintf "compile-start %s %s" site (flavor ~specialized ~selective ~osr)
   | Compile_end { specialized; selective; osr; size; cycles; passes; _ } ->
@@ -258,7 +203,7 @@ let to_string ev =
       native_pc reason
       (if osr_entry then " [osr entry]" else "")
       strikes
-  | Blacklist _ -> Printf.sprintf "blacklist     %s" site
+  | Blacklist -> Printf.sprintf "blacklist     %s" site
   | Osr_enter { pc; loop_edges; _ } ->
     Printf.sprintf "osr-enter     %s at pc %d after %d loop edges" site pc loop_edges
   | Inline_decision { inlined; _ } ->
@@ -377,13 +322,15 @@ let jstr s = "\"" ^ json_escape s ^ "\""
 let jbool b = if b then "true" else "false"
 
 (* One JSON object per event (a JSONL stream when written line by line).
-   Every object carries "ev", "fid" and "fn"; the rest is per-kind. *)
+   Every object carries "ev", "fid" and "fn"; the rest is per-kind. The
+   header's cycle and request context are not printed here: a flight
+   entry prints them beside the object. *)
 let to_json ev =
-  let base = [ ("ev", jstr (event_kind ev)); ("fid", string_of_int (event_fid ev));
-               ("fn", jstr (event_fname ev)) ]
+  let base = [ ("ev", jstr (event_kind ev.what)); ("fid", string_of_int ev.fid);
+               ("fn", jstr ev.fname) ]
   in
   let extra =
-    match ev with
+    match ev.what with
     | Compile_start { specialized; selective; osr; _ } ->
       [ ("specialized", jbool specialized); ("selective", jbool selective);
         ("osr", jbool osr) ]
@@ -413,7 +360,7 @@ let to_json ev =
       [ ("pc", string_of_int pc); ("native_pc", string_of_int native_pc);
         ("reason", jstr reason); ("osr_entry", jbool osr_entry);
         ("strikes", string_of_int strikes) ]
-    | Blacklist _ -> []
+    | Blacklist -> []
     | Osr_enter { pc; loop_edges; _ } ->
       [ ("pc", string_of_int pc); ("loop_edges", string_of_int loop_edges) ]
     | Inline_decision { inlined; _ } -> [ ("inlined", string_of_int inlined) ]
@@ -457,24 +404,6 @@ let text_sink ?(prefix = "[jit] ") oc ev =
 
 let jsonl_sink oc ev =
   output_string oc (to_json ev ^ "\n")
-
-(* ------------------------------------------------------------------ *)
-(* Request trace context                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The request-scoped identity the service layer threads through queue
-   wait, engine runs and background-compile lifecycles. It lives on a hub
-   ([set_trace]): the service sets one per request on the isolate's hub
-   and on the engine serving it, and every span or flight-recorder entry
-   that hub emits stamps itself with it. Nothing reads the context unless
-   an observer is attached, so setting it costs one field write and
-   cannot perturb the model. *)
-type trace_ctx = {
-  tc_trace : int;  (* trace id: unique per request across the whole run *)
-  tc_request : int;  (* the request id (rq_id) *)
-  tc_tenant : int;
-  tc_isolate : int;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle spans                                                     *)
@@ -725,9 +654,13 @@ let attach_span t sink = t.span_sinks <- t.span_sinks @ [ sink ]
 let counters t = t.counters
 
 (* Emission is allocation-free when nobody listens: callers guard event
-   construction behind [active]. *)
+   construction behind [active]. The hub stamps each event with the
+   request context it holds, so every sink sees the same header. *)
 let active t = t.sinks <> []
-let emit t ev = List.iter (fun sink -> sink ev) t.sinks
+
+let emit t ~fid ~fname ~at what =
+  let ev = { fid; fname; at; ctx = t.trace; what } in
+  List.iter (fun sink -> sink ev) t.sinks
 
 (* Same contract for spans: every span function below is a no-op until a
    span sink is attached, so tracing off costs nothing and interns no

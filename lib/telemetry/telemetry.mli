@@ -43,17 +43,25 @@ type quarantine_reason =
           engine's storm threshold (8 binary discards) *)
   | Cache_oom  (** code-cache admission failed for the function's binary *)
 
-type event =
-  | Compile_start of {
-      fid : int;
-      fname : string;
-      specialized : bool;
-      selective : bool;
-      osr : bool;
-    }
+(** The request-scoped identity the service layer threads from admission
+    through queue wait, engine runs and background-compile lifecycles. It
+    rides a hub ({!set_trace}): the service sets one per request on the
+    isolate's hub and on the engine serving the request; events and spans
+    that hub emits stamp themselves with it. Nothing reads the context
+    unless an observer is attached, so setting it cannot perturb the
+    model. *)
+type trace_ctx = {
+  tc_trace : int;  (** trace id — unique per request across the run *)
+  tc_request : int;  (** the request id ([rq_id]) *)
+  tc_tenant : int;
+  tc_isolate : int;
+}
+
+(** What happened; the function, cycle and request are the {!event}
+    header. *)
+type what =
+  | Compile_start of { specialized : bool; selective : bool; osr : bool }
   | Compile_end of {
-      fid : int;
-      fname : string;
       specialized : bool;
       selective : bool;
       osr : bool;
@@ -62,63 +70,47 @@ type event =
       passes : pass_delta list;  (** pipeline passes, in execution order *)
     }
   | Cache_hit of {
-      fid : int;
-      fname : string;
       index : int;  (** position found in the MRU-first cache list *)
       entries : int;  (** entries at probe time *)
     }
-  | Cache_miss of { fid : int; fname : string; entries : int }
+  | Cache_miss of { entries : int }
   | Specialize of {
-      fid : int;
-      fname : string;
       args : string;  (** display form of the burned-in tuple *)
       mask : bool array option;  (** selective: which positions burn in *)
     }
-  | Deopt of { fid : int; fname : string; reason : deopt_reason }
+  | Deopt of { reason : deopt_reason }
   | Bailout of {
-      fid : int;
-      fname : string;
       pc : int;  (** bytecode pc interpretation resumes at *)
       native_pc : int;  (** native instruction that failed *)
       reason : string;
       osr_entry : bool;
       strikes : int;  (** strikes against the binary, after this one *)
     }
-  | Blacklist of { fid : int; fname : string }
-  | Osr_enter of { fid : int; fname : string; pc : int; loop_edges : int }
-  | Inline_decision of { fid : int; fname : string; inlined : int }
+  | Blacklist
+  | Osr_enter of { pc : int; loop_edges : int }
+  | Inline_decision of { inlined : int }
   | Guard_elided of {
-      fid : int;
-      fname : string;
       guard : string;  (** "type" | "array" | "bounds" *)
       origin_fid : int;  (** function the guard originated in (inlining) *)
       pc : int;  (** bytecode pc of the guarded operation *)
     }
   | Compile_abort of {
-      fid : int;
-      fname : string;
       specialized : bool;
       osr : bool;
       reason : string;  (** the diagnostic (or injected fault) message *)
       cycles : int;  (** wasted compile cycles — still charged to the run *)
     }
   | Quarantine of {
-      fid : int;
-      fname : string;
       reason : quarantine_reason;
       backoff_calls : int;
           (** calls until compilation may be retried; 0 when permanent *)
       permanent : bool;  (** the function is pinned to the interpreter tier *)
     }
   | Cache_evict of {
-      fid : int;
-      fname : string;  (** owner of the evicted binary *)
-      bytes : int;  (** bytes reclaimed *)
+      bytes : int;  (** bytes reclaimed; the header names the binary's owner *)
       in_use : int;  (** cache bytes in use after the eviction *)
     }
   | Version_widen of {
-      fid : int;
-      fname : string;
       index : int;  (** the widened version's position (MRU-first) *)
       from_key : string;  (** display form of the key it had *)
       to_key : string;  (** display form of the replacement key *)
@@ -127,17 +119,14 @@ type event =
       (** polyvariant policy: a version was replaced by a one-step-wider
           one (values → tags, tags → generic) instead of being discarded *)
   | Deadline_hit of {
-      fid : int;  (** function whose dispatch observed the expiry *)
-      fname : string;
       spent : int;  (** model cycles spent in the run when it tripped *)
       limit : int;  (** the run's cycle budget *)
     }
-      (** a cooperative deadline expired mid-dispatch; the engine raises
+      (** a cooperative deadline expired mid-dispatch (the header names the
+          function whose dispatch observed it); the engine raises
           [Engine.Deadline_exceeded] immediately after emitting, so the
           event appears exactly once per tripped run *)
   | Compile_enqueue of {
-      fid : int;
-      fname : string;
       kind : string;
           (** queued signature flavor: ["values"], ["selective"],
               ["tags"] or ["generic"] *)
@@ -148,8 +137,6 @@ type event =
       (** a hot-call site handed a compile request to the background
           queue and kept interpreting *)
   | Compile_ready of {
-      fid : int;
-      fname : string;
       size : int;  (** native instructions installed *)
       cycles : int;  (** off-clock compile cycles the artifact cost *)
       wait : int;  (** model cycles from enqueue to harvest *)
@@ -157,28 +144,35 @@ type event =
       (** a finished background artifact was installed into the version
           cache (emitted at the harvesting call/loop edge) *)
   | Compile_cancel of {
-      fid : int;
-      fname : string;
       reason : string;
           (** ["overflow"], ["degrade"], ["recycle"], ["install-fault"]
               or ["enqueue-fault"] *)
     }
       (** a queued request was dropped before installing *)
-  | Osr_entry of { fid : int; fname : string; pc : int }
+  | Osr_entry of { pc : int }
       (** a hot interpreter loop transferred into a finished background
           binary at its loop head (distinct from [Osr_enter], which marks
           the synchronous OSR {e trigger}) *)
 
-val event_fname : event -> string
+type event = {
+  fid : int;  (** the function the decision is about *)
+  fname : string;
+  at : int;  (** the emitting engine's model-cycle clock at emission *)
+  ctx : trace_ctx option;  (** the hub's {!trace} at emission (shared) *)
+  what : what;
+}
+(** One policy decision with its header, stamped once by {!emit}. *)
 
-val event_kind : event -> string
+val event_kind : what -> string
 (** Stable snake_case tag, e.g. ["cache_hit"] (the JSON ["ev"] field). *)
 
 val to_string : event -> string
-(** One human-readable line (the [--trace] format). *)
+(** One human-readable line (the [--trace] format). The header's [at] and
+    [ctx] are not printed. *)
 
 val to_json : event -> string
-(** One JSON object, no trailing newline (the JSONL format). *)
+(** One JSON object, no trailing newline (the JSONL format); like
+    {!to_string}, without [at] and [ctx]. *)
 
 val json_escape : string -> string
 (** RFC 8259 string-body escaping: double quote and backslash always, the
@@ -191,23 +185,6 @@ val json_unescape : string -> string
 (** Inverse of {!json_escape} (accepts any escape {!json_escape} emits,
     plus [\/]; [\uXXXX] must encode a single byte).
     @raise Invalid_argument on a malformed escape. *)
-
-(** {1 Request trace context}
-
-    The request-scoped identity the service layer threads from admission
-    through queue wait, engine runs and background-compile lifecycles. It
-    rides a hub ({!set_trace}): the service sets one per request on the
-    isolate's hub and on the engine serving the request; spans and
-    flight-recorder entries that hub emits stamp themselves with it.
-    Nothing reads the context unless an observer is attached, so setting
-    it cannot perturb the model. *)
-
-type trace_ctx = {
-  tc_trace : int;  (** trace id — unique per request across the run *)
-  tc_request : int;  (** the request id ([rq_id]) *)
-  tc_tenant : int;
-  tc_isolate : int;
-}
 
 (** {1 Lifecycle spans} *)
 
@@ -407,7 +384,7 @@ val create : nfuncs:int -> unit -> t
 (** A fresh hub with an empty registry, no sinks and no trace context. *)
 
 val trace : t -> trace_ctx option
-(** The request this hub's spans and flight entries are attributed to. *)
+(** The request this hub's events and spans are attributed to. *)
 
 val set_trace : t -> trace_ctx option -> unit
 (** Attribute what the hub emits from now on to [ctx] ([None]: to no
@@ -425,7 +402,9 @@ val active : t -> bool
 (** [true] when at least one sink is attached. Emitters guard event
     construction behind this so disabled telemetry allocates nothing. *)
 
-val emit : t -> event -> unit
+val emit : t -> fid:int -> fname:string -> at:int -> what -> unit
+(** Deliver [what] to every sink, stamped with the function, the model
+    cycle [at] and the hub's {!trace}. *)
 
 val spans_active : t -> bool
 (** [true] when at least one span sink is attached. Every span function

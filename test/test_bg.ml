@@ -8,8 +8,9 @@
 
 open Runtime
 
-(* A list sink: [collect evs] records every event in [evs], newest first. *)
-let collect evs ev = evs := ev :: !evs
+(* A list sink: [collect evs] records what every event says in [evs],
+   newest first. *)
+let collect evs (ev : Telemetry.event) = evs := ev.what :: !evs
 
 let run ?(cfg = Engine.default_config ~opt:Pipeline.all_on ()) ?(sinks = [])
     ?(span_sinks = []) ?faults src =

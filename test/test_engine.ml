@@ -362,7 +362,7 @@ let test_lru_missing_probe_no_refresh () =
     let budget = total - f_gen - g_val in
     let evicted = ref [] in
     let sink = function
-      | Telemetry.Cache_evict { fname; _ } -> evicted := fname :: !evicted
+      | { Telemetry.fname; what = Cache_evict _; _ } -> evicted := fname :: !evicted
       | _ -> ()
     in
     let _, out2 = run ~cfg:(cfg budget) ~sinks:[ sink ] lru_schedule_src in

@@ -36,8 +36,11 @@ let counter engine report name key =
     (Telemetry.counters (Engine.telemetry engine))
     ~fid:(fn report name).Engine.fr_fid key
 
+(* What happened to [name], oldest first. *)
 let events_of evs name =
-  List.filter (fun e -> Telemetry.event_fname e = name) (List.rev !evs)
+  List.filter_map
+    (fun (e : Telemetry.event) -> if e.fname = name then Some e.what else None)
+    (List.rev !evs)
 
 let kinds events = List.map Telemetry.event_kind events
 
@@ -319,7 +322,7 @@ let test_cache_budget_lru_eviction () =
   match
     List.filter
       (function Telemetry.Cache_evict _ -> true | _ -> false)
-      (List.rev !evs)
+      (List.map (fun (e : Telemetry.event) -> e.what) (List.rev !evs))
   with
   | [ Telemetry.Cache_evict { bytes = b1; _ }; Telemetry.Cache_evict { bytes = b2; _ } ]
     ->

@@ -30,8 +30,11 @@ let counter engine report name key =
     (Telemetry.counters (Engine.telemetry engine))
     ~fid:(fn report name).Engine.fr_fid key
 
+(* What happened to [name], oldest first. *)
 let events_of evs name =
-  List.filter (fun e -> Telemetry.event_fname e = name) (List.rev !evs)
+  List.filter_map
+    (fun (e : Telemetry.event) -> if e.fname = name then Some e.what else None)
+    (List.rev !evs)
 
 let poly_cfg ?(cache_size = 2) ?(opt = Pipeline.all_on) () =
   Engine.default_config ~opt ~policy:Policy.Polyvariant ~cache_size ()

@@ -159,7 +159,7 @@ let test_profiled_deadline () =
       Engine.attach_profile engine r;
       let hits = ref 0 in
       Telemetry.attach (Engine.telemetry engine) (function
-        | Telemetry.Deadline_hit _ -> incr hits
+        | { Telemetry.what = Deadline_hit _; _ } -> incr hits
         | _ -> ());
       (match Runtime.Builtins.with_print_hook ignore (fun () -> Engine.run engine) with
       | exception Engine.Deadline_exceeded { dl_spent; _ } ->

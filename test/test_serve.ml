@@ -7,8 +7,9 @@
 
 open Runtime
 
-(* A list sink: [collect evs] records every event in [evs], newest first. *)
-let collect evs ev = evs := ev :: !evs
+(* A list sink: [collect evs] records what every event says in [evs],
+   newest first. *)
+let collect evs (ev : Telemetry.event) = evs := ev.what :: !evs
 
 (* A program with one clearly hot, specializable function. *)
 let hot_src =
@@ -435,11 +436,16 @@ let test_obs_artifacts_jobs_deterministic () =
   Alcotest.(check (list (pair int string))) "snapshots identical" (snapshots o1) (snapshots o4);
   Alcotest.(check bool) "flight dumps identical" true
     (o1.Serve.or_flights = o4.Serve.or_flights);
-  (* The rendered forms too: what the CLI writes to disk. *)
+  (* The rendered forms too: the files the CLI writes. *)
   let jsonl o =
-    List.concat_map (fun (_, d) -> Flight.dump_jsonl d) o.Serve.or_flights
+    let file = Filename.temp_file "flight" ".jsonl" in
+    Out_channel.with_open_text file (fun oc ->
+        Flight.output_jsonl oc (List.map snd o.Serve.or_flights));
+    let text = In_channel.with_open_text file In_channel.input_all in
+    Sys.remove file;
+    text
   in
-  Alcotest.(check (list string)) "flight JSONL identical" (jsonl o1) (jsonl o4);
+  Alcotest.(check string) "flight JSONL identical" (jsonl o1) (jsonl o4);
   let prom o =
     match o.Serve.or_metrics with Some m -> Metrics.to_prometheus m | None -> ""
   in
