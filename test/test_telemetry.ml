@@ -624,6 +624,40 @@ let test_compile_end_carries_pass_deltas () =
       Alcotest.(check bool) "cycles charged" true (cycles > 0))
     ends
 
+
+(* The registry's read side, on a bare hub: what [rows], [fid_rows],
+   [total] and [get] return, whatever the storage behind the keys. *)
+let test_counters_rows () =
+  let c = Telemetry.counters (Telemetry.create ~nfuncs:3 ()) in
+  let key name = name in
+  let open Telemetry in
+  Counters.bump ~n:0 c ~fid:1 Key.calls;
+  Alcotest.(check (list (pair string int))) "a zero bump makes a row" [ ("calls", 0) ]
+    (Counters.rows c);
+  Alcotest.(check (list (pair string int))) "fid_rows skip zeros" [] (Counters.fid_rows c 1);
+  Counters.bump_global c Key.deopts;
+  Counters.bump_global ~n:2 c (key (Key.faults_fired "exec_guard"));
+  Counters.bump c ~fid:0 Key.compiles;
+  Counters.bump ~n:3 c ~fid:2 Key.compiles;
+  Counters.bump c ~fid:2 Key.cache_hits;
+  Alcotest.(check (list (pair string int))) "rows, name-sorted"
+    [ ("cache.hits", 1); ("calls", 0); ("compiles", 4); ("deopts", 1);
+      ("faults.fired.exec_guard", 2) ]
+    (Counters.rows c);
+  Alcotest.(check (list (pair string int))) "one function's rows" [ ("cache.hits", 1); ("compiles", 3) ]
+    (Counters.fid_rows c 2);
+  Alcotest.(check (list (pair string int))) "another's" [ ("compiles", 1) ] (Counters.fid_rows c 0);
+  Alcotest.(check int) "total is the sum over functions"
+    (Counters.get c ~fid:0 Key.compiles + Counters.get c ~fid:2 Key.compiles)
+    (Counters.total c Key.compiles);
+  Alcotest.(check int) "total by name" 4 (Counters.total c (key "compiles"));
+  Alcotest.(check int) "a global bump has no function share" 0 (Counters.get c ~fid:1 Key.deopts);
+  Alcotest.(check int) "a global bump has a total" 1 (Counters.total c Key.deopts);
+  Alcotest.(check int) "a fault point's total" 2
+    (Counters.total c (key (Key.faults_fired "exec_guard")));
+  Alcotest.(check int) "never bumped" 0 (Counters.total c Key.bailouts);
+  Alcotest.(check int) "never bumped, by function" 0 (Counters.get c ~fid:0 Key.bailouts)
+
 let suites =
   [
     ( "telemetry.sinks",
@@ -659,5 +693,6 @@ let suites =
         Alcotest.test_case "sinks never cost cycles" `Quick test_sinks_do_not_cost_cycles;
         Alcotest.test_case "compile events carry pass deltas" `Quick
           test_compile_end_carries_pass_deltas;
+        Alcotest.test_case "rows" `Quick test_counters_rows;
       ] );
   ]
