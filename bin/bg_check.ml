@@ -99,7 +99,9 @@ let summary () =
             wname pname r.Engine.total_cycles r.Engine.interp_cycles r.Engine.native_cycles
             r.Engine.compile_cycles r.Engine.bg_compile_cycles
             (String.concat " "
-               (List.map (fun k -> Printf.sprintf "%s=%d" k (total engine k)) bg_keys)))
+               (List.map
+                  (fun k -> Printf.sprintf "%s=%d" (Telemetry.Key.name k) (total engine k))
+                  bg_keys)))
         policies)
     (workloads ())
 
@@ -119,7 +121,8 @@ let identity () =
             fail "%s/%s: bg-off charged off-clock cycles" wname pname;
           List.iter
             (fun k ->
-              if total off_engine k <> 0 then fail "%s/%s: bg-off bumped %s" wname pname k)
+              if total off_engine k <> 0 then
+                fail "%s/%s: bg-off bumped %s" wname pname (Telemetry.Key.name k))
             bg_keys;
           if total on_engine Telemetry.Key.bg_queued = 0 then
             fail "%s/%s: bg-on never used the queue" wname pname;

@@ -87,7 +87,13 @@ let create ~depth =
   { q_depth = max 1 depth; q_next = 0; q_busy = Array.make service_width 0; q_pending = [] }
 let depth q = q.q_depth
 let length q = List.length q.q_pending
-let pending_for q ~fid = List.find_opt (fun e -> e.e_fid = fid) q.q_pending
+(* A closure-free scan: the engine asks on every call while a queue is
+   live. *)
+let rec first_for fid = function
+  | [] -> None
+  | e :: rest -> if e.e_fid = fid then Some e else first_for fid rest
+
+let pending_for q ~fid = first_for fid q.q_pending
 
 let enqueue q ~fid ~now ~cost ?(attempts = 1) payload =
   if List.length q.q_pending >= q.q_depth then Error `Overflow
@@ -115,9 +121,12 @@ let enqueue q ~fid ~now ~cost ?(attempts = 1) payload =
   end
 
 let take_ready q ~fid ~now =
-  let ready, rest = List.partition (fun e -> e.e_fid = fid && e.e_ready <= now) q.q_pending in
-  q.q_pending <- rest;
-  List.sort (fun a b -> compare (a.e_ready, a.e_id) (b.e_ready, b.e_id)) ready
+  match first_for fid q.q_pending with
+  | None -> []
+  | Some _ ->
+    let ready, rest = List.partition (fun e -> e.e_fid = fid && e.e_ready <= now) q.q_pending in
+    q.q_pending <- rest;
+    List.sort (fun a b -> compare (a.e_ready, a.e_id) (b.e_ready, b.e_id)) ready
 
 let drain q =
   let p = q.q_pending in

@@ -95,7 +95,8 @@ val enqueue :
 
 val take_ready : 'a t -> fid:int -> now:int -> 'a entry list
 (** Remove and return every entry for [fid] whose ready cycle has passed,
-    ordered by (ready, id). The harvest point. *)
+    ordered by (ready, id). The harvest point; it allocates nothing when no
+    entry for [fid] is in flight. *)
 
 val drain : 'a t -> 'a entry list
 (** Remove and return everything in flight, in enqueue order — degrade

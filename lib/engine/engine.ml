@@ -87,6 +87,9 @@ type compiled = {
   mutable last_use : int;
 }
 
+(* [last_args] before a function's first call: an array no call passes. *)
+let no_call : Value.t array = [| Value.Undefined |]
+
 type func_state = {
   fid : int;
   mutable loop_edges : int;
@@ -97,7 +100,9 @@ type func_state = {
   (* Per-arg value stability: [Some v] while every call so far passed the
      same value, [None] once it varied (sticky). Empty before any call. *)
   mutable stable_args : Value.t option array option;
-  mutable last_args : Value.t array option;  (* for §2 argument statistics *)
+  mutable last_args : Value.t array;
+      (* the previous call's arguments, for §2 argument statistics;
+         [no_call] before the first call *)
   mutable sizes : (bool * int) list;
   (* Failure-domain state. Compilation failures (aborted compiles, cache
      admission failures, deopt storms) quarantine the function: no compile
@@ -194,6 +199,12 @@ type t = {
       (* the lint layer's sink: spec-check warnings (with [cfg.check]) and
          every diagnostic that aborts a compile *)
   faults : Faults.plan ref;  (* drawn at every injection point; see [set_faults] *)
+  mutable exec_cb : Exec.callbacks option;
+      (* the record every native run is handed, built at the first one and
+         rebuilt when the profile, deadline or fault plan it was built
+         from ([exec_profile], [exec_trip], its [faults]) changes *)
+  mutable exec_profile : Profile.Recorder.t option;
+  mutable exec_trip : (int -> int -> unit) option;
 }
 
 type func_report = {
@@ -246,7 +257,7 @@ let make ?(diag = ignore) ?(faults = Faults.none) engine_config program =
             observed_tags =
               Array.make program.Bytecode.Program.funcs.(fid).Bytecode.Program.arity [];
             stable_args = None;
-            last_args = None;
+            last_args = no_call;
             sizes = [];
             quarantine_until = 0;
             q_failures = 0;
@@ -276,6 +287,9 @@ let make ?(diag = ignore) ?(faults = Faults.none) engine_config program =
     deadline_trip = ref None;
     diag;
     faults = ref faults;
+    exec_cb = None;
+    exec_profile = None;
+    exec_trip = None;
   }
 
 let telemetry t = t.tel
@@ -373,29 +387,22 @@ let deopt t fs reason =
 (* ------------------------------------------------------------------ *)
 
 let observe_args t fs args =
-  Array.iteri
-    (fun i v ->
-      if i < Array.length fs.observed_tags then begin
-        let tag = Value.tag_of v in
-        if not (List.mem tag fs.observed_tags.(i)) then
-          fs.observed_tags.(i) <- tag :: fs.observed_tags.(i)
-      end)
-    args;
+  for i = 0 to min (Array.length args) (Array.length fs.observed_tags) - 1 do
+    let tag = Value.tag_of args.(i) in
+    if not (List.mem tag fs.observed_tags.(i)) then
+      fs.observed_tags.(i) <- tag :: fs.observed_tags.(i)
+  done;
   (match fs.stable_args with
   | None -> fs.stable_args <- Some (Array.map (fun v -> Some v) args)
   | Some st ->
-    Array.iteri
-      (fun i v ->
-        if i < Array.length st then
-          match st.(i) with
-          | Some prev when not (Value.same_value prev v) -> st.(i) <- None
-          | _ -> ())
-      args);
-  (match fs.last_args with
-  | Some prev when Value.same_args prev args -> ()
-  | Some _ -> bump t fs Telemetry.Key.arg_set_changes
-  | None -> ());
-  fs.last_args <- Some args
+    for i = 0 to min (Array.length args) (Array.length st) - 1 do
+      match st.(i) with
+      | Some prev when not (Value.same_value prev args.(i)) -> st.(i) <- None
+      | _ -> ()
+    done);
+  if fs.last_args != no_call && not (Value.same_args fs.last_args args) then
+    bump t fs Telemetry.Key.arg_set_changes;
+  fs.last_args <- args
 
 let stable_tags fs =
   Array.map
@@ -889,7 +896,7 @@ let stability_mask fs =
 (* The queue is live only while the engine is healthy: degrade mode
    drains it (below) and suppresses new requests, falling back to the
    PR-8 synchronous semantics. *)
-let bg_active t = t.bg <> None && not !(t.degrade)
+let bg_active t = Option.is_some t.bg && not !(t.degrade)
 
 (* Values the compile thunk may not read from another domain at an
    arbitrary wall-clock moment: anything mutable. Requests that bake such
@@ -1126,11 +1133,14 @@ let bg_install t fs (e : bg_job Bgcompile.entry) =
 let bg_harvest t fs =
   match t.bg with
   | None -> []
-  | Some q ->
-    List.filter_map
-      (fun (e : bg_job Bgcompile.entry) ->
-        Option.map (fun entry -> (e.Bgcompile.e_payload, entry)) (bg_install t fs e))
-      (Bgcompile.take_ready q ~fid:fs.fid ~now:(now t))
+  | Some q -> (
+    match Bgcompile.take_ready q ~fid:fs.fid ~now:(now t) with
+    | [] -> []
+    | ready ->
+      List.filter_map
+        (fun (e : bg_job Bgcompile.entry) ->
+          Option.map (fun entry -> (e.Bgcompile.e_payload, entry)) (bg_install t fs e))
+        ready)
 
 (* Soundness gate for entering an OSR-flavored background artifact. The
    binary was compiled against the loop-head snapshot taken at enqueue;
@@ -1301,6 +1311,18 @@ let both f g =
         f x y;
         g x y)
 
+(* The cache probe's scan: the most specific entry whose key matches
+   [args], the earliest (most recently used) among equals. *)
+let rec best_match args found = function
+  | [] -> found
+  | entry :: rest ->
+    if not (Spec_key.matches entry.key args) then best_match args found rest
+    else (
+      match found with
+      | Some b when Policy.key_rank b.key <= Policy.key_rank entry.key ->
+        best_match args found rest
+      | _ -> best_match args (Some entry) rest)
+
 (* The engine's three mutually recursive activities: dispatching calls,
    running native code (with bailout resume), and interpreting. *)
 let rec call_value t (callee : Value.t) args =
@@ -1312,8 +1334,9 @@ let rec call_value t (callee : Value.t) args =
   | other -> raise (Runtime_error (Printf.sprintf "%s is not callable" (Value.typeof other)))
 
 (* Cache lookup: a generic binary serves any arguments; a specialized one
-   only its cached tuple. Hits move to the front (LRU), refresh the
-   global-LRU clock, and report the probed index.
+   only its cached tuple. A hit moves to the front (LRU) unless it is
+   already there, refreshes the global-LRU clock, is counted, and reports
+   the probed index to a listening sink.
 
    The probe takes the most-specific match: under the polyvariant policy
    the generic catch-all coexists with specialized versions and must not
@@ -1323,27 +1346,33 @@ let rec call_value t (callee : Value.t) args =
    [clear_compiled]), so there every match ties and the probe picks the
    first match in LRU order, as the paper's engine does. *)
 and cache_find t fs args =
-  let found = ref None in
-  List.iteri
-    (fun i entry ->
-      if Spec_key.matches entry.key args then
-        match !found with
-        | Some (_, b) when Policy.key_rank b.key <= Policy.key_rank entry.key -> ()
-        | _ -> found := Some (i, entry))
-    fs.compiled;
-  match !found with
+  match best_match args None fs.compiled with
   | None -> None
-  | Some (i, entry) ->
-    fs.compiled <- entry :: List.filter (fun e -> e != entry) fs.compiled;
+  | Some entry as hit ->
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel ~fid:fs.fid ~fname:(fname t fs.fid) ~at:(now t)
+        (Telemetry.Cache_hit
+           {
+             index = Option.get (List.find_index (fun e -> e == entry) fs.compiled);
+             entries = List.length fs.compiled;
+           });
+    (match fs.compiled with
+    | first :: _ when first == entry -> ()
+    | l -> fs.compiled <- entry :: List.filter (fun e -> e != entry) l);
     touch t entry;
-    Some (i, entry)
+    bump t fs Telemetry.Key.cache_hits;
+    hit
 
 and call_closure t (c : Value.closure) args =
   if !(t.depth) >= t.cfg.max_depth then raise (Runtime_error "stack overflow");
   t.depth := !(t.depth) + 1;
-  Fun.protect
-    ~finally:(fun () -> t.depth := !(t.depth) - 1)
-    (fun () -> call_closure_at_depth t c args)
+  match call_closure_at_depth t c args with
+  | v ->
+    t.depth := !(t.depth) - 1;
+    v
+  | exception e ->
+    t.depth := !(t.depth) - 1;
+    raise e
 
 and call_closure_at_depth t (c : Value.closure) args =
   let fs = t.fstates.(c.Value.fid) in
@@ -1354,19 +1383,8 @@ and call_closure_at_depth t (c : Value.closure) args =
      be installed before the cache probe, so the very call that finds the
      queue done is the first call the binary serves. *)
   if bg_active t then ignore (bg_harvest t fs);
-  (* Any compile attempt below may abort (returning [None]): the call then
-     falls back to plain interpretation and the quarantine clock decides
-     when compilation is tried again. *)
-  let run_or_interp = function
-    | Some entry ->
-      install_entry t fs entry;
-      run_native_entry t fs func c args entry
-    | None -> interpret t func ~upvals:c.Value.env ~args
-  in
   match cache_find t fs args with
-  | Some (index, entry) ->
-    bump t fs Telemetry.Key.cache_hits;
-    emit t fs (fun () -> Telemetry.Cache_hit { index; entries = List.length fs.compiled });
+  | Some entry ->
     (* Tier-2 promotion: a generic tier-1 binary serving a function that
        stayed hot gets a specialized sibling (polyvariant only — the
        paper policy's [promote] is always [None]). The specialized
@@ -1375,7 +1393,9 @@ and call_closure_at_depth t (c : Value.closure) args =
        queued request is still in flight waits for it, uncounted. *)
     let promoted =
       match entry.key with
-      | Spec_key.Key_generic when t.cfg.jit && can_compile t fs && not (in_flight t fs) -> (
+      | Spec_key.Key_generic
+        when Policy.can_promote t.cfg.policy && t.cfg.jit && can_compile t fs
+             && not (in_flight t fs) -> (
         match
           Policy.promote t.cfg.policy (policy_view t fs) ~args
             ~hot_calls:t.cfg.hot_calls
@@ -1420,14 +1440,14 @@ and call_closure_at_depth t (c : Value.closure) args =
         | Policy.Miss_respecialize ->
           clear_compiled t fs;
           deopt t fs Telemetry.Arg_mismatch;
-          run_or_interp (compile_choice t fs args Policy.Spec_selective)
-        | Policy.Miss_fill choice -> run_or_interp (compile_choice t fs args choice)
-        | Policy.Miss_widen index -> run_or_interp (widen_version t fs index args)
+          run_or_interp t fs func c args (compile_choice t fs args Policy.Spec_selective)
+        | Policy.Miss_fill choice -> run_or_interp t fs func c args (compile_choice t fs args choice)
+        | Policy.Miss_widen index -> run_or_interp t fs func c args (widen_version t fs index args)
         | Policy.Miss_deopt_generic ->
           clear_compiled t fs;
           deopt t fs Telemetry.Arg_mismatch;
           blacklist t fs;
-          run_or_interp (submit t fs { r_key = Spec_key.Key_generic; r_osr = None })
+          run_or_interp t fs func c args (submit t fs { r_key = Spec_key.Key_generic; r_osr = None })
     end
     else if
       t.cfg.jit && can_compile t fs
@@ -1443,49 +1463,77 @@ and call_closure_at_depth t (c : Value.closure) args =
          synchronous compile cycles are ever charged to the requester. The
          artifact lands at a later call's harvest (or a loop edge's OSR
          poll). *)
-      run_or_interp
+      run_or_interp t fs func c args
         (compile_choice t fs args (Policy.choose_hot t.cfg.policy (policy_view t fs) ~args))
     end
     else interpret t func ~upvals:c.Value.env ~args
+
+(* Any compile attempt may abort (returning [None]): the call then falls
+   back to plain interpretation and the quarantine clock decides when
+   compilation is tried again. *)
+and run_or_interp t fs func c args = function
+  | Some entry ->
+    install_entry t fs entry;
+    run_native_entry t fs func c args entry
+  | None -> interpret t func ~upvals:c.Value.env ~args
 
 and run_native_entry t fs func c args entry =
   let act = Exec.make_activation ~env:c.Value.env ~func ~args () in
   run_native t fs func act entry ~at_osr:false
 
-and run_native t fs func act entry ~at_osr =
-  (* Per native instruction: charge, attribution note, deadline check,
-     opcode count. *)
-  let callbacks =
-    { Exec.call = (fun v a -> call_value t v a);
-      globals = t.istate.Interp.globals;
-      cycles = t.native_cycles;
-      on_charge = Option.map Profile.Recorder.exec_hook !(t.profile);
-      on_instr =
-        both
-          (Option.map (fun trip (code : Code.t) pc -> trip code.Code.fid pc) !(t.deadline_trip))
-          (Option.map Profile.Recorder.instr_hook !(t.profile));
-      faults = !(t.faults) }
+(* The engine's one callbacks record, rebuilt only when what it reads
+   changed (each compared physically). Per native instruction it charges,
+   notes the attribution, checks the deadline and counts the opcode. *)
+and exec_callbacks t =
+  match t.exec_cb with
+  | Some cb
+    when t.exec_profile == !(t.profile) && t.exec_trip == !(t.deadline_trip)
+         && cb.Exec.faults == !(t.faults) ->
+    cb
+  | _ ->
+    let profile = !(t.profile) and trip = !(t.deadline_trip) in
+    let cb =
+      { Exec.call = (fun v a -> call_value t v a);
+        globals = t.istate.Interp.globals;
+        cycles = t.native_cycles;
+        on_charge = Option.map Profile.Recorder.exec_hook profile;
+        on_instr =
+          both
+            (Option.map (fun trip (code : Code.t) pc -> trip code.Code.fid pc) trip)
+            (Option.map Profile.Recorder.instr_hook profile);
+        faults = !(t.faults) }
+    in
+    t.exec_cb <- Some cb;
+    t.exec_profile <- profile;
+    t.exec_trip <- trip;
+    cb
+
+and exec_native t fs entry act ~at_osr =
+  let o =
+    try Exec.run (exec_callbacks t) entry.exec act ~at_osr
+    with Objmodel.Error msg -> raise (Runtime_error msg)
   in
+  (match o with
+  | Exec.Finished _ -> ()
+  | Exec.Bailed b ->
+    (* The bailout penalty was charged inside [Exec.run] just before it
+       returned, so the frame-reconstruction interval is the
+       [bailout_penalty] cycles ending now — emitted retroactively, nested
+       in the still-open native span. *)
+    Telemetry.span_complete t.tel ~name:"bailout" ~cat:"bailout" ~fid:fs.fid
+      ~fname:(fname t fs.fid)
+      ~start:(now t - Cost.bailout_penalty) ~dur:Cost.bailout_penalty
+      ~args:
+        [ ("reason", "\"" ^ Telemetry.json_escape b.Exec.bo_reason ^ "\"");
+          ("pc", string_of_int b.Exec.bo_pc) ]);
+  o
+
+and run_native t fs func act entry ~at_osr =
   let outcome =
-    in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
-        let o =
-          try Exec.run callbacks entry.exec act ~at_osr
-          with Objmodel.Error msg -> raise (Runtime_error msg)
-        in
-        (match o with
-        | Exec.Finished _ -> ()
-        | Exec.Bailed b ->
-          (* The bailout penalty was charged inside [Exec.run] just before
-             it returned, so the frame-reconstruction interval is the
-             [bailout_penalty] cycles ending now — emitted retroactively,
-             nested in the still-open native span. *)
-          Telemetry.span_complete t.tel ~name:"bailout" ~cat:"bailout" ~fid:fs.fid
-            ~fname:(fname t fs.fid)
-            ~start:(now t - Cost.bailout_penalty) ~dur:Cost.bailout_penalty
-            ~args:
-              [ ("reason", "\"" ^ Telemetry.json_escape b.Exec.bo_reason ^ "\"");
-                ("pc", string_of_int b.Exec.bo_pc) ]);
-        o)
+    if Telemetry.spans_active t.tel then
+      in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
+          exec_native t fs entry act ~at_osr)
+    else exec_native t fs entry act ~at_osr
   in
   match outcome with
   | Exec.Finished v -> v
@@ -1709,9 +1757,8 @@ let report_of t result =
              fr_sizes = List.rev fs.sizes;
              fr_arg_set_changes = get Telemetry.Key.arg_set_changes;
              fr_last_arg_tags =
-               (match fs.last_args with
-               | None -> []
-               | Some args -> Array.to_list (Array.map Value.tag_of args));
+               (if fs.last_args == no_call then []
+                else Array.to_list (Array.map Value.tag_of fs.last_args));
            })
          t.fstates)
   in
@@ -1748,8 +1795,8 @@ let report_of t result =
    [Interp]/[Exec] dispatch loops; it emits [Deadline_hit] and bumps the
    counter exactly once (the raise immediately follows the emit, and the
    trip is cleared on the way out), then [Deadline_exceeded] unwinds
-   through every open frame — spans close with [unwound], the depth
-   counter restores via [Fun.protect] — and escapes [run] for the caller
+   through every open frame — spans close with [unwound], each call
+   restores the depth counter on its way out — and escapes [run] for the caller
    to classify. Compilation is deliberately not checked: a compile
    returns to dispatch within one bounded pipeline run, and the very next
    dispatched instruction observes the (compile-charged) clock. *)

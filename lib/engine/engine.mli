@@ -228,8 +228,9 @@ val attach_profile : t -> Profile.Recorder.t -> unit
 (** Attribute this engine's model cycles to [r] from now on: every
     interpreted instruction, native charge and compile-stage charge, plus
     the native-op counts. The engine passes the recorder's hooks to the
-    executors in the callback records it builds for each run, so other
-    engines on the same domain are never charged to it. Attached before
+    executors in its own callback records (the native one is rebuilt when
+    the profile, deadline or fault plan changes), so other engines on the
+    same domain are never charged to it. Attached before
     the first {!run}, [Profile.Recorder.total_cycles r] equals the
     report's [total_cycles]. *)
 

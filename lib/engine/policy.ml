@@ -110,6 +110,8 @@ let promote_factor = 3
    The probe prefers the most specific matching version, so once the
    specialized binary exists the generic hit (and hence this check) stops
    firing for its signature. *)
+let can_promote = function Paper -> false | Polyvariant -> true
+
 let promote kind view ~args ~hot_calls =
   match kind with
   | Paper -> None

@@ -110,6 +110,10 @@ val promote :
     [cache_size >= 2]); [None] keeps running the generic binary. Always
     [None] under the paper policy. *)
 
+val can_promote : kind -> bool
+(** Whether {!promote} can ever say [Some]: [false] for the paper policy,
+    so the engine skips building a {!view} on its generic hits. *)
+
 (** What to do when a probe missed a non-empty cache (the engine has
     already ruled out quarantine). *)
 type miss_action =

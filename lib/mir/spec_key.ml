@@ -16,6 +16,17 @@ let at_entry key i =
   | Key_tags tags -> if i < Array.length tags then Known_tag tags.(i) else Unknown
   | Key_generic -> Unknown
 
+(* The probes' loops, from position [i] on. *)
+let rec masked_from mask cached args i =
+  i >= Array.length args
+  || ((i >= Array.length mask || (not mask.(i)) || Value.same_value args.(i) cached.(i))
+     && masked_from mask cached args (i + 1))
+
+let rec tags_from tags args i =
+  i >= Array.length tags
+  || ((if i < Array.length args then Value.tag_of args.(i) else Value.Tag_undefined) = tags.(i)
+     && tags_from tags args (i + 1))
+
 (* The probe. [Key_values] with a mask is the selective extension: only the
    burned-in positions are compared, and the tuple lengths must agree, so a
    masked position past the tuple holds [Undefined] on both sides.
@@ -25,25 +36,9 @@ let matches key args =
   match key with
   | Key_generic -> true
   | Key_values (cached, None) -> Value.same_args args cached
-  | Key_values (cached, Some _) ->
-    Array.length cached = Array.length args
-    && (let ok = ref true in
-        Array.iteri
-          (fun i v ->
-            match at_entry key i with
-            | Known_value c -> if not (Value.same_value v c) then ok := false
-            | Known_tag _ | Unknown -> ())
-          args;
-        !ok)
-  | Key_tags tags ->
-    let n = Array.length args in
-    let ok = ref true in
-    Array.iteri
-      (fun i tag ->
-        let got = if i < n then Value.tag_of args.(i) else Value.Tag_undefined in
-        if got <> tag then ok := false)
-      tags;
-    !ok
+  | Key_values (cached, Some mask) ->
+    Array.length cached = Array.length args && masked_from mask cached args 0
+  | Key_tags tags -> tags_from tags args 0
 
 let to_string = function
   | Key_generic -> "generic"

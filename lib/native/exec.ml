@@ -28,20 +28,20 @@ type callbacks = {
   faults : Faults.plan;
 }
 
-let make_activation ?(env = [||]) ?osr ~(func : Bytecode.Program.func) ~args () =
+let make_activation ?(env = [||]) ~(func : Bytecode.Program.func) ~args () =
   let padded =
     if Array.length args >= func.Bytecode.Program.arity then args
     else
       Array.init func.Bytecode.Program.arity (fun i ->
           if i < Array.length args then args.(i) else Value.Undefined)
   in
-  let osr_args, osr_locals = Option.value osr ~default:([||], [||]) in
+  let ncells = func.Bytecode.Program.ncells in
   {
     act_args = padded;
     act_env = env;
-    act_cells = Array.init (max func.Bytecode.Program.ncells 1) (fun _ -> ref Value.Undefined);
-    act_osr_args = osr_args;
-    act_osr_locals = osr_locals;
+    act_cells = (if ncells = 0 then [||] else Array.init ncells (fun _ -> ref Value.Undefined));
+    act_osr_args = [||];
+    act_osr_locals = [||];
   }
 
 exception Bail of int * string  (* snapshot id, reason *)

@@ -78,9 +78,9 @@ val run : callbacks -> prepared -> activation -> at_osr:bool -> outcome
 
 val make_activation :
   ?env:Runtime.Value.t ref array ->
-  ?osr:Runtime.Value.t array * Runtime.Value.t array ->
   func:Bytecode.Program.func ->
   args:Runtime.Value.t array ->
   unit ->
   activation
-(** Pad arguments to the arity, allocate fresh cells. *)
+(** Pad arguments to the arity, allocate one fresh cell per captured
+    local (none for a function without cells); no OSR state. *)

@@ -124,11 +124,10 @@ let same_value a b =
       _ ) ->
     false
 
-let same_args xs ys =
-  Array.length xs = Array.length ys
-  && (let ok = ref true in
-      Array.iteri (fun i x -> if not (same_value x ys.(i)) then ok := false) xs;
-      !ok)
+let rec same_from xs ys i =
+  i >= Array.length xs || (same_value xs.(i) ys.(i) && same_from xs ys (i + 1))
+
+let same_args xs ys = Array.length xs = Array.length ys && same_from xs ys 0
 
 let typeof = function
   | Undefined -> "undefined"

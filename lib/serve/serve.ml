@@ -14,18 +14,25 @@ open Support
 (* Counter names                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Each name is made a registry key as the module initialises, and so is
+   every fault point's fired counter; a bump looks its key up by name. *)
+let skey s = Telemetry.Key.(name (make s))
+
 module Skey = struct
-  let requests = "serve.requests"
-  let ok = "serve.ok"
-  let shed = "serve.shed"
-  let deadline_queue = "serve.deadline.queue"
-  let deadline_exec = "serve.deadline.exec"
-  let fault = "serve.fault.exhausted"
-  let retries = "serve.retries"
-  let recycles = "serve.recycles"
-  let escapes = "serve.escapes"
-  let degraded = "serve.degraded"
+  let requests = skey "serve.requests"
+  let ok = skey "serve.ok"
+  let shed = skey "serve.shed"
+  let deadline_queue = skey "serve.deadline.queue"
+  let deadline_exec = skey "serve.deadline.exec"
+  let fault = skey "serve.fault.exhausted"
+  let retries = skey "serve.retries"
+  let recycles = skey "serve.recycles"
+  let escapes = skey "serve.escapes"
+  let degraded = skey "serve.degraded"
 end
+
+let fired_key point = Telemetry.Key.faults_fired (Faults.point_to_string point)
+let () = List.iter (fun p -> ignore (skey (fired_key p))) Faults.all_points
 
 (* ------------------------------------------------------------------ *)
 (* Configuration and the request stream                                *)
@@ -206,7 +213,8 @@ let make_iso ?faults cfg ~isolate =
     faults = Faults.none;
   }
 
-let bump ?n iso name = Telemetry.Counters.bump_global ?n (Telemetry.counters iso.hub) name
+let bump ?n iso name =
+  Telemetry.Counters.bump_global ?n (Telemetry.counters iso.hub) (Telemetry.Key.of_name name)
 
 (* Fold every engine's counter registry into the isolate accumulator.
    Called just before the engines are dropped (recycle) and once at the
@@ -474,7 +482,7 @@ let guard_request iso rq =
      observe_request iso rq ~outcome:Fault ~depth:0 ~start:finish ~finish ~attempts:0);
   List.iter
     (fun (point, n) ->
-      bump ~n iso (Telemetry.Key.faults_fired (Faults.point_to_string point)))
+      bump ~n iso (fired_key point))
     (Faults.take_fired iso.faults)
 
 (* Everything one isolate's run produced. The observability fields are

@@ -507,108 +507,125 @@ let output_chrome_trace oc spans =
 (* Counter registry                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical counter names. The engine bumps these; the report and
-   [jsvm --stats] read them back. Keeping the names here (rather than as
-   string literals at each engine call site) makes the registry greppable
-   and typo-proof. *)
+(* Counter keys. A key is an index into one process-wide name table, so a
+   bump is two array writes instead of string-keyed hash lookups. The
+   engine's keys are made here; a layer above (the service's counters, the
+   fault points it counts) makes its own while its module initialises.
+   Every key exists before any registry does ([Counters.create] seals the
+   table), so the table is read-only once domains run. *)
 module Key = struct
-  let calls = "calls"
-  let compiles = "compiles"
-  let compiles_specialized = "compiles.specialized"
-  let compiles_osr = "compiles.osr"
-  let cache_hits = "cache.hits"
-  let cache_misses = "cache.misses"
-  let bailouts = "bailouts"
-  let bailouts_entry = "bailouts.entry"
-  let deopts = "deopts"
-  let strike_discards = "discards.strikes"
-  let blacklists = "blacklists"
-  let osr_entries = "osr.entries"
-  let arg_set_changes = "args.set_changes"
-  let inlined = "inlined.sites"
-  let guards_elided = "guards.elided"
-  let compiles_aborted = "compiles.aborted"
-  let quarantines = "quarantines"
-  let pins = "quarantines.pinned"
-  let storms = "deopt.storms"
-  let cache_evictions = "cache.evictions"
-  let versions_widened = "versions.widened"
-  let versions_promoted = "versions.promoted"
-  let compiles_widened = "compiles.widened"
-  let interpro_facts = "interpro.facts"
-  let interpro_seeded = "interpro.seeded"
-  let deadlines = "deadlines"
-  let compiles_degraded = "compiles.degraded"
-  let bg_queued = "bg.queued"
-  let bg_installed = "bg.installed"
-  let bg_cancelled = "bg.cancelled"
-  let bg_superseded = "bg.superseded"
-  let bg_overflow = "bg.overflow"
-  let bg_osr_entries = "bg.osr_entries"
-  let bg_osr_stale = "bg.osr_stale"
+  type t = int
 
-  (* Per-point fired-fault counters ("faults.fired.exec_guard", ...). The
-     argument is a [Faults.point_to_string] name; telemetry sits below the
-     faults library, so the name crosses as a string. *)
+  let names : string array ref = ref [||]
+  let index : (string, int) Hashtbl.t = Hashtbl.create 64
+  let sealed = ref false
+
+  let make name =
+    match Hashtbl.find_opt index name with
+    | Some k -> k
+    | None ->
+      if !sealed then invalid_arg ("Telemetry.Key.make after a registry exists: " ^ name);
+      let k = Array.length !names in
+      names := Array.append !names [| name |];
+      Hashtbl.replace index name k;
+      k
+
+  let name k = !names.(k)
+  let of_name name = Hashtbl.find index name
+
+  let calls = make "calls"
+  let compiles = make "compiles"
+  let compiles_specialized = make "compiles.specialized"
+  let compiles_osr = make "compiles.osr"
+  let cache_hits = make "cache.hits"
+  let cache_misses = make "cache.misses"
+  let bailouts = make "bailouts"
+  let bailouts_entry = make "bailouts.entry"
+  let deopts = make "deopts"
+  let strike_discards = make "discards.strikes"
+  let blacklists = make "blacklists"
+  let osr_entries = make "osr.entries"
+  let arg_set_changes = make "args.set_changes"
+  let inlined = make "inlined.sites"
+  let guards_elided = make "guards.elided"
+  let compiles_aborted = make "compiles.aborted"
+  let quarantines = make "quarantines"
+  let pins = make "quarantines.pinned"
+  let storms = make "deopt.storms"
+  let cache_evictions = make "cache.evictions"
+  let versions_widened = make "versions.widened"
+  let versions_promoted = make "versions.promoted"
+  let compiles_widened = make "compiles.widened"
+  let interpro_facts = make "interpro.facts"
+  let interpro_seeded = make "interpro.seeded"
+  let deadlines = make "deadlines"
+  let compiles_degraded = make "compiles.degraded"
+  let bg_queued = make "bg.queued"
+  let bg_installed = make "bg.installed"
+  let bg_cancelled = make "bg.cancelled"
+  let bg_superseded = make "bg.superseded"
+  let bg_overflow = make "bg.overflow"
+  let bg_osr_entries = make "bg.osr_entries"
+  let bg_osr_stale = make "bg.osr_stale"
+
+  (* Per-point fired-fault counter names ("faults.fired.exec_guard", ...).
+     The argument is a [Faults.point_to_string] name; telemetry sits below
+     the faults library, so the name crosses as a string. *)
   let faults_fired point = "faults.fired." ^ point
 end
 
 module Counters = struct
   type t = {
     nfuncs : int;
-    totals : (string, int ref) Hashtbl.t;
-    per_fid : (string, int array) Hashtbl.t;
+    totals : int array;  (* per key *)
+    seen : bool array;  (* per key: bumped at least once, even by 0 *)
+    per_fid : int array array;  (* per key; [||] until its first per-function bump *)
   }
 
   let create ~nfuncs () =
-    { nfuncs; totals = Hashtbl.create 16; per_fid = Hashtbl.create 16 }
+    Key.sealed := true;
+    let n = Array.length !Key.names in
+    { nfuncs; totals = Array.make n 0; seen = Array.make n false; per_fid = Array.make n [||] }
 
-  let total_ref t name =
-    match Hashtbl.find_opt t.totals name with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.totals name r;
-      r
-
-  let fid_array t name =
-    match Hashtbl.find_opt t.per_fid name with
-    | Some a -> a
-    | None ->
-      let a = Array.make (max t.nfuncs 1) 0 in
-      Hashtbl.replace t.per_fid name a;
-      a
+  let fid_row t k =
+    t.seen.(k) <- true;
+    let a = Array.make (max t.nfuncs 1) 0 in
+    t.per_fid.(k) <- a;
+    a
 
   (* A per-function bump also maintains the global total, so
      [total c Key.compiles] is always the sum over functions. *)
-  let bump ?(n = 1) t ~fid name =
-    (fid_array t name).(fid) <- (fid_array t name).(fid) + n;
-    let r = total_ref t name in
-    r := !r + n
+  let bump ?(n = 1) t ~fid k =
+    let a = t.per_fid.(k) in
+    let a = if Array.length a = 0 then fid_row t k else a in
+    a.(fid) <- a.(fid) + n;
+    t.totals.(k) <- t.totals.(k) + n
 
-  let bump_global ?(n = 1) t name =
-    let r = total_ref t name in
-    r := !r + n
+  let bump_global ?(n = 1) t k =
+    t.seen.(k) <- true;
+    t.totals.(k) <- t.totals.(k) + n
 
-  let get t ~fid name =
-    match Hashtbl.find_opt t.per_fid name with Some a -> a.(fid) | None -> 0
+  let get t ~fid k =
+    let a = t.per_fid.(k) in
+    if Array.length a = 0 then 0 else a.(fid)
 
-  let total t name =
-    match Hashtbl.find_opt t.totals name with Some r -> !r | None -> 0
+  let total t k = t.totals.(k)
 
-  let names t =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.totals [])
+  (* The keys bumped so far, name-sorted. *)
+  let keys t =
+    let ks = List.filter (fun k -> t.seen.(k)) (List.init (Array.length t.seen) Fun.id) in
+    List.sort (fun a b -> String.compare (Key.name a) (Key.name b)) ks
 
   (* (name, total) rows, name-sorted — the --stats global table. *)
-  let rows t = List.map (fun name -> (name, total t name)) (names t)
+  let rows t = List.map (fun k -> (Key.name k, t.totals.(k))) (keys t)
 
   (* Non-zero counters of one function, name-sorted. *)
   let fid_rows t fid =
     List.filter_map
-      (fun name ->
-        let v = get t ~fid name in
-        if v = 0 then None else Some (name, v))
-      (names t)
+      (fun k ->
+        let v = get t ~fid k in
+        if v = 0 then None else Some (Key.name k, v))
+      (keys t)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -257,89 +257,105 @@ val jsonl_sink : out_channel -> sink
 
 (** {1 Counters} *)
 
-(** Canonical counter names bumped by the engine. *)
+(** Counter keys: indices into one process-wide table of counter names,
+    so a bump is two array writes. The engine's keys are defined here; a
+    layer above makes its own with {!Key.make} while its module
+    initialises. *)
 module Key : sig
-  val calls : string
-  val compiles : string
-  val compiles_specialized : string
-  val compiles_osr : string
-  val cache_hits : string
-  val cache_misses : string
-  val bailouts : string
-  val bailouts_entry : string
+  type t
 
-  val deopts : string
+  val make : string -> t
+  (** The key named [name], made if no key has that name yet. Call it only
+      while modules initialise: the table is sealed once the first
+      registry exists, so no domain ever writes it.
+      @raise Invalid_argument for a new name after that. *)
+
+  val name : t -> string
+
+  val of_name : string -> t
+  (** The key made with this name. @raise Not_found if none was. *)
+
+  val calls : t
+  val compiles : t
+  val compiles_specialized : t
+  val compiles_osr : t
+  val cache_hits : t
+  val cache_misses : t
+  val bailouts : t
+  val bailouts_entry : t
+
+  val deopts : t
   (** §4 deoptimizations: [Arg_mismatch] + [Entry_guard] (not strike
       discards, which recompile with the same rights) *)
 
-  val strike_discards : string
-  val blacklists : string
-  val osr_entries : string
-  val arg_set_changes : string
-  val inlined : string
-  val guards_elided : string
+  val strike_discards : t
+  val blacklists : t
+  val osr_entries : t
+  val arg_set_changes : t
+  val inlined : t
+  val guards_elided : t
 
-  val compiles_aborted : string
+  val compiles_aborted : t
   (** compilations that aborted mid-pipeline (contained, cycles charged) *)
 
-  val quarantines : string
+  val quarantines : t
   (** quarantine entries (with backoff); includes the final pinning one *)
 
-  val pins : string
+  val pins : t
   (** functions pinned to the interpreter tier permanently *)
 
-  val storms : string
+  val storms : t
   (** deopt-storm detector trips *)
 
-  val cache_evictions : string
+  val cache_evictions : t
   (** binaries evicted by the code-cache byte budget *)
 
-  val versions_widened : string
+  val versions_widened : t
   (** polyvariant ladder steps: versions replaced by a wider key *)
 
-  val versions_promoted : string
+  val versions_promoted : t
   (** tier-2 promotions: specialized versions compiled alongside a
       still-hot function's generic catch-all *)
 
-  val compiles_widened : string
+  val compiles_widened : t
   (** compilations of tag-keyed (widened) versions *)
 
-  val interpro_facts : string
+  val interpro_facts : t
   (** constant argument signatures recorded at monomorphic call sites of
       compiled callers (attributed to the callee) *)
 
-  val interpro_seeded : string
+  val interpro_seeded : t
   (** value-specialization decisions covered by an interprocedural
       constant signature *)
 
-  val deadlines : string
+  val deadlines : t
   (** cooperative deadline expiries ([Deadline_hit] events) *)
 
-  val compiles_degraded : string
+  val compiles_degraded : t
   (** compilations forced to the baseline pipeline by overload degrade
       mode (the service layer shedding specialization before requests) *)
 
-  val bg_queued : string
+  val bg_queued : t
   (** background compile requests admitted to the queue *)
 
-  val bg_installed : string
+  val bg_installed : t
   (** background artifacts harvested and installed into the cache *)
 
-  val bg_cancelled : string
+  val bg_cancelled : t
   (** queued requests dropped before installing (degrade drain, isolate
       recycle, injected faults) *)
 
-  val bg_superseded : string
+  val bg_superseded : t
   (** installed versions detached because a queued recompile at a wider
       signature landed (the re-specialization drift loop) *)
 
-  val bg_overflow : string
+  val bg_overflow : t
   (** enqueues refused because the queue was at [--compile-queue-depth] *)
 
-  val bg_osr_entries : string
+  val bg_osr_entries : t
   (** loop-edge transfers into finished background binaries *)
 
-  val bg_osr_stale : string
+  val bg_osr_stale : t
   (** OSR-flavored artifacts whose entry was refused because the live
       frame no longer matched the enqueue snapshot (the binary still
       installs for normal calls) *)
@@ -351,23 +367,24 @@ module Key : sig
       library, so the point crosses as a string). *)
 end
 
-(** Named monotonic counters, per-function and global. A per-function
-    {!Counters.bump} also maintains the global total, so totals are always
-    the sum over functions. Reads of a name never bumped return 0. *)
+(** Monotonic counters, per-function and global, one slot per {!Key.t}. A
+    per-function {!Counters.bump} also maintains the global total, so
+    totals are always the sum over functions. A key appears in the rows
+    once it has been bumped (even by 0); reads of a key never bumped
+    return 0. *)
 module Counters : sig
   type t
 
-  val bump : ?n:int -> t -> fid:int -> string -> unit
-  val bump_global : ?n:int -> t -> string -> unit
-  val get : t -> fid:int -> string -> int
-  val total : t -> string -> int
+  val bump : ?n:int -> t -> fid:int -> Key.t -> unit
+  val bump_global : ?n:int -> t -> Key.t -> unit
+  val get : t -> fid:int -> Key.t -> int
+  val total : t -> Key.t -> int
 
   val rows : t -> (string * int) list
   (** (name, global total), name-sorted. *)
 
   val fid_rows : t -> int -> (string * int) list
   (** One function's non-zero counters, name-sorted. *)
-
 end
 
 (** {1 The hub}

@@ -244,6 +244,35 @@ let test_prepared_footprint () =
     Alcotest.failf "prepared form adds %d words over %d native instructions (%.2f per instruction)"
       extra instrs (float extra /. float instrs)
 
+(* What a warm call costs the OCaml heap around the native code it runs:
+   on an engine that has already run the program once, the second run of
+   [fib(18)] x30 makes 250,830 calls, every one a cache hit on a binary
+   that finishes natively. The cache probe, the counters, the callbacks
+   record and the activation must stay within 40 minor words per call
+   (157 before the warm path was made allocation-free). *)
+let test_warm_call_footprint () =
+  let src =
+    "function fib(n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
+     var s = 0; for (var i = 0; i < 30; i++) s = s + fib(18); s;"
+  in
+  let engine =
+    Engine.make (Engine.default_config ~opt:Pipeline.best ())
+      (Bytecode.Compile.program_of_source src)
+  in
+  let calls () =
+    Telemetry.Counters.total (Telemetry.counters (Engine.telemetry engine)) Telemetry.Key.calls
+  in
+  ignore (Engine.run engine);
+  let before = calls () in
+  let words = Gc.minor_words () in
+  let report = Engine.run engine in
+  let words = Gc.minor_words () -. words in
+  let n = calls () - before in
+  Alcotest.(check int) "30 x fib(18) calls" (30 * 8361) n;
+  Alcotest.(check bool) "every call native" true (report.Engine.interp_cycles < n);
+  let per_call = words /. float n in
+  if per_call > 40. then Alcotest.failf "a warm call allocates %.1f minor words (> 40)" per_call
+
 let test_specialized_code_smaller_and_faster () =
   let src = "function f(a, b, n) { var t = 0; for (var i = 0; i < n; i++) t = (t + a * b) | 0; return t; }" in
   let tags = Value.[| Some Tag_int; Some Tag_int; Some Tag_int |] in
@@ -412,4 +441,5 @@ let suites =
         QCheck_alcotest.to_alcotest prop_native_matches_interp;
         QCheck_alcotest.to_alcotest prop_three_way_differential;
       ] );
+    ("engine", [ Alcotest.test_case "warm call footprint" `Quick test_warm_call_footprint ]);
   ]

@@ -521,8 +521,8 @@ let golden_cell ?(degrade_on_print = false) cfg src fault =
         (e, r))
   in
   let rows = Telemetry.Counters.rows (Telemetry.counters (Engine.telemetry e)) in
-  let get k = Option.value ~default:0 (List.assoc_opt k rows) in
-  let loud = Telemetry.Key.[ versions_promoted; interpro_seeded ] in
+  let get k = Option.value ~default:0 (List.assoc_opt (Telemetry.Key.name k) rows) in
+  let loud = List.map Telemetry.Key.name Telemetry.Key.[ versions_promoted; interpro_seeded ] in
   let counters =
     String.concat "\n"
       (List.filter_map

@@ -541,6 +541,101 @@ let test_engines_interleave () =
   Alcotest.(check (list string)) "A's sink saw A's one abort" [ "injected compile_diag fault" ]
     !aborts
 
+(* A warm engine hands every native run one callbacks record, rebuilt only
+   when the profile, the deadline or the fault plan it reads changes. The
+   program counts its runs in a global (a bare [var] never resets it):
+   runs 1 and 2 call fib(12) ten times, later runs 200 times. *)
+let runs_src =
+  "function fib(n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
+   var runs; if (runs == undefined) runs = 0; runs = runs + 1;\n\
+   var rounds = 10; if (runs > 2) rounds = 200;\n\
+   var s = 0; for (var i = 0; i < rounds; i++) s = s + fib(12); s;"
+
+(* The model cycles of the engine's next run. *)
+let next_run e =
+  let before = Engine.clock e in
+  ignore (Engine.run e);
+  Engine.clock e - before
+
+let test_callbacks_follow_settings () =
+  let program = Bytecode.Compile.program_of_source runs_src in
+  let cfg = Engine.default_config ~opt:Pipeline.best () in
+  let plain = Engine.make cfg program in
+  let c1 = next_run plain in
+  let c2 = next_run plain in
+  let c3 = next_run plain in
+  (* A profile attached to a warm engine attributes every cycle of its
+     next run, and its native cycles balance the native clock. *)
+  let e = Engine.make cfg program in
+  ignore (next_run e);
+  let r = Profile.Recorder.create ~program in
+  Engine.attach_profile e r;
+  let _, native0, _ = Engine.cycle_split e in
+  Alcotest.(check int) "profiled run costs the plain run's cycles" c2 (next_run e);
+  let _, native1, _ = Engine.cycle_split e in
+  Alcotest.(check int) "attributed = the run's cycles" c2 (Profile.Recorder.total_cycles r);
+  Alcotest.(check int) "native attribution balances the native clock" (native1 - native0)
+    Profile.Recorder.(
+      tier_cycles r Profile.T_native_gen + tier_cycles r Profile.T_native_spec
+      + tier_cycles r Profile.T_native_widened);
+  (* A fault plan armed on a warm engine forces a native bailout; disarmed,
+     the next run costs what the plain one did. *)
+  let e = Engine.make cfg program in
+  ignore (next_run e);
+  let bailouts () =
+    Telemetry.Counters.total (Telemetry.counters (Engine.telemetry e)) Telemetry.Key.bailouts
+  in
+  let b0 = bailouts () in
+  Engine.set_faults e (Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Nth 1) ]);
+  ignore (next_run e);
+  Alcotest.(check int) "the armed plan forced one bailout" (b0 + 1) (bailouts ());
+  Engine.set_faults e Faults.none;
+  Alcotest.(check int) "disarmed, the plain run's cycles" c3 (next_run e);
+  (* A deadline that admits one cold and one warm run but not both
+     together: each run checks against its own start, and the long third
+     run trips it. *)
+  let budget = c1 + (c2 / 2) in
+  Alcotest.(check bool) "the third run is over budget" true (c3 > budget);
+  let e = Engine.make { cfg with Engine.deadline = budget } program in
+  ignore (next_run e);
+  Alcotest.(check int) "a warm run under a deadline costs the plain run's cycles" c2
+    (next_run e);
+  match Engine.run e with
+  | exception Engine.Deadline_exceeded { dl_limit; _ } ->
+    Alcotest.(check int) "tripped at the budget" budget dl_limit
+  | _ -> Alcotest.fail "expected Deadline_exceeded"
+
+(* A runtime error raised deep inside nested native calls unwinds through
+   every call and escapes [Engine.run]; the engine's call depth must come
+   back with it, or a warm engine (the service reuses them) would refuse
+   good recursion from then on. Run 2 recurses without bound after its
+   usual work; run 3 must reach depth 190 of 200 again. *)
+let test_depth_restored_on_unwind () =
+  let src =
+    "function down(n) { if (n == 0) return 0; return 1 + down(n - 1); }\n\
+     var runs; if (runs == undefined) runs = 0; runs = runs + 1;\n\
+     var r = 0; for (var i = 0; i < 20; i++) r = down(190);\n\
+     if (runs == 2) down(100000);\n\
+     print(r);"
+  in
+  let e =
+    Engine.make
+      (Engine.default_config ~opt:Pipeline.best ~max_depth:200 ())
+      (Bytecode.Compile.program_of_source src)
+  in
+  let result () =
+    let out = ref "" in
+    ignore (Builtins.with_print_hook (fun s -> out := s) (fun () -> Engine.run e));
+    !out
+  in
+  Alcotest.(check string) "first run" "190" (result ());
+  Alcotest.check_raises "runaway recursion" (Engine.Runtime_error "stack overflow") (fun () ->
+      ignore (Engine.run e));
+  Alcotest.(check bool) "it ran native" true
+    (Telemetry.Counters.total (Telemetry.counters (Engine.telemetry e)) Telemetry.Key.cache_hits
+    > 0);
+  Alcotest.(check string) "the same depth again" "190" (result ())
+
 let suites =
   [
     ( "engine.policy",
@@ -589,6 +684,12 @@ let suites =
           test_lru_missing_probe_no_refresh;
         QCheck_alcotest.to_alcotest ~long:false prop_report_invariants;
         Alcotest.test_case "deterministic accounting" `Quick test_engine_determinism;
+      ] );
+    ( "engine.warm",
+      [
+        Alcotest.test_case "the callbacks record follows what it reads" `Quick
+          test_callbacks_follow_settings;
+        Alcotest.test_case "depth is restored on unwind" `Quick test_depth_restored_on_unwind;
       ] );
     ( "engine.isolation",
       [ Alcotest.test_case "two engines interleaved on one domain" `Quick test_engines_interleave ] );
