@@ -300,6 +300,7 @@ let rec compile_function g ~parent ~name ~params ~body ~is_toplevel =
       code;
       max_stack = Program.compute_max_stack code;
       nloops = fx.nloops;
+      writes_args = Array.exists (function Instr.Set_arg _ -> true | _ -> false) code;
     }
   in
   g.funcs <- func :: g.funcs;

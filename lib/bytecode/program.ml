@@ -11,6 +11,9 @@ type func = {
   code : Instr.t array;
   max_stack : int;
   nloops : int;
+  writes_args : bool;
+      (* the body assigns a parameter ([Set_arg]): its interpreter frame
+         must own its argument array, which the caller still holds *)
 }
 
 type t = { funcs : func array; global_names : string array; main : int }

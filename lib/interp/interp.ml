@@ -43,7 +43,11 @@ let make_state ?(max_depth = default_max_depth) program =
 
 let make_frame (func : Bytecode.Program.func) ~args ~upvals =
   let padded =
-    if Array.length args >= func.arity then args
+    if Array.length args >= func.arity then
+      (* The caller keeps [args] (the engine's argument statistics, a queued
+         compile's burned-in tuple): a body that assigns a parameter gets
+         its own copy. *)
+      if func.writes_args then Array.copy args else args
     else
       Array.init func.arity (fun i ->
           if i < Array.length args then args.(i) else Value.Undefined)

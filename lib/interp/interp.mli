@@ -65,7 +65,8 @@ val make_frame :
   frame
 (** A frame about to execute from pc 0. Missing arguments are padded with
     [Undefined]; extra arguments are retained (JS semantics for arity
-    mismatches). *)
+    mismatches). The frame shares [args] unless the function assigns a
+    parameter ([writes_args]), so the caller's array never changes. *)
 
 val run : state -> hooks -> frame -> Runtime.Value.t
 (** Execute the frame from its current [pc]/[sp] until it returns. *)

@@ -49,6 +49,7 @@ let mk_func ?(arity = 0) ?(nlocals = 0) code =
     code;
     max_stack = 8;
     nloops = 0;
+    writes_args = false;
   }
 
 let mk_program func =

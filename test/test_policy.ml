@@ -368,6 +368,46 @@ let test_interprocedural_two_deep_chain () =
          acc + get f.Engine.fr_name Telemetry.Key.deopts)
        0 report.Engine.functions)
 
+(* An interpreted callee that assigns its parameter must not write into
+   the caller's argument array: the engine keeps that array as the
+   previous call's tuple (§2 statistics), so the write made every call
+   after an interpreted one look like a new argument set. Under the
+   polyvariant policy those phantom changes made [always_varying] promote
+   f to a tag version although every call passed the same value. The cold
+   branch only makes f's queued generic compile land late, so that many
+   calls interpret before it does. *)
+let test_param_writes_stay_in_frame () =
+  let f_src cold =
+    Printf.sprintf "function f(n) { n = n + 1; %sreturn n; }\n" cold
+  in
+  let engine, report, out =
+    run (f_src "" ^ "var s = 0; for (var i = 0; i < 50; i++) s = s + f(1); print(s);")
+  in
+  Alcotest.(check string) "result" "100\n" out;
+  Alcotest.(check int) "every call passed (1)" 0
+    (counter engine report "f" Telemetry.Key.arg_set_changes);
+  let cold =
+    "if (n > 100) { "
+    ^ String.concat " " (List.init 40 (fun i -> Printf.sprintf "n = n * 3 + %d;" i))
+    ^ " } "
+  in
+  let evs = ref [] in
+  let engine, report, out =
+    run
+      ~cfg:{ (poly_cfg ~cache_size:4 ()) with Engine.bg_compile = true }
+      ~sinks:[ collect evs ]
+      (f_src cold
+     ^ "var one = 1; var s = 0; for (var i = 0; i < 200; i++) s = s + f(one); print(s);")
+  in
+  Alcotest.(check string) "polyvariant result" "400\n" out;
+  Alcotest.(check int) "no phantom changes" 0
+    (counter engine report "f" Telemetry.Key.arg_set_changes);
+  Alcotest.(check (list string)) "generic tier, then promoted on values"
+    [ "generic"; "values" ]
+    (List.filter_map
+       (function Telemetry.Compile_enqueue { kind; _ } -> Some kind | _ -> None)
+       (events_of evs "f"))
+
 (* ------------------------------------------------------------------ *)
 (* Differential and determinism                                        *)
 (* ------------------------------------------------------------------ *)
@@ -463,6 +503,8 @@ let suites =
           test_promotion_fills_value_versions;
         Alcotest.test_case "interprocedural facts cross two call edges" `Quick
           test_interprocedural_two_deep_chain;
+        Alcotest.test_case "parameter writes stay in the callee's frame" `Quick
+          test_param_writes_stay_in_frame;
       ] );
     ( "policy.diff",
       [
