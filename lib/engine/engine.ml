@@ -199,11 +199,8 @@ type t = {
       (* the lint layer's sink: spec-check warnings (with [cfg.check]) and
          every diagnostic that aborts a compile *)
   faults : Faults.plan ref;  (* drawn at every injection point; see [set_faults] *)
-  mutable exec_cb : Exec.callbacks option;
-      (* the record every native run is handed, built at the first one and
-         rebuilt when the profile, deadline or fault plan it was built
-         from ([exec_profile], [exec_trip], its [faults]) changes *)
-  mutable exec_profile : Profile.Recorder.t option;
+  mutable exec_cb : Exec.callbacks option;  (* see [exec_callbacks] *)
+  mutable exec_profile : Profile.Recorder.t option;  (* what [exec_cb] was built from *)
   mutable exec_trip : (int -> int -> unit) option;
 }
 

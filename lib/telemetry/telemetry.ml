@@ -508,8 +508,7 @@ let output_chrome_trace oc spans =
 (* ------------------------------------------------------------------ *)
 
 (* Counter keys. A key is an index into one process-wide name table, so a
-   bump is two array writes instead of string-keyed hash lookups. The
-   engine's keys are made here; a layer above (the service's counters, the
+   bump is two array writes. The engine's keys are made here; a layer above (the service's counters, the
    fault points it counts) makes its own while its module initialises.
    Every key exists before any registry does ([Counters.create] seals the
    table), so the table is read-only once domains run. *)
